@@ -13,6 +13,7 @@ outside and lives in the test suite and CLI docs.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -657,6 +658,8 @@ def run_battery(
 ) -> Report:
     """Run the selected criteria (all twelve by default) into one Report.
 
+    A number outside ``CRITERIA`` raises ValueError before any criterion runs.
+
     ``progress`` receives one human-readable line per criterion; timings are
     reported there and deliberately kept out of the Report so that repeated
     runs are byte-identical.
@@ -664,6 +667,10 @@ def run_battery(
     import time
 
     chosen = set(numbers) if numbers is not None else None
+    if chosen is not None:
+        unknown = chosen - {num for num, _, _ in CRITERIA}
+        if unknown:
+            raise ValueError(f"unknown criteria {sorted(unknown)}")
     sections = []
     for num, slug, fn in CRITERIA:
         if chosen is not None and num not in chosen:
@@ -671,7 +678,7 @@ def run_battery(
         t0 = time.monotonic()
         sec = fn(seed)
         elapsed = time.monotonic() - t0
-        sec = Section(name=f"{num:02d}-{slug}", status=sec.status, records=sec.records)
+        sec = replace(sec, name=f"{num:02d}-{slug}")
         sections.append(sec)
         if progress is not None:
             progress(

@@ -25,9 +25,21 @@ from .operators import (
     adjoint,
     apply,
 )
-from .spaces import GeometricTail, PNorm, SpVector, norm, pairing
+from .spaces import GeometricTail, SpVector, pairing
 from .spectral import eigs_dense
 
+__all__ = [
+    "KrylovDegenerate",
+    "DegenerateSpectrum",
+    "CommutantWitness",
+    "gram_schmidt_triangularize",
+    "random_t1_contraction",
+    "build_commutant_witness",
+    "eval_f_w",
+    "krylov_rank",
+    "witness_pairing_residual",
+    "bezout_residual",
+]
 
 class KrylovDegenerate(Exception):
     """The seed vector is not numerically cyclic at the given scale."""
@@ -42,7 +54,6 @@ _DISTINCT_TOL = 1e-8
 _NONZERO_TOL = 1e-10
 _BEZOUT_TOL = 1e-8
 _EIGEN_RESIDUAL_TOL = 1e-8
-_HILBERT = PNorm.lp(2.0)
 
 
 def gram_schmidt_triangularize(
@@ -327,8 +338,3 @@ def bezout_residual(wit: CommutantWitness) -> float:
     )
     total[-1] -= 1.0
     return float(np.max(np.abs(total)))
-
-
-def hilbert_norm(x: SpVector) -> float:
-    """l2 norm shorthand used by the witness checks."""
-    return norm(x, _HILBERT)

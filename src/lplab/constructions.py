@@ -9,20 +9,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .operators import (
     ColumnRule,
-    NormCertificate,
     RuleEntry,
     StructuredOperator,
     apply,
     fixed_point_restarts,
     op_norm,
 )
-from .spaces import GeometricTail, IndexDomain, PNorm, SpVector, duality_map, norm
+from .spaces import IndexDomain, PNorm, SpVector, norm
 from .spectral import OmegaWeights
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "EpsSeq",
     "SearchExhausted",
     "ExposednessUndetermined",
-    "InjectivityWitness",
     "BEtaDelta",
     "ShiftPolyGap",
     "norm_lemma_constants",
@@ -40,9 +38,7 @@ __all__ = [
     "build_T1_coisometry_l1",
     "dq_witness",
     "kernel_vector_greedy",
-    "build_injectivity_witness",
     "kan_check",
-    "make_absolutely_exposing",
     "check_evenly_distributed",
     "build_B_eta_delta",
     "delta_for_B",
@@ -367,167 +363,6 @@ def kernel_vector_greedy(
 
 
 # ---------------------------------------------------------------------------
-# norm-one operators that do not attain their norm
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InjectivityWitness:
-    """Norm-one extension of B whose two designed rows pin down coordinates
-    k and N of any near-kernel vector.
-
-    The two validated conditions are (with slack s = eps * 10^{-(k+1)}):
-    (i)  the row functionals at r1, r2 vanish on columns beyond N
-         (``tail_norm_r1/r2``, exactly zero here);
-    (ii) for x in the unit ball of the span of e_0..e_N,
-         |<e*_r1, Ax>| > |eps x_k| - |delta1 x_N| - s   and
-         |<e*_r2, Ax>| > |delta2 x_N| - s
-         (smallest sampled slack surpluses in ``min_margin_r1/r2``).
-    """
-
-    op: StructuredOperator
-    pn: PNorm
-    eps: float
-    delta1: float
-    delta2: float
-    N: int
-    k: int
-    r1: int
-    r2: int
-    cert: NormCertificate
-    tail_norm_r1: float
-    tail_norm_r2: float
-    rows_exact: bool
-    sphere_samples: int
-    min_margin_r1: float
-    min_margin_r2: float
-
-
-def build_injectivity_witness(
-    B: np.ndarray,
-    N: int,
-    M: int,
-    eps: float,
-    k: int,
-    pn: PNorm,
-    nsamples: int = 200,
-    seed: int = 0,
-) -> InjectivityWitness:
-    """Build the norm-one row-pinning extension of B.
-
-    B is dense with columns 0..N-1 and rows 0..M, norm strictly below one.
-    Column k receives an extra entry eps at fresh row M+1, and a new column N
-    feeds rows M+1 and M+2 with weights (delta1, delta2): for the sup norm
-    these are (1-eps, 1) exactly; for p-norms (p > 2) a common delta is tuned
-    by bisection until the operator norm is one (within 1e-8).
-    """
-    B = np.asarray(B, dtype=complex)
-    if B.shape != (M + 1, N):
-        raise ValueError("B must be (M+1) x N")
-    if not (M > N > k + 1 >= 2):
-        raise ValueError("indices must satisfy M > N > k+1 >= 2")
-    if not 0.0 < eps < 0.25:
-        raise ValueError("eps must lie in (0, 1/4)")
-
-    def assemble(scale: float, d1: float, d2: float) -> StructuredOperator:
-        block = np.zeros((M + 3, N + 1), dtype=complex)
-        block[: M + 1, :N] = scale * B
-        block[M + 1, k] += eps
-        block[M + 1, N] = d1
-        block[M + 2, N] = d2
-        return StructuredOperator(
-            block=block,
-            row_offset=0,
-            col_offset=0,
-            rules=(),
-            domain=IndexDomain.NATURALS,
-        )
-
-    if pn.is_c0:
-        rows = np.abs(B).sum(axis=1)
-        if rows.max() >= 1.0:
-            raise ValueError("B must be a strict sup-norm contraction")
-        scale = 1.0
-        d1, d2 = 1.0 - eps, 1.0
-        A = assemble(scale, d1, d2)
-        cert = op_norm(A, pn)
-    else:
-        p = float(pn.p)
-        if not p > 2.0:
-            raise ValueError("p must exceed 2")
-        base0 = StructuredOperator(
-            block=B, row_offset=0, col_offset=0, rules=(), domain=IndexDomain.NATURALS
-        )
-        if op_norm(base0, pn).value >= 1.0:
-            raise ValueError("B must be a strict contraction")
-        scale = 1.0 - 2.0 * eps
-
-        def norm_at(d: float) -> float:
-            return op_norm(assemble(scale, d, d), pn).value
-
-        lo_d, hi_d = 0.0, 1.0
-        while norm_at(hi_d) < 1.0:
-            hi_d *= 2.0
-        for _ in range(60):
-            mid = 0.5 * (lo_d + hi_d)
-            if norm_at(mid) < 1.0:
-                lo_d = mid
-            else:
-                hi_d = mid
-        d1 = d2 = 0.5 * (lo_d + hi_d)
-        A = assemble(scale, d1, d2)
-        cert = op_norm(A, pn)
-
-    # (i): the designed rows have no support beyond column N -- exactly.
-    blk = np.asarray(A.block)
-    tail1 = float(np.abs(blk[M + 1, N + 1 :]).sum()) if blk.shape[1] > N + 1 else 0.0
-    tail2 = float(np.abs(blk[M + 2, N + 1 :]).sum()) if blk.shape[1] > N + 1 else 0.0
-    slack = eps * 10.0 ** (-(k + 1))
-    if not (tail1 < slack and tail2 < slack):
-        raise RuntimeError("tail condition violated")
-    rows_exact = (
-        np.abs(blk[M + 1, :N]).sum() == abs(blk[M + 1, k])
-        and blk[M + 1, k] == eps
-        and blk[M + 1, N] == d1
-        and np.abs(blk[M + 2, :N]).sum() == 0.0
-        and blk[M + 2, N] == d2
-    )
-
-    # (ii): sampled over the unit sphere of span(e_0..e_N).
-    rng = np.random.default_rng(seed)
-    m1, m2 = math.inf, math.inf
-    for _ in range(nsamples):
-        z = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
-        x = SpVector.make([(j, z[j]) for j in range(N + 1)])
-        nx = norm(x, pn)
-        x = x.scale(1.0 / nx)
-        img = apply(A, x)
-        v1 = abs(img.at(M + 1)) - (eps * abs(x.at(k)) - d1 * abs(x.at(N)) - slack)
-        v2 = abs(img.at(M + 2)) - (d2 * abs(x.at(N)) - slack)
-        m1, m2 = min(m1, v1), min(m2, v2)
-    if not (m1 > 0.0 and m2 > 0.0 and rows_exact):
-        raise RuntimeError("row-pinning conditions violated on the sample")
-    return InjectivityWitness(
-        op=A,
-        pn=pn,
-        eps=eps,
-        delta1=d1,
-        delta2=d2,
-        N=N,
-        k=k,
-        r1=M + 1,
-        r2=M + 2,
-        cert=cert,
-        tail_norm_r1=tail1,
-        tail_norm_r2=tail2,
-        rows_exact=bool(rows_exact),
-        sphere_samples=nsamples,
-        min_margin_r1=float(m1),
-        min_margin_r2=float(m2),
-    )
-
-
-# ---------------------------------------------------------------------------
 # scalar convexity inequality
 # ---------------------------------------------------------------------------
 
@@ -558,54 +393,8 @@ def kan_check(u: complex, v: complex, p: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# absolutely exposing perturbations and even distribution
+# even distribution
 # ---------------------------------------------------------------------------
-
-
-def make_absolutely_exposing(
-    A: StructuredOperator,
-    x0: SpVector,
-    delta: float,
-    pn: PNorm,
-) -> StructuredOperator:
-    """Rank-one update A + delta (A x0) (x) J(x0) for a unit norming vector x0.
-
-    Applied to x0 the update gives (1 + delta) A x0, and the dual pairing
-    bound shows the norm grows by exactly the factor 1 + delta, so x0 becomes
-    the essentially unique direction of maximal gain.
-    """
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
-    if A.rules:
-        raise ValueError("dense-block operators only")
-    nx0 = norm(x0, pn)
-    if abs(nx0 - 1.0) > 1e-8:
-        raise ValueError("x0 must be a unit vector")
-    cert = op_norm(A, pn)
-    gain = norm(apply(A, x0), pn)
-    if abs(gain - cert.value) > 1e-6 * max(1.0, cert.value):
-        raise ValueError("x0 must attain the norm of A")
-    if (1.0 + delta) * cert.value >= 1.0:
-        raise ValueError("(1 + delta) ||A|| must stay below one")
-    j = duality_map(x0, pn)
-    img = apply(A, x0)
-    rlo, rhi = A.row_offset, A.row_offset + A.nrows
-    clo, chi = A.col_offset, A.col_offset + A.ncols
-    for idx, _ in img.entries:
-        rlo, rhi = min(rlo, idx), max(rhi, idx + 1)
-    for idx, _ in j.entries:
-        clo, chi = min(clo, idx), max(chi, idx + 1)
-    block = np.zeros((rhi - rlo, chi - clo), dtype=complex)
-    block[
-        A.row_offset - rlo : A.row_offset - rlo + A.nrows,
-        A.col_offset - clo : A.col_offset - clo + A.ncols,
-    ] = A.block
-    for r, vr in img.entries:
-        for c, vc in j.entries:
-            block[r - rlo, c - clo] += delta * vr * vc
-    return StructuredOperator(
-        block=block, row_offset=rlo, col_offset=clo, rules=(), domain=A.domain
-    )
 
 
 def check_evenly_distributed(

@@ -28,6 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .operators import StructuredOperator
+from .reports import section_status
 from .spectral import eigs_dense
 
 __all__ = [
@@ -831,7 +832,7 @@ def verify_eigenfree_run(
         raise ValueError("run was not produced by the eigen-free strategy")
     params = run.params if run.params is not None else EigenfreeParams.honest()
     blk = T if isinstance(T, GameBlock) else run.final_set.A
-    sections: list[dict] = []
+    parts: dict[str, list[dict]] = {}
 
     # -- legality ----------------------------------------------------------
     legal = [
@@ -841,7 +842,7 @@ def verify_eigenfree_run(
         }
         for i in range(len(run.moves) - 1)
     ]
-    sections.append(_section("legality", legal))
+    parts["legality"] = legal
 
     # -- membership and norm ------------------------------------------------
     member = [
@@ -851,10 +852,10 @@ def verify_eigenfree_run(
     member.append(
         _check("c0_operator_norm", block_norm_c0(blk), 1.0, _NORM_TOL)
     )
-    sections.append(_section("membership", member))
+    parts["membership"] = member
 
     # -- row coupling --------------------------------------------------------
-    sections.append(_section("row_coupling", _row_coupling_checks(blk)))
+    parts["row_coupling"] = _row_coupling_checks(blk)
 
     # -- parameters ----------------------------------------------------------
     pchecks = params.validate()
@@ -868,7 +869,7 @@ def verify_eigenfree_run(
         }
     )
     pchecks.append({"name": "product_certificate", "ok": True, **product})
-    sections.append(_section("parameters", pchecks))
+    parts["parameters"] = pchecks
 
     # -- eigenpair screen ----------------------------------------------------
     D_eff = min(D, blk.N + 1)
@@ -924,15 +925,14 @@ def verify_eigenfree_run(
             "violations": violations,
         }
     ]
-    sections.append(_section("eigen_screen", screen))
+    parts["eigen_screen"] = screen
 
+    sections = [
+        {"name": name, "status": section_status(recs), "records": recs}
+        for name, recs in parts.items()
+    ]
     ok = all(s["status"] == "pass" for s in sections)
     return {"ok": ok, "certified": bool(run.certified and ok), "sections": sections}
-
-
-def _section(name: str, checks: list[dict]) -> dict:
-    status = "pass" if all(c.get("ok", True) for c in checks) else "fail"
-    return {"name": name, "status": status, "records": checks}
 
 
 # ---------------------------------------------------------------------------
@@ -1010,7 +1010,7 @@ def verify_nonsup_run(
     if n_max is None:
         n_max = side[-1].L
     n_cap = min(n_max, n_direct)
-    sections: list[dict] = []
+    parts: dict[str, list[dict]] = {}
 
     # -- legality + membership ----------------------------------------------
     legal = [
@@ -1025,8 +1025,8 @@ def verify_nonsup_run(
         for _, S in run.moves
     ]
     member.append(_check("c0_operator_norm", block_norm_c0(blk), 1.0, _NORM_TOL))
-    sections.append(_section("legality", legal))
-    sections.append(_section("membership", member))
+    parts["legality"] = legal
+    parts["membership"] = member
 
     # -- diagonal-row coupling (exact sparse sums) ---------------------------
     coupling = []
@@ -1036,7 +1036,7 @@ def verify_nonsup_run(
         coupling.append(
             _check(f"round{rec.k}_row_complement", mass, rec.eps_next, _EXACT_SLACK)
         )
-    sections.append(_section("row_coupling", coupling))
+    parts["row_coupling"] = coupling
 
     # -- orbit iteration ------------------------------------------------------
     coords = np.zeros((K, n_cap + 1))
@@ -1071,7 +1071,7 @@ def verify_nonsup_run(
                 "checked_n": int(n_cap),
             }
         )
-    sections.append(_section("coordinate_floor", checks))
+    parts["coordinate_floor"] = checks
 
     # prefix spill/decay and norm checkpoints
     pref: list[dict] = []
@@ -1120,7 +1120,7 @@ def verify_nonsup_run(
                     _ORBIT_SLACK,
                 )
             )
-    sections.append(_section("prefix_bounds", pref))
+    parts["prefix_bounds"] = pref
 
     # 8:1 norm-to-coordinate ratio on each round's range
     ratio_checks: list[dict] = []
@@ -1140,7 +1140,7 @@ def verify_nonsup_run(
                 "checked_n": [int(lo_n), int(hi_n - 1)],
             }
         )
-    sections.append(_section("norm_coordinate_ratio", ratio_checks))
+    parts["norm_coordinate_ratio"] = ratio_checks
 
     # scaled-orbit floor: exact infimum every step, grid on a subsample
     floor_checks: list[dict] = []
@@ -1231,8 +1231,12 @@ def verify_nonsup_run(
                 "certificates": cert,
             }
         )
-    sections.append(_section("scaled_orbit_floor", floor_checks))
+    parts["scaled_orbit_floor"] = floor_checks
 
+    sections = [
+        {"name": name, "status": section_status(recs), "records": recs}
+        for name, recs in parts.items()
+    ]
     ok = all(s["status"] == "pass" for s in sections)
     return {"ok": ok, "certified": ok, "sections": sections}
 

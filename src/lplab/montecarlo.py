@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Mapping, Sequence
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .operators import StructuredOperator, op_norm
 from .reports import Report, Section, make_report, make_section
-from .spaces import PNorm
+from .spaces import PNorm, dense_norm
 
 __all__ = [
     "ExperimentKind",
@@ -140,15 +140,6 @@ def sample_contraction(dim: int, pn: PNorm, rng: np.random.Generator) -> np.ndar
     return G / (cert.value * (1.0 + _SCALE_PAD))
 
 
-def _vec_norm(v: np.ndarray, pn: PNorm) -> float:
-    a = np.abs(v)
-    if a.size == 0:
-        return 0.0
-    if pn.is_c0:
-        return float(a.max())
-    return float((a**pn.p).sum() ** (1.0 / pn.p))
-
-
 # ---------------------------------------------------------------------------
 # per-sample machinery
 
@@ -230,10 +221,10 @@ def exp_orbit_decay(cfg: ExperimentConfig) -> Section:
         v = np.zeros(cfg.dim, dtype=complex)
         v[0] = 1.0
         norms = np.empty(ORBIT_STEPS + 1)
-        norms[0] = _vec_norm(v, cfg.space)
+        norms[0] = dense_norm(v, cfg.space)
         for n in range(ORBIT_STEPS):
             v = M @ v
-            norms[n + 1] = _vec_norm(v, cfg.space)
+            norms[n + 1] = dense_norm(v, cfg.space)
         monotone = bool(
             np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-9) + 1e-15)
         )
@@ -533,7 +524,7 @@ def run_suite(
             )
             continue
         if sec.name != name:
-            sec = Section(name=name, status=sec.status, records=sec.records)
+            sec = replace(sec, name=name)
         sections.append(sec)
     seeds = {cfg.seed for cfg in configs}
     seed = seeds.pop() if len(seeds) == 1 else None

@@ -25,6 +25,7 @@ from .spaces import (
     PNorm,
     SpVector,
     add,
+    dense_norm,
     norm,
     pairing,
 )
@@ -38,12 +39,10 @@ __all__ = [
     "UnboundedRowSums",
     "apply",
     "adjoint",
-    "compose",
     "truncate",
     "materialize",
     "op_norm",
     "op_norm_oracle",
-    "sot_ball_member",
     "dual_sup_norm",
 ]
 
@@ -346,52 +345,6 @@ def truncate(T: StructuredOperator, D: int) -> np.ndarray:
     return materialize(T, lo, lo + D, lo, lo + D)
 
 
-def compose(S: StructuredOperator, T: StructuredOperator) -> StructuredOperator:
-    """S after T; one factor must be block-only."""
-    if S.domain != T.domain:
-        raise ValueError("domain mismatch")
-    images: dict[int, SpVector] = {}
-    if not T.rules:
-        for j in range(T.col_offset, T.col_offset + T.ncols):
-            y = apply(S, T.column(j))
-            if not y.is_zero():
-                images[j] = y
-    elif not S.rules:
-        s_lo, s_hi = S.col_offset, S.col_offset + S.ncols
-        cols: set[int] = set(range(T.col_offset, T.col_offset + T.ncols))
-        for rule in T.rules:
-            for e in rule.entries:
-                if e.row_kind != "affine" or e.row_a == 0:
-                    raise UnrepresentableImage("cannot compose through this rule")
-                # rows a*col+b land in [s_lo, s_hi) for finitely many k
-                for k in range(0, _MAX_ENUM):
-                    col = rule.col(k)
-                    r = e.row(k, col)
-                    going_up = e.row_a * rule.step > 0
-                    if going_up and r >= s_hi:
-                        break
-                    if not going_up and r < s_lo:
-                        break
-                    if s_lo <= r < s_hi:
-                        cols.add(col)
-        for j in sorted(cols):
-            y = apply(S, T.column(j))
-            if not y.is_zero():
-                images[j] = y
-    else:
-        raise UnrepresentableImage("compose requires a block-only factor")
-    if not images:
-        return StructuredOperator(np.zeros((1, 1), dtype=complex), 0, 0, (), S.domain)
-    col_lo, col_hi = min(images), max(images) + 1
-    row_lo = min(r for y in images.values() for r, _ in y.entries)
-    row_hi = max(r for y in images.values() for r, _ in y.entries) + 1
-    M = np.zeros((row_hi - row_lo, col_hi - col_lo), dtype=complex)
-    for j, y in images.items():
-        for r, v in y.entries:
-            M[r - row_lo, j - col_lo] = v
-    return StructuredOperator(M, row_lo, col_lo, (), S.domain)
-
-
 # ---------------------------------------------------------------------------
 # norms
 
@@ -540,16 +493,13 @@ def _J(z: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _vec_norm(z: np.ndarray, p: float) -> float:
-    return float(np.sum(np.abs(z) ** p) ** (1.0 / p))
-
-
 def fixed_point_restarts(
     M: np.ndarray, p: float, restarts: int = 32, seed: int = 0
 ) -> list[tuple[float, np.ndarray, float]]:
     """All restart outcomes of the monotone fixed-point ascent (value, x, residual)."""
     m, n = M.shape
     q = p / (p - 1.0)
+    pn = PNorm.lp(p)
     rng = np.random.default_rng(seed)
     starts = [np.eye(n, dtype=complex)[:, i] for i in range(n)]
     starts.append(np.ones(n, dtype=complex))
@@ -557,20 +507,20 @@ def fixed_point_restarts(
         starts.append(rng.normal(size=n) + 1j * rng.normal(size=n))
     out: list[tuple[float, np.ndarray, float]] = []
     for x0 in starts:
-        nx = _vec_norm(x0, p)
+        nx = float(dense_norm(x0, pn))
         if nx == 0:
             continue
         x = x0 / nx
-        v_prev = _vec_norm(M @ x, p)
+        v_prev = float(dense_norm(M @ x, pn))
         res = v_prev
         for _ in range(500):
             g = M.T @ _J(M @ x, p)
             y = _J(g, q)
-            ny = _vec_norm(y, p)
+            ny = float(dense_norm(y, pn))
             if ny == 0:
                 break
             x = y / ny
-            v = _vec_norm(M @ x, p)
+            v = float(dense_norm(M @ x, pn))
             if v < v_prev - 1e-12 * max(1.0, v_prev):
                 raise AssertionError("fixed-point ascent lost monotonicity")
             res = v - v_prev
@@ -703,13 +653,8 @@ def op_norm(T: StructuredOperator, pn: PNorm, seed: int = 0) -> NormCertificate:
 
 
 def _eval_batch(M: np.ndarray, X: np.ndarray, pn: PNorm) -> np.ndarray:
-    Y = M @ X
-    if pn.is_c0:
-        num = np.abs(Y).max(axis=0)
-        den = np.abs(X).max(axis=0)
-    else:
-        num = np.sum(np.abs(Y) ** pn.p, axis=0) ** (1.0 / pn.p)
-        den = np.sum(np.abs(X) ** pn.p, axis=0) ** (1.0 / pn.p)
+    num = dense_norm(M @ X, pn)
+    den = dense_norm(X, pn)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(den > 0, num / den, 0.0)
     return out
@@ -750,11 +695,8 @@ def _polish(M: np.ndarray, pn: PNorm, x0: np.ndarray) -> tuple[float, np.ndarray
         x0 = x0 * np.conj(x0[i0] / abs(x0[i0]))
 
     def gain(x: np.ndarray) -> float:
-        if pn.is_c0:
-            nx = np.abs(x).max()
-            return float(np.abs(M @ x).max() / nx) if nx > 0 else 0.0
-        nx = _vec_norm(x, pn.p)
-        return _vec_norm(M @ x, pn.p) / nx if nx > 0 else 0.0
+        nx = dense_norm(x, pn)
+        return float(dense_norm(M @ x, pn) / nx) if nx > 0 else 0.0
 
     def unpack(params: np.ndarray) -> np.ndarray:
         im = np.concatenate([params[n : n + i0], [0.0], params[n + i0 :]])
@@ -833,7 +775,7 @@ def op_norm_oracle(M: np.ndarray, pn: PNorm, seed: int = 0) -> NormCertificate:
         vals = _eval_batch(M, X_cand, pn)
         i = int(np.argmax(vals))
         x = X_cand[:, i]
-        nx = np.abs(x).max() if pn.is_c0 else _vec_norm(x, pn.p)
+        nx = dense_norm(x, pn)
         witness = SpVector.make({j: x[j] / nx for j in range(n)})
         return NormCertificate(float(vals[i]), witness, "oracle", 0.0)
     nonneg = bool(np.all(np.isreal(M)) and np.all(M.real >= 0))
@@ -860,40 +802,14 @@ def op_norm_oracle(M: np.ndarray, pn: PNorm, seed: int = 0) -> NormCertificate:
             best_val, best_x = v, x
         elif v > second:
             second = v
-    nx = _vec_norm(best_x, pn.p)
+    nx = dense_norm(best_x, pn)
     witness = SpVector.make({i: best_x[i] / nx for i in range(n)})
     residual = max(1e-12, best_val - second if second > 0 else 1e-12)
     return NormCertificate(float(best_val), witness, "oracle", min(residual, 1e-4))
 
 
 # ---------------------------------------------------------------------------
-# membership and dual sups
-
-
-def sot_ball_member(
-    T: StructuredOperator,
-    A: StructuredOperator,
-    N: int,
-    eps: float,
-    pn: PNorm,
-    star: bool = False,
-) -> bool:
-    """Is T in the basic neighborhood {S : ||(S - A) e_j|| < eps, j in the window}?
-
-    With ``star`` set, the transposed columns are tested against the same
-    data as well.
-    """
-    if T.domain == IndexDomain.NATURALS:
-        idxs = range(0, N + 1)
-    else:
-        idxs = range(-N, N + 1)
-    for j in idxs:
-        diff = T.column(j) - A.column(j)
-        if not norm(diff, pn) < eps:
-            return False
-    if star:
-        return sot_ball_member(adjoint(T), adjoint(A), N, eps, pn, star=False)
-    return True
+# dual sups
 
 
 def dual_sup_norm(T: StructuredOperator, xstar: SpVector) -> float:

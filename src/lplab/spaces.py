@@ -19,12 +19,11 @@ import numpy as np
 __all__ = [
     "PNorm",
     "IndexDomain",
-    "IndexSet",
     "GeometricTail",
     "SpVector",
     "norm",
+    "dense_norm",
     "duality_map",
-    "project",
     "pairing",
     "vector_to_json",
     "vector_from_json",
@@ -70,7 +69,11 @@ class PNorm:
         return PNorm.lp(self.p / (self.p - 1.0))
 
     def label(self) -> str:
-        return "c0" if self.is_c0 else f"l{self.p:g}"
+        """Space name; ``l`` + p in ``:g`` form only when that parses back to p."""
+        if self.is_c0:
+            return "c0"
+        short = f"{self.p:g}"
+        return f"l{short}" if float(short) == self.p else f"l{self.p!r}"
 
 
 @dataclass(frozen=True)
@@ -91,26 +94,6 @@ class GeometricTail:
         if j < self.start:
             return 0.0
         return self.coeff * self.ratio ** (j - self.start)
-
-
-@dataclass(frozen=True)
-class IndexSet:
-    """Finite set of indices, or the complement of one."""
-
-    indices: tuple[int, ...]
-    cofinite: bool = False
-
-    @staticmethod
-    def finite(indices: Iterable[int]) -> "IndexSet":
-        return IndexSet(tuple(sorted(set(indices))), cofinite=False)
-
-    @staticmethod
-    def complement(indices: Iterable[int]) -> "IndexSet":
-        return IndexSet(tuple(sorted(set(indices))), cofinite=True)
-
-    def contains(self, j: int) -> bool:
-        inside = j in set(self.indices)
-        return inside != self.cofinite
 
 
 def _normalized_entries(
@@ -305,6 +288,14 @@ def norm(x: SpVector, pn: PNorm) -> float:
     return total ** (1.0 / p)
 
 
+def dense_norm(z: np.ndarray, pn: PNorm) -> np.floating | np.ndarray:
+    """Norm of a dense vector, or of each column of a matrix (axis 0)."""
+    a = np.abs(z)
+    if pn.is_c0:
+        return a.max(axis=0)
+    return np.sum(a**pn.p, axis=0) ** (1.0 / pn.p)
+
+
 def duality_map(x: SpVector, pn: PNorm) -> SpVector:
     """J(x) with coordinates ``conj(x_j) |x_j|^(p-2)``.
 
@@ -322,27 +313,6 @@ def duality_map(x: SpVector, pn: PNorm) -> SpVector:
         coeff = np.conj(t.coeff) * abs(t.coeff) ** (p - 2.0)
         tail = GeometricTail(t.start, coeff, ratio)
     return SpVector.make(ents, tail, x.domain)
-
-
-def project(x: SpVector, sel: IndexSet) -> SpVector:
-    """Coordinate projection onto the index set ``sel``."""
-    if not sel.cofinite:
-        keep = set(sel.indices)
-        vals = {j: x.at(j) for j in keep}
-        return SpVector.make(vals, None, x.domain)
-    removed = set(sel.indices)
-    vals = {j: v for j, v in x.entries if j not in removed}
-    tail = x.tail
-    if tail is not None:
-        holes = [j for j in removed if j >= tail.start]
-        if holes:
-            cut = max(holes) + 1
-            for j in range(tail.start, cut):
-                if j not in removed and j not in {i for i, _ in x.entries}:
-                    vals[j] = tail.value(j)
-            coeff = tail.coeff * tail.ratio ** (cut - tail.start)
-            tail = GeometricTail(cut, coeff, tail.ratio)
-    return SpVector.make(vals, tail, x.domain)
 
 
 def pairing(f: SpVector, x: SpVector) -> complex:

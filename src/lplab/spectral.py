@@ -15,8 +15,8 @@ from typing import Iterable, Mapping
 import numpy as np
 import scipy.linalg as sla
 
-from .operators import StructuredOperator, apply, truncate
-from .spaces import IndexDomain, PNorm, SpVector, norm
+from .operators import StructuredOperator, truncate
+from .spaces import IndexDomain, SpVector
 
 __all__ = [
     "OmegaWeights",
@@ -26,7 +26,6 @@ __all__ = [
     "lambda_sets",
     "point_spectrum_SAomega",
     "min_gain",
-    "orbit_decay",
 ]
 
 MAX_DENSE_DIM = 256
@@ -203,16 +202,3 @@ def min_gain(
         if s < best:
             best, best_lam = float(s), complex(lam)
     return best, best_lam
-
-
-def orbit_decay(
-    T: StructuredOperator, x0: SpVector, nsteps: int, pn: PNorm
-) -> np.ndarray:
-    """Norms of the first nsteps+1 orbit points of x0 under T."""
-    out = np.zeros(nsteps + 1)
-    x = x0
-    out[0] = norm(x, pn)
-    for k in range(1, nsteps + 1):
-        x = apply(T, x)
-        out[k] = norm(x, pn)
-    return out

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from lplab.acceptance import CRITERIA, DEFAULT_SEED
+from lplab.acceptance import CRITERIA, DEFAULT_SEED, run_battery
 from lplab.game import EigenfreeParams, assemble_limit, play_game, verify_eigenfree_run
 
 
@@ -122,3 +122,11 @@ def test_13_determinism(tmp_path):
     identical = outs[0] == outs[1]
     print(f"ACCEPTANCE 13 determinism: {'PASS' if identical else 'FAIL'}")
     assert identical, "verify-all reports differ between identical invocations"
+
+
+def test_unknown_number_raises():
+    """A number outside CRITERIA is refused before any criterion runs."""
+    progress: list[str] = []
+    with pytest.raises(ValueError, match="99"):
+        run_battery(numbers=[2, 99], progress=progress.append)
+    assert progress == []

@@ -57,6 +57,17 @@ class TestUsageErrors:
         path = _write(tmp_path / "r.json", [[1.0, 2.0], [3.0]])
         assert cli_main(["norm", "--matrix", path]) == 2
 
+    @pytest.mark.parametrize("bad", [float("nan"), [0.0, float("-inf")]])
+    @pytest.mark.parametrize(
+        "cmd", [["norm", "--p", "3"], ["norm", "--p", "c0"], ["spectrum"]]
+    )
+    def test_non_finite_matrix(self, tmp_path, capsys, cmd, bad):
+        path = _write(tmp_path / "nan.json", [[1.0, bad], [0.0, 1.0]])
+        assert cli_main([cmd[0], "--matrix", path] + cmd[1:]) == 2
+        captured = capsys.readouterr()
+        assert "all checks passed" not in captured.out
+        assert "finite" in captured.err
+
     def test_bad_space_token(self, matrix_file):
         assert cli_main(["norm", "--matrix", matrix_file, "--p", "junk"]) == 2
 

@@ -15,7 +15,6 @@ from lplab.constructions import (
     SearchExhausted,
     build_B_eta_delta,
     build_coisometry_l1,
-    build_injectivity_witness,
     build_S_A_omega,
     build_T1_coisometry_l1,
     check_evenly_distributed,
@@ -23,7 +22,6 @@ from lplab.constructions import (
     dq_witness,
     kan_check,
     kernel_vector_greedy,
-    make_absolutely_exposing,
     norm_lemma_constants,
     rudin_shapiro,
     shift_poly_gap,
@@ -242,53 +240,6 @@ class TestDqWitnessAndGreedy:
             kernel_vector_greedy(T0, bad, Ns, max_l=3)
 
 
-class TestInjectivityWitness:
-    def test_c0_variant_exact_norm_one(self):
-        rng = np.random.default_rng(9)
-        N, M, k = 4, 6, 1
-        B = rng.normal(size=(M + 1, N)) + 1j * rng.normal(size=(M + 1, N))
-        B = B / (np.abs(B).sum(axis=1).max() * 1.2)
-        w = build_injectivity_witness(B, N=N, M=M, eps=0.2, k=k, pn=PNorm.c0())
-        assert w.cert.value == pytest.approx(1.0, abs=TOL_EXACT)
-        assert w.delta1 == pytest.approx(0.8, abs=TOL_EXACT)
-        assert w.delta2 == 1.0
-        assert w.tail_norm_r1 == 0.0 and w.tail_norm_r2 == 0.0
-        assert w.rows_exact
-        assert w.min_margin_r1 > 0.0 and w.min_margin_r2 > 0.0
-
-    def test_lp_variant_norm_one_and_margins(self):
-        rng = np.random.default_rng(10)
-        N, M, k = 4, 5, 1
-        p = 3.0
-        B = rng.normal(size=(M + 1, N)) + 1j * rng.normal(size=(M + 1, N))
-        base = StructuredOperator(
-            block=B, row_offset=0, col_offset=0, rules=(), domain=IndexDomain.NATURALS
-        )
-        B = B / (op_norm(base, PNorm.lp(p)).value * 1.1)
-        w = build_injectivity_witness(B, N=N, M=M, eps=0.1, k=k, pn=PNorm.lp(p))
-        assert abs(w.cert.value - 1.0) < 1e-6
-        assert w.tail_norm_r1 == 0.0 and w.tail_norm_r2 == 0.0
-        assert w.rows_exact
-        assert w.min_margin_r1 > 0.0 and w.min_margin_r2 > 0.0
-        # the designed rows read off the coordinates exactly
-        x = SpVector.make({k: 0.3 + 0.2j, N: -0.5})
-        img = apply(w.op, x)
-        assert img.at(w.r1) == pytest.approx(
-            w.eps * (0.3 + 0.2j) + w.delta1 * (-0.5), abs=TOL_EXACT
-        )
-        assert img.at(w.r2) == pytest.approx(w.delta2 * (-0.5), abs=TOL_EXACT)
-
-    def test_preconditions(self):
-        rng = np.random.default_rng(3)
-        B = 0.5 * rng.normal(size=(6, 4))
-        with pytest.raises(ValueError):
-            build_injectivity_witness(B, N=4, M=5, eps=0.3, k=1, pn=PNorm.c0())
-        with pytest.raises(ValueError):
-            build_injectivity_witness(B, N=4, M=5, eps=0.1, k=3, pn=PNorm.c0())
-        with pytest.raises(ValueError):
-            build_injectivity_witness(B, N=4, M=5, eps=0.1, k=1, pn=PNorm.lp(2.0))
-
-
 class TestKanCheck:
     def test_strict_above_two(self):
         rng = np.random.default_rng(1)
@@ -313,30 +264,6 @@ class TestKanCheck:
     def test_p_two_rejected(self):
         with pytest.raises(ValueError):
             kan_check(1.0, 1.0, 2.0)
-
-
-class TestAbsolutelyExposing:
-    def test_norm_grows_by_exact_factor(self):
-        rng = np.random.default_rng(14)
-        p = 2.5
-        pn = PNorm.lp(p)
-        M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        A = StructuredOperator(
-            block=M, row_offset=0, col_offset=0, rules=(), domain=IndexDomain.NATURALS
-        )
-        cert = op_norm(A, pn)
-        M = M * (0.5 / cert.value)
-        A = StructuredOperator(
-            block=M, row_offset=0, col_offset=0, rules=(), domain=IndexDomain.NATURALS
-        )
-        cert = op_norm(A, pn)
-        delta = 0.25
-        A2 = make_absolutely_exposing(A, cert.witness, delta, pn)
-        v2 = op_norm(A2, pn).value
-        assert v2 == pytest.approx((1.0 + delta) * cert.value, abs=TOL_NORM)
-        # x0 realises the enlarged norm
-        gain = norm(apply(A2, cert.witness), pn)
-        assert gain == pytest.approx(v2, abs=TOL_NORM)
 
 
 class TestEvenlyDistributed:

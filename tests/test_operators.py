@@ -1,4 +1,4 @@
-"""Structured operators: application, adjoint, norms, oracle, membership."""
+"""Structured operators: application, adjoint, norms, oracle, dual sups."""
 
 from __future__ import annotations
 
@@ -13,12 +13,10 @@ from lplab.operators import (
     UnrepresentableImage,
     adjoint,
     apply,
-    compose,
     dual_sup_norm,
     materialize,
     op_norm,
     op_norm_oracle,
-    sot_ball_member,
     truncate,
 )
 from lplab.spaces import GeometricTail, PNorm, SpVector, norm, pairing
@@ -130,19 +128,6 @@ class TestAdjointCompose:
         )
         with pytest.raises(UnrepresentableImage):
             adjoint(T)
-
-    def test_compose_matches_dense_product(self):
-        rng = np.random.default_rng(203)
-        for _ in range(25):
-            S = _random_operator(rng, with_rules=bool(rng.random() < 0.5))
-            T = _random_operator(rng, with_rules=False)
-            if S.rules and T.rules:
-                continue
-            ST = compose(S, T)
-            R, C = 90, 40
-            want = _dense_by_columns(S, R, 90) @ _dense_by_columns(T, 90, C)
-            got = _dense_by_columns(ST, R, C)
-            np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_truncate_matches_columns(self):
         rng = np.random.default_rng(204)
@@ -264,21 +249,6 @@ class TestOracle:
     def test_rejects_large_matrices(self):
         with pytest.raises(ValueError):
             op_norm_oracle(np.eye(4), PNorm.lp(2))
-
-
-class TestMembership:
-    def test_sot_ball(self):
-        A = StructuredOperator.from_dense(np.eye(3))
-        T = StructuredOperator.from_dense(np.eye(3) * 1.05)
-        assert sot_ball_member(T, A, 2, 0.06, PNorm.lp(2))
-        assert not sot_ball_member(T, A, 2, 0.04, PNorm.lp(2))
-
-    def test_sot_ball_star(self):
-        rng = np.random.default_rng(501)
-        M = rng.normal(size=(3, 3))
-        A = StructuredOperator.from_dense(M)
-        T = StructuredOperator.from_dense(M + 0.01)
-        assert sot_ball_member(T, A, 2, 0.1, PNorm.lp(2), star=True)
 
 
 class TestDualSup:

@@ -1,20 +1,22 @@
-"""Vector model: norms, duality map, projections, pairing, JSON round trip."""
+"""Vector model: norms, duality map, pairing, labels, JSON round trip."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
+from lplab.montecarlo import space_from_token
 from lplab.spaces import (
     GeometricTail,
     IndexDomain,
-    IndexSet,
     PNorm,
     SpVector,
+    dense_norm,
     duality_map,
     norm,
     pairing,
-    project,
     vector_from_json,
     vector_to_json,
 )
@@ -68,6 +70,37 @@ class TestNorm:
         for pn in (PNorm.lp(1.5), PNorm.c0()):
             assert norm(x.scale(-2.5j), pn) == pytest.approx(2.5 * norm(x, pn), abs=TOL)
 
+    @pytest.mark.parametrize("pn", [PNorm.lp(1), PNorm.lp(2.5), PNorm.c0()])
+    def test_dense_norm_per_column(self, pn):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+        cols = dense_norm(X, pn)
+        assert cols.shape == (4,)
+        for k in range(4):
+            x = SpVector.make({j: X[j, k] for j in range(5)})
+            assert cols[k] == pytest.approx(norm(x, pn), rel=1e-14)
+            assert dense_norm(X[:, k], pn) == pytest.approx(cols[k], rel=1e-14)
+
+
+class TestLabel:
+    @pytest.mark.parametrize(
+        "pn, label",
+        [
+            (PNorm.lp(1), "l1"),
+            (PNorm.lp(1.5), "l1.5"),
+            (PNorm.lp(2), "l2"),
+            (PNorm.lp(2.5), "l2.5"),
+            (PNorm.lp(3), "l3"),
+            (PNorm.lp(4), "l4"),
+            (PNorm.c0(), "c0"),
+            (PNorm.lp(1.0000001), "l1.0000001"),
+            (PNorm.lp(math.pi), "l3.141592653589793"),
+        ],
+    )
+    def test_label_round_trips(self, pn, label):
+        assert pn.label() == label
+        assert space_from_token(pn.label()) == pn
+
 
 class TestDualityMap:
     @pytest.mark.parametrize("p", [1.3, 2.0, 3.0, 4.5])
@@ -92,35 +125,6 @@ class TestDualityMap:
             duality_map(x, PNorm.lp(1))
         with pytest.raises(ValueError):
             duality_map(x, PNorm.c0())
-
-
-class TestProject:
-    def test_idempotent_and_nonexpansive(self):
-        rng = np.random.default_rng(23)
-        for _ in range(200):
-            x = _random_vector(rng)
-            if rng.random() < 0.5:
-                sel = IndexSet.finite(rng.choice(50, size=5, replace=False).tolist())
-            else:
-                sel = IndexSet.complement(rng.choice(50, size=5, replace=False).tolist())
-            y = project(x, sel)
-            z = project(y, sel)
-            for pn in (PNorm.lp(1.5), PNorm.lp(3), PNorm.c0()):
-                assert norm(y, pn) <= norm(x, pn) + TOL
-            np.testing.assert_allclose(_dense(z, 300), _dense(y, 300), atol=TOL)
-
-    def test_projection_values(self):
-        x = SpVector.make({0: 2.0}, GeometricTail(1, 1.0, 0.5))
-        y = project(x, IndexSet.complement([2, 3]))
-        d = _dense(y, 10)
-        expect = np.array([2.0, 1.0, 0.0, 0.0, 0.125, 0.0625, 0.03125, 0.015625, 2**-7, 2**-8])
-        np.testing.assert_allclose(d, expect, atol=TOL)
-
-    def test_no_explicit_zeros_after_projection(self):
-        x = SpVector.make({}, GeometricTail(0, 1.0, 0.5))
-        y = project(x, IndexSet.complement([4]))
-        assert all(v != 0 for _, v in y.entries)
-        assert y.tail is not None and y.tail.start == 5
 
 
 class TestPairing:

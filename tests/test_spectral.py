@@ -7,14 +7,13 @@ import pytest
 
 from lplab.constructions import build_S_A_omega
 from lplab.operators import apply, materialize
-from lplab.spaces import IndexDomain, PNorm, SpVector
+from lplab.spaces import SpVector
 from lplab.spectral import (
     EigenPair,
     OmegaWeights,
     eigs_dense,
     lambda_sets,
     min_gain,
-    orbit_decay,
     point_spectrum_SAomega,
 )
 
@@ -138,13 +137,3 @@ class TestGainAndOrbit:
         S = build_S_A_omega(A, OmegaWeights())
         with pytest.raises(ValueError):
             min_gain(S, [0.0], D=513)
-
-    def test_orbit_decay_shift(self):
-        # weighted translate with tiny weights: orbit norms shrink fast
-        A = np.zeros((1, 1))
-        omega = OmegaWeights(left=0.5, right=0.5)
-        S = build_S_A_omega(A, omega)
-        norms = orbit_decay(S, SpVector.basis(0, IndexDomain.INTEGERS), 5, PNorm.lp(2))
-        assert norms[0] == pytest.approx(1.0, abs=TOL_EXACT)
-        for k in range(1, 6):
-            assert norms[k] == pytest.approx(0.5**k, rel=1e-12)
