@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from lplab.game import (
     EigenfreeParams,
-    assemble_limit,
     play_game,
     verify_eigenfree_run,
     verify_nonsup_run,
@@ -27,12 +26,10 @@ def show(title: str, rep: dict) -> None:
 
 
 run = play_game("nonsup", rounds=3, seed=7, adversary="random")
-T = assemble_limit(run)
-show("non-supercyclicity, 3 rounds vs random adversary:", verify_nonsup_run(T, run))
+show("non-supercyclicity, 3 rounds vs random adversary:", verify_nonsup_run(run))
 
 run = play_game("eigenfree", rounds=2, seed=7, adversary="passthrough")
-T = assemble_limit(run)
-show("eigen-free, 2 honest rounds:", verify_eigenfree_run(T, run, D=128))
+show("eigen-free, 2 honest rounds:", verify_eigenfree_run(run, D=128))
 
 run = play_game(
     "eigenfree",
@@ -41,5 +38,4 @@ run = play_game(
     params=EigenfreeParams.toy_mode(),
     adversary="passthrough",
 )
-T = assemble_limit(run)
-show("eigen-free, 4 toy rounds (capped geometry):", verify_eigenfree_run(T, run, D=128))
+show("eigen-free, 4 toy rounds (capped geometry):", verify_eigenfree_run(run, D=128))

@@ -45,7 +45,6 @@ from .constructions import (
 )
 from .game import (
     EigenfreeParams,
-    assemble_limit,
     play_game,
     verify_eigenfree_run,
     verify_nonsup_run,
@@ -450,8 +449,7 @@ def criterion_game_nonsup(seed: int = DEFAULT_SEED) -> Section:
     """Three honest rounds against the random adversary verify end to end,
     including the exact 1/9 floor up to the final checkpoint."""
     run = play_game("nonsup", rounds=3, seed=seed, adversary="random")
-    T = assemble_limit(run)
-    rep = verify_nonsup_run(T, run)
+    rep = verify_nonsup_run(run)
     records = _game_subsections(rep)
     records.append({"name": "overall", "n_max": run.side[-1].L, "ok": rep["ok"]})
     return make_section("game_nonsup", records)
@@ -471,8 +469,7 @@ def criterion_game_eigenfree(seed: int = DEFAULT_SEED) -> Section:
         params=EigenfreeParams.honest(),
         adversary="passthrough",
     )
-    T = assemble_limit(run)
-    rep = verify_eigenfree_run(T, run, D=128)
+    rep = verify_eigenfree_run(run, D=128)
     records = _game_subsections(rep)
     screen = next(s for s in rep["sections"] if s["name"] == "eigen_screen")
     counts = next(r for r in screen["records"] if "counts" in r)["counts"]
@@ -493,8 +490,7 @@ def criterion_game_eigenfree(seed: int = DEFAULT_SEED) -> Section:
         params=EigenfreeParams.toy_mode(),
         adversary="passthrough",
     )
-    toy_T = assemble_limit(toy_run)
-    toy_rep = verify_eigenfree_run(toy_T, toy_run, D=128)
+    toy_rep = verify_eigenfree_run(toy_run, D=128)
     records.append(
         {
             "name": "toy_pipeline",

@@ -34,7 +34,6 @@ from .constructions import (
 from .game import (
     EigenfreeParams,
     GameCapExceeded,
-    assemble_limit,
     game_run_to_dict,
     play_game,
     verify_eigenfree_run,
@@ -291,11 +290,10 @@ def _cmd_game(args: argparse.Namespace) -> int:
             params=params,
             adversary=args.adversary,
         )
-        T = assemble_limit(run)
         if args.strategy == "eigenfree":
-            rep = verify_eigenfree_run(T, run, D=128)
+            rep = verify_eigenfree_run(run, D=128)
         else:
-            rep = verify_nonsup_run(T, run)
+            rep = verify_nonsup_run(run)
     except GameCapExceeded as exc:
         raise _ConfigError(
             f"game exceeds the honest dimension cap ({exc}); use --toy"

@@ -27,14 +27,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .operators import StructuredOperator
 from .reports import section_status
 from .spectral import eigs_dense
 
 __all__ = [
     "GameCapExceeded",
     "IllegalMove",
-    "MembershipError",
     "RoundData",
     "NonsupRound",
     "GameBlock",
@@ -53,7 +51,6 @@ __all__ = [
     "adversary_passthrough",
     "opening_position",
     "play_game",
-    "assemble_limit",
     "verify_eigenfree_run",
     "verify_nonsup_run",
     "scaled_orbit_floor",
@@ -63,8 +60,6 @@ __all__ = [
 _EXACT_SLACK = 1e-14  # slack for inequalities on exactly representable data
 _ORBIT_SLACK = 1e-9  # slack for inequalities reached through orbit iteration
 _NORM_TOL = 1e-12
-_DENSE_CAP = 4096  # largest window assembled into a dense StructuredOperator
-_ENUM_CAP = 200_000  # largest family enumerated entry-by-entry
 _RESIDUAL_TOL = 1e-6  # extended-window residual above which an eigenpair
 # of a truncation is a truncation artifact
 
@@ -75,10 +70,6 @@ class GameCapExceeded(Exception):
 
 class IllegalMove(Exception):
     """A move violates the nesting rule for basic neighborhoods."""
-
-
-class MembershipError(Exception):
-    """The assembled limit operator escapes one of the played sets."""
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +110,6 @@ class RoundData:
             return 1.0 + 0.0j
         return complex(np.exp(2j * np.pi * (i - 1) / self.L))
 
-    def spoke_rows(self) -> range:
-        return range(self.N + self.R, self.N + self.L * self.R + 1, self.R)
-
-    def chain_rows(self) -> range:
-        return range(self.N + self.R + 1, self.N + 2 * self.R)
-
     def family_row_kind(self, r: int) -> tuple[str, int] | None:
         """Classify row ``r``: ("spoke", i), ("chain", s), or None."""
         off = r - self.N
@@ -149,17 +134,6 @@ class RoundData:
         if self.R < off < 2 * self.R - 1:  # chain column
             return {j + 1: 1.0 + 0.0j}
         return {}
-
-    def spoke_entries(self) -> dict[int, complex]:
-        """All spoke entries of column ``k`` (enumerates the net)."""
-        if self.L > _ENUM_CAP:
-            raise GameCapExceeded(
-                f"spoke family with L={self.L} exceeds the enumeration cap"
-            )
-        half = self.eps / 2.0
-        return {
-            self.N + i * self.R: half * self.root(i) for i in range(1, self.L + 1)
-        }
 
 
 @dataclass(frozen=True)
@@ -220,24 +194,6 @@ def block_from_columns(
 def block_column_map(blk: GameBlock) -> dict[int, dict[int, complex]]:
     """Explicit columns of the block as a nested dict (families excluded)."""
     return {j: dict(ents) for j, ents in blk.cols}
-
-
-def _column_entries(blk: GameBlock, j: int) -> dict[int, complex]:
-    """All entries of column ``j``, enumerating families (capped)."""
-    out: dict[int, complex] = {}
-    for jj, ents in blk.cols:
-        if jj == j:
-            out.update(dict(ents))
-            break
-    for rd in blk.rounds:
-        if j == rd.k:
-            for r, v in rd.spoke_entries().items():
-                out[r] = out.get(r, 0.0 + 0.0j) + v
-        fam = rd.family_column_entries(j)
-        if fam:
-            for r, v in fam.items():
-                out[r] = out.get(r, 0.0 + 0.0j) + v
-    return {r: v for r, v in out.items() if v != 0}
 
 
 def block_to_dense(
@@ -696,24 +652,6 @@ def play_game(
     )
 
 
-def assemble_limit(run: GameRun) -> StructuredOperator | GameBlock:
-    """Zero-extension of the final block; asserts membership in every set.
-
-    Small windows are materialized into a StructuredOperator (dense head,
-    zero tail); larger ones are returned as the lazy block itself, which
-    carries identical column data.
-    """
-    blk = run.final_set.A
-    for label, S in run.moves:
-        if not block_ball_member(blk, S):
-            raise MembershipError(
-                f"limit block escapes the {label} set at window {S.N}"
-            )
-    if blk.N + 1 <= _DENSE_CAP:
-        return StructuredOperator.from_dense(block_to_dense(blk, blk.N + 1))
-    return blk
-
-
 # ---------------------------------------------------------------------------
 # verification: eigen-free runs
 # ---------------------------------------------------------------------------
@@ -813,15 +751,15 @@ def _extended_residual(
 
 
 def verify_eigenfree_run(
-    T: StructuredOperator | GameBlock | None,
     run: GameRun,
     D: int = 128,
     residual_tol: float = _RESIDUAL_TOL,
 ) -> dict:
     """Verification report for an eigen-free play.
 
-    Sections: legality of the transcript, membership of the limit block in
-    every played set, exact row-coupling bounds, winning-parameter
+    The limit operator is the zero-extension of the final block.  Sections:
+    legality of the transcript, membership of the limit block in every
+    played set, exact row-coupling bounds, winning-parameter
     invariants with the certified product bound, and an eigenpair screen of
     the D-truncation: every eigenpair must be a truncation artifact
     (extended residual beyond the doubled window above ``residual_tol``), or
@@ -831,7 +769,7 @@ def verify_eigenfree_run(
     if run.strategy != "eigenfree":
         raise ValueError("run was not produced by the eigen-free strategy")
     params = run.params if run.params is not None else EigenfreeParams.honest()
-    blk = T if isinstance(T, GameBlock) else run.final_set.A
+    blk = run.final_set.A
     parts: dict[str, list[dict]] = {}
 
     # -- legality ----------------------------------------------------------
@@ -980,7 +918,6 @@ def _nonsup_vector(side: tuple[NonsupRound, ...], dim: int) -> np.ndarray:
 
 
 def verify_nonsup_run(
-    T: StructuredOperator | GameBlock | None,
     run: GameRun,
     n_max: int | None = None,
     grid: int = 64,
@@ -1003,7 +940,7 @@ def verify_nonsup_run(
         raise ValueError("run was not produced by the non-sup strategy")
     side: tuple[NonsupRound, ...] = run.side  # type: ignore[assignment]
     K = len(side)
-    blk = T if isinstance(T, GameBlock) else run.final_set.A
+    blk = run.final_set.A
     dim = blk.N + 1
     M = block_to_dense(blk, dim)
     x = _nonsup_vector(side, dim)
@@ -1039,6 +976,15 @@ def verify_nonsup_run(
     parts["row_coupling"] = coupling
 
     # -- orbit iteration ------------------------------------------------------
+    # one walk records the per-step reductions and runs the grid floor
+    # scan at the sampled steps
+    want = set(range(0, min(n_cap, 10) + 1)) | set(
+        int(t)
+        for t in np.unique(np.geomspace(1, max(n_cap, 1), floor_samples).astype(int))
+        if t <= n_cap
+    )
+    worst_grid = math.inf
+    worst_mismatch = 0.0
     coords = np.zeros((K, n_cap + 1))
     head = np.zeros(n_cap + 1)
     rest = np.zeros(n_cap + 1)
@@ -1051,6 +997,12 @@ def verify_nonsup_run(
         full[n] = float(np.max(av))
         for kk, rec in enumerate(side):
             coords[kk, n] = av[rec.N + 1]
+        if n in want:
+            rec_floor = scaled_orbit_floor(v, grid=grid)
+            worst_grid = min(worst_grid, rec_floor["grid"])
+            worst_mismatch = max(
+                worst_mismatch, abs(rec_floor["grid"] - rec_floor["exact"])
+            )
         if n < n_cap:
             v = M @ v
 
@@ -1155,38 +1107,13 @@ def verify_nonsup_run(
             "checked_n": int(n_cap),
         }
     )
-    sample = sorted(
-        set(range(0, min(n_cap, 10) + 1))
-        | set(
-            int(t)
-            for t in np.unique(
-                np.geomspace(1, max(n_cap, 1), floor_samples).astype(int)
-            )
-            if t <= n_cap
-        )
-    )
-    worst_grid = math.inf
-    worst_mismatch = 0.0
-    v = x.copy()
-    want = set(sample)
-    for n in range(n_cap + 1):
-        if n in want:
-            rec_floor = scaled_orbit_floor(v, grid=grid)
-            worst_grid = min(worst_grid, rec_floor["grid"])
-            worst_mismatch = max(
-                worst_mismatch, abs(rec_floor["grid"] - rec_floor["exact"])
-            )
-            want.discard(n)
-            if not want:
-                break
-        v = M @ v
     floor_checks.append(
         {
             "name": "grid_floor_subsample",
             "lhs": 1.0 / 9.0,
             "rhs": worst_grid,
             "ok": bool(worst_grid >= 1.0 / 9.0 - _ORBIT_SLACK),
-            "sampled_n": [int(t) for t in sample],
+            "sampled_n": sorted(want),
             "grid": grid,
             "max_gap_to_exact": worst_mismatch,
         }

@@ -7,14 +7,11 @@ emitted reports say so explicitly.
 
 Determinism contract: a suite run is a pure function of its configuration
 list.  Per-sample random streams are split from each experiment's seed with
-``SeedSequence.spawn``, samples are aggregated in index order, and the worker
-count (``LPLAB_THREADS``) never affects the emitted bytes.
+``SeedSequence.spawn`` and samples are aggregated in index order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Mapping, Sequence
@@ -144,15 +141,6 @@ def sample_contraction(dim: int, pn: PNorm, rng: np.random.Generator) -> np.ndar
 # per-sample machinery
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("LPLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
 def _map_samples(
     cfg: ExperimentConfig,
     fn: Callable[[int, np.random.Generator], dict[str, Any]],
@@ -160,8 +148,7 @@ def _map_samples(
     """Run fn once per sample on an independent seeded stream.
 
     Exceptions become error records with ok=False instead of aborting;
-    results always come back in sample-index order regardless of the
-    worker count.
+    results come back in sample-index order.
     """
     streams = np.random.SeedSequence(cfg.seed).spawn(max(cfg.samples, 1))
 
@@ -178,11 +165,7 @@ def _map_samples(
         rec.setdefault("sample", i)
         return rec
 
-    workers = _thread_count()
-    if workers == 1 or cfg.samples <= 1:
-        return [run(i) for i in range(cfg.samples)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(cfg.samples)))
+    return [run(i) for i in range(cfg.samples)]
 
 
 def _summary(values: Sequence[float]) -> dict[str, float | None]:

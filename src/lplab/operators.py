@@ -626,6 +626,10 @@ def _op_norm_lp(T: StructuredOperator, p: float, seed: int = 0) -> NormCertifica
     rect, _, col_lo, tails = model
     if rect.size:
         v_rect, x, res = _boyd(rect, p, seed=seed)
+        if not math.isfinite(v_rect):
+            raise ValueError(
+                f"fixed-point ascent at p = {p!r} gave a non-finite value {v_rect}"
+            )
     else:
         v_rect, x, res = 0.0, np.zeros(0), 0.0
     value = max([v_rect] + tails)

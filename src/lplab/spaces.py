@@ -151,9 +151,6 @@ class SpVector:
     def is_zero(self) -> bool:
         return not self.entries and self.tail is None
 
-    def entry_map(self) -> dict[int, complex]:
-        return dict(self.entries)
-
     def at(self, j: int) -> complex:
         for i, v in self.entries:
             if i == j:
@@ -164,17 +161,6 @@ class SpVector:
 
     def support_is_finite(self) -> bool:
         return self.tail is None
-
-    def min_index(self) -> int:
-        """Smallest index carrying a nonzero value (0 for the zero vector)."""
-        cands = [j for j, _ in self.entries]
-        if self.tail is not None:
-            j = self.tail.start
-            overridden = {i for i, _ in self.entries}
-            while j in overridden:
-                j += 1
-            cands.append(j)
-        return min(cands) if cands else 0
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Dense values on ``[lo, hi)``."""

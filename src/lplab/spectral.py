@@ -40,10 +40,6 @@ class OmegaWeights:
     left: float
     right: float
 
-    @staticmethod
-    def make(table: Mapping[int, float], left: float, right: float) -> "OmegaWeights":
-        return OmegaWeights(tuple(sorted(table.items())), float(left), float(right))
-
     def __init__(self, table=(), left: float = 1.0, right: float = 1.0) -> None:
         if isinstance(table, Mapping):
             table = tuple(sorted(table.items()))

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from lplab.acceptance import CRITERIA, DEFAULT_SEED, run_battery
-from lplab.game import EigenfreeParams, assemble_limit, play_game, verify_eigenfree_run
+from lplab.game import EigenfreeParams, play_game, verify_eigenfree_run
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +91,7 @@ def test_10_game_eigenfree(battery):
         params=EigenfreeParams.toy_mode(),
         adversary="passthrough",
     )
-    rep = verify_eigenfree_run(assemble_limit(run), run, D=128)
+    rep = verify_eigenfree_run(run, D=128)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"toy four-round run took {elapsed:.1f}s"
     assert rep["ok"] and not rep["certified"]

@@ -68,6 +68,14 @@ class TestUsageErrors:
         assert "all checks passed" not in captured.out
         assert "finite" in captured.err
 
+    @pytest.mark.parametrize("p", ["1.001", "1.0000001"])
+    def test_non_finite_fixed_point(self, tmp_path, capsys, p):
+        path = _write(tmp_path / "m.json", [[1, 2], [0, 1]])
+        assert cli_main(["norm", "--matrix", path, "--p", p]) == 2
+        captured = capsys.readouterr()
+        assert "all checks passed" not in captured.out
+        assert "non-finite" in captured.err
+
     def test_bad_space_token(self, matrix_file):
         assert cli_main(["norm", "--matrix", matrix_file, "--p", "junk"]) == 2
 

@@ -14,11 +14,9 @@ from lplab.game import (
     EigenfreeParams,
     GameBlock,
     GameCapExceeded,
-    MembershipError,
     RoundData,
     adversary_passthrough,
     adversary_random,
-    assemble_limit,
     block_ball_member,
     block_from_columns,
     block_norm_c0,
@@ -34,7 +32,6 @@ from lplab.game import (
     verify_nonsup_run,
 )
 from lplab.game import _max_col_diff
-from lplab.operators import StructuredOperator
 
 EXACT_TOL = 1e-14
 NORM_TOL = 1e-12
@@ -259,15 +256,14 @@ class TestPlayAndAssemble:
         run = play_game(
             "eigenfree", 4, seed=3, params=EigenfreeParams.toy_mode(), adversary="random"
         )
-        T = assemble_limit(run)
-        assert isinstance(T, StructuredOperator)
+        blk = run.final_set.A
+        M = block_to_dense(blk, blk.N + 1)
+        assert M.shape == (blk.N + 1, blk.N + 1)
         assert not run.certified
 
     def test_honest_play_stays_lazy(self):
         run = play_game("eigenfree", 2, seed=7, adversary="passthrough")
-        T = assemble_limit(run)
-        assert isinstance(T, GameBlock)
-        assert T.N > 10**13
+        assert run.final_set.A.N > 10**13
         assert run.certified
 
     def test_assembled_block_is_member_of_every_set(self):
@@ -276,7 +272,7 @@ class TestPlayAndAssemble:
         for _, S in run.moves:
             assert block_ball_member(blk, S)
 
-    def test_tampered_run_raises_membership_error(self):
+    def test_tampered_run_fails_membership(self):
         run = play_game("nonsup", 2, seed=5, adversary="random")
         blk = run.final_set.A
         bad_cols = dict((j, dict(ents)) for j, ents in blk.cols)
@@ -286,8 +282,10 @@ class TestPlayAndAssemble:
         tampered = dataclasses.replace(
             run, moves=run.moves[:-1] + (("II", bad_set),)
         )
-        with pytest.raises(MembershipError):
-            assemble_limit(tampered)
+        rep = verify_nonsup_run(tampered, n_direct=50)
+        member = next(s for s in rep["sections"] if s["name"] == "membership")
+        assert member["status"] == "fail"
+        assert not rep["ok"]
 
     def test_transcript_serialization_is_deterministic(self):
         r1 = play_game("eigenfree", 2, seed=7, adversary="passthrough")
@@ -302,7 +300,7 @@ class TestPlayAndAssemble:
 class TestVerifyEigenfree:
     def test_honest_k2_passes_and_certifies(self):
         run = play_game("eigenfree", 2, seed=7, adversary="passthrough")
-        rep = verify_eigenfree_run(assemble_limit(run), run)
+        rep = verify_eigenfree_run(run)
         assert rep["ok"] and rep["certified"]
         assert all(s["status"] == "pass" for s in rep["sections"])
         screen = next(s for s in rep["sections"] if s["name"] == "eigen_screen")
@@ -314,7 +312,7 @@ class TestVerifyEigenfree:
         run = play_game(
             "eigenfree", 4, seed=3, params=EigenfreeParams.toy_mode(), adversary="random"
         )
-        rep = verify_eigenfree_run(assemble_limit(run), run)
+        rep = verify_eigenfree_run(run)
         assert rep["ok"]
         assert not rep["certified"]
         screen = next(s for s in rep["sections"] if s["name"] == "eigen_screen")
@@ -334,7 +332,7 @@ class TestVerifyEigenfree:
         U1 = BasicOpenSet(N=rd.N_next, A=blk, eps=1e-4)
         run = play_game("eigenfree", 1, seed=0, adversary="passthrough")
         tampered = dataclasses.replace(run, moves=(("I", U0), ("II", U1)))
-        rep = verify_eigenfree_run(None, tampered)
+        rep = verify_eigenfree_run(tampered)
         screen = next(s for s in rep["sections"] if s["name"] == "eigen_screen")
         assert screen["status"] == "fail"
         assert screen["records"][0]["counts"]["violation"] >= 1
@@ -342,7 +340,7 @@ class TestVerifyEigenfree:
 
     def test_row_coupling_bounds_exact(self):
         run = play_game("eigenfree", 2, seed=1, adversary="random")
-        rep = verify_eigenfree_run(None, run)
+        rep = verify_eigenfree_run(run)
         section = next(s for s in rep["sections"] if s["name"] == "row_coupling")
         assert section["status"] == "pass"
         for c in section["records"]:
@@ -373,7 +371,7 @@ class TestScaledOrbitFloor:
 class TestVerifyNonsup:
     def test_k3_random_adversary_full_report(self):
         run = play_game("nonsup", 3, seed=11, adversary="random")
-        rep = verify_nonsup_run(assemble_limit(run), run)
+        rep = verify_nonsup_run(run)
         assert rep["ok"] and rep["certified"]
         for s in rep["sections"]:
             assert s["status"] == "pass", s["name"]
@@ -382,9 +380,32 @@ class TestVerifyNonsup:
         assert "exact_floor_direct_range" in names
         assert "certified_floor_tail_range" in names  # L_5 exceeds n_direct
 
+    def test_grid_floor_matches_independent_orbit_walk(self):
+        run = play_game("nonsup", 3, seed=7, adversary="random")
+        rep = verify_nonsup_run(run, n_direct=200)
+        floor = next(s for s in rep["sections"] if s["name"] == "scaled_orbit_floor")
+        sub = next(c for c in floor["records"] if c["name"] == "grid_floor_subsample")
+        blk = run.final_set.A
+        M = block_to_dense(blk, blk.N + 1)
+        v = np.zeros(blk.N + 1, dtype=complex)
+        v[0] = 1.0
+        for rec in run.side:
+            v[rec.N + 1] += 2.0 ** (-(rec.k + 1))
+        want = set(sub["sampled_n"])
+        assert max(want) == 200
+        worst_grid, worst_gap = math.inf, 0.0
+        for n in range(max(want) + 1):
+            if n in want:
+                f = scaled_orbit_floor(v, grid=sub["grid"])
+                worst_grid = min(worst_grid, f["grid"])
+                worst_gap = max(worst_gap, abs(f["grid"] - f["exact"]))
+            v = M @ v
+        assert sub["rhs"] == worst_grid
+        assert sub["max_gap_to_exact"] == worst_gap
+
     def test_floor_exceeds_one_ninth_on_direct_range(self):
         run = play_game("nonsup", 2, seed=2, adversary="passthrough")
-        rep = verify_nonsup_run(None, run, n_direct=2_000)
+        rep = verify_nonsup_run(run, n_direct=2_000)
         floor = next(s for s in rep["sections"] if s["name"] == "scaled_orbit_floor")
         direct = next(
             c for c in floor["records"] if c["name"] == "exact_floor_direct_range"
@@ -394,7 +415,7 @@ class TestVerifyNonsup:
 
     def test_tail_certificates_on_truncated_direct_range(self):
         run = play_game("nonsup", 2, seed=2, adversary="passthrough")
-        rep = verify_nonsup_run(None, run, n_direct=50)
+        rep = verify_nonsup_run(run, n_direct=50)
         floor = next(s for s in rep["sections"] if s["name"] == "scaled_orbit_floor")
         tail = next(
             c for c in floor["records"] if c["name"] == "certified_floor_tail_range"
@@ -411,6 +432,6 @@ class TestVerifyNonsup:
         r = run.side[0].N + 1
         damp = abs(M[r, r])
         assert 0.0 < damp <= 1.0
-        rep = verify_nonsup_run(None, run, n_direct=100)
+        rep = verify_nonsup_run(run, n_direct=100)
         section = next(s for s in rep["sections"] if s["name"] == "coordinate_floor")
         assert all(c["ok"] for c in section["records"])

@@ -240,13 +240,6 @@ class TestRunSuite:
         assert rep.ok
         assert len(rep.sections) == 4
 
-    def test_bytes_identical_across_thread_counts(self, monkeypatch):
-        monkeypatch.setenv("LPLAB_THREADS", "1")
-        one = run_suite(self._suite()).to_json()
-        monkeypatch.setenv("LPLAB_THREADS", "4")
-        four = run_suite(self._suite()).to_json()
-        assert one == four
-
     def test_repeat_run_identical(self):
         cfgs = [_cfg(ExperimentKind.ORBIT_DECAY, seed=21)]
         assert run_suite(cfgs).to_json() == run_suite(cfgs).to_json()
