@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from typing import Any, Sequence
 
@@ -235,6 +236,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
             "method": cert.method,
             "residual": cert.residual,
             "shape": list(M.shape),
+            "ok": math.isfinite(cert.value) and math.isfinite(cert.residual),
         }
     ]
     report = make_report(

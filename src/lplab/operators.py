@@ -8,6 +8,8 @@ of its entries places the weight ``c * rho**k + d`` at the row ``a*j + b``
 Norm computations are exact where the structure allows closed forms (p = 1
 column sums, c0 row sums, p = 2 via a finite model) and use a monotone
 fixed-point ascent on an exactly norm-equivalent finite model otherwise.
+The ascent's restarts advance together as the rows of one array; each row
+goes through its own gemv and a scalar root, so its bits match a lone restart.
 """
 
 from __future__ import annotations
@@ -493,43 +495,67 @@ def _J(z: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
+def _row_norms(Z: np.ndarray, p: float) -> np.ndarray:
+    """The lp norm of each row of Z, bit for bit ``dense_norm`` of that row.
+
+    The sum runs over the contiguous last axis, which numpy adds up in the
+    same order as a lone vector.  The root is taken on Python floats because
+    numpy's array ``pow`` can differ from the scalar one in the last bit.
+    """
+    return np.array([s ** (1.0 / p) for s in np.sum(np.abs(Z) ** p, axis=-1).tolist()])
+
+
+def _matvec_rows(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """``A @ z`` for each row z of Z, as one gemv per row.
+
+    ``Z @ A.T`` would be a single gemm, which rounds differently from ``A @ z``.
+    """
+    return np.matmul(A, Z[:, :, None])[:, :, 0]
+
+
 def fixed_point_restarts(
     M: np.ndarray, p: float, restarts: int = 32, seed: int = 0
 ) -> list[tuple[float, np.ndarray, float]]:
-    """All restart outcomes of the monotone fixed-point ascent (value, x, residual)."""
-    m, n = M.shape
+    """All restart outcomes of the monotone fixed-point ascent (value, x, residual).
+
+    One outcome per non-zero start, in start order.  The starts advance
+    together as the rows of one array, and a row leaves as soon as it stops.
+    Each row still gets its own gemv and a scalar root, so every outcome is
+    bit for bit the one its start gives when run alone.
+    """
+    n = M.shape[1]
     q = p / (p - 1.0)
-    pn = PNorm.lp(p)
     rng = np.random.default_rng(seed)
-    starts = [np.eye(n, dtype=complex)[:, i] for i in range(n)]
-    starts.append(np.ones(n, dtype=complex))
-    while len(starts) < restarts:
-        starts.append(rng.normal(size=n) + 1j * rng.normal(size=n))
-    out: list[tuple[float, np.ndarray, float]] = []
-    for x0 in starts:
-        nx = float(dense_norm(x0, pn))
-        if nx == 0:
-            continue
-        x = x0 / nx
-        v_prev = float(dense_norm(M @ x, pn))
-        res = v_prev
-        for _ in range(500):
-            g = M.T @ _J(M @ x, p)
-            y = _J(g, q)
-            ny = float(dense_norm(y, pn))
-            if ny == 0:
-                break
-            x = y / ny
-            v = float(dense_norm(M @ x, pn))
-            if v < v_prev - 1e-12 * max(1.0, v_prev):
-                raise AssertionError("fixed-point ascent lost monotonicity")
-            res = v - v_prev
-            if res <= 1e-15 * max(v, 1e-30):
-                v_prev = v
-                break
-            v_prev = v
-        out.append((v_prev, x, abs(res)))
-    return out
+    starts = [np.eye(n, dtype=complex), np.ones((1, n), dtype=complex)]
+    starts += [
+        rng.normal(size=(1, n)) + 1j * rng.normal(size=(1, n))
+        for _ in range(restarts - n - 1)
+    ]
+    X = np.concatenate(starts)
+    nx = _row_norms(X, p)
+    X = X[nx != 0] / nx[nx != 0, None]
+    MX = _matvec_rows(M, X)
+    value = _row_norms(MX, p)
+    res = value.copy()
+    out = X.copy()
+    act = np.arange(len(X))
+    for _ in range(500):
+        if not act.size:
+            break
+        Y = _J(_matvec_rows(M.T, _J(MX, p)), q)
+        ny = _row_norms(Y, p)
+        moved = ny != 0  # a row with a zero step stops where it is
+        act, X = act[moved], Y[moved] / ny[moved, None]
+        MX = _matvec_rows(M, X)
+        v = _row_norms(MX, p)
+        prev = value[act]
+        if np.any(v < prev - 1e-12 * np.maximum(1.0, prev)):
+            raise AssertionError("fixed-point ascent lost monotonicity")
+        value[act], res[act], out[act] = v, v - prev, X
+        # not (res <= tol) rather than res > tol: a NaN row keeps running
+        running = ~(res[act] <= 1e-15 * np.maximum(v, 1e-30))
+        act, X, MX = act[running], X[running], MX[running]
+    return [(float(value[i]), x, float(abs(res[i]))) for i, x in enumerate(out)]
 
 
 def _boyd(M: np.ndarray, p: float, restarts: int = 32, seed: int = 0) -> tuple[float, np.ndarray, float]:

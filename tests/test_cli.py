@@ -95,6 +95,7 @@ class TestNormCommand:
         assert "operator norm" in text and "method" in text
         data = json.loads(out.read_text(encoding="utf-8"))
         rep = report_from_dict(data)
+        assert rep.section("norm").status == "pass"
         rec = rep.section("norm").records[0]
         assert rec["space"] == "l3"
         assert rec["value"] > 0.0

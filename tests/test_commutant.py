@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lplab.commutant import (
-    CommutantWitness,
     DegenerateSpectrum,
     KrylovDegenerate,
     bezout_residual,
@@ -18,7 +17,7 @@ from lplab.commutant import (
     witness_pairing_residual,
 )
 from lplab.operators import adjoint, apply, truncate
-from lplab.spaces import PNorm, norm, pairing
+from lplab.spaces import PNorm, norm
 
 TOL_ENTRYWISE = 1e-12
 TOL_UNITARY = 1e-10

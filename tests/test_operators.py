@@ -13,13 +13,15 @@ from lplab.operators import (
     UnrepresentableImage,
     adjoint,
     apply,
+    _J,
+    _row_norms,
     dual_sup_norm,
-    materialize,
+    fixed_point_restarts,
     op_norm,
     op_norm_oracle,
     truncate,
 )
-from lplab.spaces import GeometricTail, PNorm, SpVector, norm, pairing
+from lplab.spaces import GeometricTail, PNorm, SpVector, dense_norm, norm, pairing
 
 TOL = 1e-10
 TOL_EXACT = 1e-12
@@ -227,6 +229,103 @@ class TestNorms:
             gain = norm(apply(StructuredOperator.from_dense(M), cert.witness), pn)
             assert norm(cert.witness, pn) == pytest.approx(1.0, abs=TOL_EXACT)
             assert gain == pytest.approx(cert.value, abs=TOL_EXACT)
+
+
+def _restarts_one_by_one(
+    M: np.ndarray, p: float, restarts: int = 32, seed: int = 0
+) -> list[tuple[float, np.ndarray, float]]:
+    """Reference: the fixed-point ascent run one restart at a time, one
+    matrix-vector product per Python step."""
+    m, n = M.shape
+    q = p / (p - 1.0)
+    pn = PNorm.lp(p)
+    rng = np.random.default_rng(seed)
+    starts = [np.eye(n, dtype=complex)[:, i] for i in range(n)]
+    starts.append(np.ones(n, dtype=complex))
+    while len(starts) < restarts:
+        starts.append(rng.normal(size=n) + 1j * rng.normal(size=n))
+    out: list[tuple[float, np.ndarray, float]] = []
+    for x0 in starts:
+        nx = float(dense_norm(x0, pn))
+        if nx == 0:
+            continue
+        x = x0 / nx
+        v_prev = float(dense_norm(M @ x, pn))
+        res = v_prev
+        for _ in range(500):
+            g = M.T @ _J(M @ x, p)
+            y = _J(g, q)
+            ny = float(dense_norm(y, pn))
+            if ny == 0:
+                break
+            x = y / ny
+            v = float(dense_norm(M @ x, pn))
+            if v < v_prev - 1e-12 * max(1.0, v_prev):
+                raise AssertionError("fixed-point ascent lost monotonicity")
+            res = v - v_prev
+            if res <= 1e-15 * max(v, 1e-30):
+                v_prev = v
+                break
+            v_prev = v
+        out.append((v_prev, x, abs(res)))
+    return out
+
+
+def _bits(runs: list[tuple[float, np.ndarray, float]]) -> list[tuple]:
+    return [
+        (np.float64(v).tobytes(), x.dtype, x.shape, x.tobytes(), np.float64(r).tobytes())
+        for v, x, r in runs
+    ]
+
+
+def _fixed_point_cases() -> list:
+    rng = np.random.default_rng(307)
+    cases = []
+    kinds = ("real", "complex", "nonneg", "zero-column")
+    for n in (1, 2, 3, 5, 8, 24, 40):
+        for p in (1.25, 1.5, 3.0, 4.0, 7.0):
+            kind = kinds[len(cases) % len(kinds)]
+            M = rng.normal(size=(n, n))
+            if kind == "complex":
+                M = M + 1j * rng.normal(size=(n, n))
+            elif kind == "nonneg":
+                M = np.abs(M)
+            elif kind == "zero-column":
+                M[:, int(rng.integers(n))] = 0.0
+            cases.append(pytest.param(M, p, id=f"{kind}-{n}x{n}-p{p}"))
+    for shape in ((2, 5), (5, 2), (24, 30)):
+        for p in (1.5, 3.0):
+            M = rng.normal(size=shape)
+            cases.append(pytest.param(M, p, id=f"real-{shape[0]}x{shape[1]}-p{p}"))
+    cases.append(pytest.param(np.zeros((3, 3)), 3.0, id="zero-3x3-p3.0"))
+    return cases
+
+
+class TestFixedPointBatch:
+    @pytest.mark.parametrize("M, p", _fixed_point_cases())
+    def test_bitwise_equal_to_one_restart_at_a_time(self, M, p):
+        want = _restarts_one_by_one(M, p, seed=11)
+        got = fixed_point_restarts(M, p, seed=11)
+        assert _bits(got) == _bits(want)
+
+    def test_monotonicity_error_as_in_the_loop(self):
+        M = np.array([[1e300, 2.0], [0.0, 1.0]])
+        with np.errstate(all="ignore"):
+            with pytest.raises(AssertionError, match="monotonicity"):
+                _restarts_one_by_one(M, 7.0)
+            with pytest.raises(AssertionError, match="monotonicity"):
+                fixed_point_restarts(M, 7.0)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_row_norms_match_dense_norm(self, p):
+        # Fails if a NumPy upgrade changes how a row is summed or how pow
+        # rounds, before that can move the bytes of a report.
+        rng = np.random.default_rng(308)
+        pn = PNorm.lp(p)
+        for n in range(1, 257):
+            Z = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+            for z, v in zip(Z, _row_norms(Z, p)):
+                assert np.float64(v).tobytes() == np.float64(dense_norm(z, pn)).tobytes()
 
 
 class TestOracle:

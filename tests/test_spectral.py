@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from lplab.constructions import build_S_A_omega
-from lplab.operators import apply, materialize
+from lplab.operators import apply
 from lplab.spaces import SpVector
 from lplab.spectral import (
-    EigenPair,
     OmegaWeights,
     eigs_dense,
     lambda_sets,
