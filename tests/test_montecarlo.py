@@ -9,7 +9,6 @@ from lplab.montecarlo import (
     ExperimentConfig,
     ExperimentKind,
     ap_gain_profile,
-    ap_grid_matrix,
     ap_grid_points,
     exp_apspectrum_grid,
     exp_disjoint_support,
@@ -156,6 +155,27 @@ class TestIsometryDefect:
             isometry_defect(np.ones((1, 3)))
 
 
+def _dense_window(A, D):
+    """Reference window: A on the head, the backward shift on the tail."""
+    dim = A.shape[0]
+    M = np.zeros((D, D), dtype=complex)
+    M[:dim, :dim] = A
+    for j in range(dim + 1, D):
+        M[j - 1, j] = 1.0
+    return M
+
+
+def _sigma_min(M):
+    return np.linalg.svd(M, compute_uv=False)[-1]
+
+
+def _dense_gains(A, D):
+    """sigma_min(M - lambda) of the dense window at every grid point."""
+    M = _dense_window(A, D)
+    eye = np.eye(D, dtype=complex)
+    return np.array([_sigma_min(M - lam * eye) for lam in ap_grid_points()])
+
+
 class TestApGrid:
     def test_grid_shape(self):
         pts = ap_grid_points()
@@ -165,7 +185,7 @@ class TestApGrid:
 
     def test_matrix_blocks(self):
         A = np.arange(9, dtype=complex).reshape(3, 3)
-        M = ap_grid_matrix(A, D=8)
+        M = _dense_window(A, D=8)
         assert np.array_equal(M[:3, :3], A)
         # column dim is annihilated; tail columns shift down by one
         assert not M[:, 3].any()
@@ -173,7 +193,9 @@ class TestApGrid:
             col = M[:, j]
             assert col[j - 1] == 1.0 and np.count_nonzero(col) == 1
         with pytest.raises(ValueError):
-            ap_grid_matrix(A, D=4)
+            ap_gain_profile(A, D=4)
+        with pytest.raises(ValueError):
+            ap_gain_profile(np.ones((2, 3), dtype=complex), D=8)
 
     def test_shift_alone_interior_gains_tiny(self):
         prof = ap_gain_profile(np.zeros((1, 1), dtype=complex), D=80)
@@ -185,6 +207,66 @@ class TestApGrid:
         shift = ap_gain_profile(np.zeros((1, 1), dtype=complex), D=60)
         ident = ap_gain_profile(np.eye(1, dtype=complex), D=60)
         assert ident["max_gain"] <= shift["max_gain"] + 1e-12
+
+    def test_tail_depends_on_modulus_only(self):
+        J = np.eye(30, k=1)
+        for lam in (0.3j, -0.5 + 0.5j, 0.9 * np.exp(2.0j), -1.0, 1j):
+            twisted = _sigma_min(J - lam * np.eye(30))
+            radial = _sigma_min(J - abs(lam) * np.eye(30))
+            assert twisted == pytest.approx(radial, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "head",
+        ["zero", "identity", "unitary", ("3", 6), ("c0", 24), ("2", 40)],
+        ids=["zero", "identity", "unitary", "l3-dim6", "c0-dim24", "l2-dim40"],
+    )
+    def test_split_matches_dense_window(self, head):
+        pts = ap_grid_points()
+        if head == "zero":
+            A = np.zeros((1, 1), dtype=complex)
+        elif head == "identity":
+            A = np.eye(3, dtype=complex)
+        elif head == "unitary":
+            # an eigenvalue on each boundary grid point zeroes those gains
+            A = np.diag(pts[-20:])
+        else:
+            token, dim = head
+            A = sample_contraction(
+                dim, space_from_token(token), np.random.default_rng(dim)
+            )
+        D = max(80, A.shape[0] + 40)
+        prof = ap_gain_profile(A, D=D)
+        ref = _dense_gains(A, D)
+        moduli = np.abs(np.asarray(pts))
+        expected = {
+            "max_gain": ref.max(),
+            "min_gain": ref.min(),
+            "interior_max_gain": ref[moduli <= 0.9 + 1e-12].max(),
+            "boundary_max_gain": ref[moduli >= 1.0 - 1e-12].max(),
+        }
+        for key, val in expected.items():
+            assert prof[key] == pytest.approx(val, rel=1e-12, abs=1e-15), key
+        if head == "unitary":
+            assert prof["boundary_max_gain"] == 0.0
+        assert prof["window"] == D
+
+    def test_argmax_is_first_tied_grid_point(self):
+        pts = ap_grid_points()
+        # with a zero head the tail sets every gain and depends on |lambda|
+        # only, so all 20 boundary points tie and the first one is reported
+        zero = ap_gain_profile(np.zeros((1, 1), dtype=complex))
+        assert zero["argmax_lambda"] == 1 + 0j
+        # an identity head pins the gain at lambda = 1 to zero, so the tie
+        # moves on to the next boundary point
+        ident = ap_gain_profile(np.eye(1, dtype=complex))
+        assert ident["argmax_lambda"] == pts[381]
+        assert ident["max_gain"] == zero["max_gain"]
+
+    def test_head_binding_points(self):
+        zero = ap_gain_profile(np.zeros((1, 1), dtype=complex))
+        assert zero["head_binding_points"] == 0
+        ident = ap_gain_profile(np.eye(1, dtype=complex))
+        assert ident["head_binding_points"] > 0
 
     def test_experiment_interior_bound(self):
         sec = exp_apspectrum_grid(
@@ -199,6 +281,8 @@ class TestApGrid:
         assert agg["interior_max_gain"]["max"] <= 1e-3
         assert agg["window"] == 80
         assert agg["errors"] == 0
+        body = sec.records[:-1]
+        assert all(isinstance(r["head_binding_points"], int) for r in body)
 
 
 class TestDisjointSupport:
@@ -241,7 +325,10 @@ class TestRunSuite:
         assert len(rep.sections) == 4
 
     def test_repeat_run_identical(self):
-        cfgs = [_cfg(ExperimentKind.ORBIT_DECAY, seed=21)]
+        cfgs = [
+            _cfg(ExperimentKind.ORBIT_DECAY, seed=21),
+            _cfg(ExperimentKind.AP_SPECTRUM_GRID, dim=6, samples=2, seed=21),
+        ]
         assert run_suite(cfgs).to_json() == run_suite(cfgs).to_json()
 
     def test_empty_suite(self):
