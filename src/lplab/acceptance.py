@@ -533,7 +533,7 @@ def criterion_commutant_witness(seed: int = DEFAULT_SEED) -> Section:
                 image = apply(adjoint(wit.op), f)
                 resid = norm(image + f.scale(-w), pn2) / norm(f, pn2)
                 worst_eigen = max(worst_eigen, resid)
-                worst_pair = max(worst_pair, witness_pairing_residual(wit, w))
+                worst_pair = max(worst_pair, witness_pairing_residual(wit, f))
     records = [
         {
             "name": "bezout_residual",

@@ -21,6 +21,7 @@ from .acceptance import run_battery
 from .commutant import (
     bezout_residual,
     build_commutant_witness,
+    eval_f_w,
     random_t1_contraction,
     witness_pairing_residual,
 )
@@ -207,7 +208,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             {
                 "name": "witness_residuals",
                 "bezout": bezout_residual(wit),
-                "pairing_at_0.3": witness_pairing_residual(wit, 0.3),
+                "pairing_at_0.3": witness_pairing_residual(wit, eval_f_w(wit, 0.3)),
                 "lambdas": list(wit.lambdas),
                 "ok": bezout_residual(wit) < 1e-8,
             }
@@ -265,12 +266,42 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return _emit(report, args.out)
 
 
+def _finite_real(value: Any) -> bool:
+    """A JSON number, not a bool, that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _param_ok(key: str, value: Any) -> bool:
+    """Type check of one ``EigenfreeParams`` field read from JSON."""
+    if key in ("dim_cap", "toy_L_cap", "toy_R_cap"):
+        return isinstance(value, int) and not isinstance(value, bool)
+    if key in ("c", "eta", "C"):
+        return _finite_real(value)
+    if key == "a":
+        return value is None or _finite_real(value)
+    if key == "alphas":
+        return value is None or (
+            isinstance(value, list) and all(_finite_real(a) for a in value)
+        )
+    if key == "toy":
+        return isinstance(value, bool)
+    return True  # an unknown field is refused by EigenfreeParams itself
+
+
 def _game_params(args: argparse.Namespace) -> EigenfreeParams:
     if args.params:
         data = _load_json(args.params)
         if not isinstance(data, dict):
             raise _ConfigError("--params must hold a JSON object")
-        if "alphas" in data and data["alphas"] is not None:
+        for key, value in data.items():
+            if not _param_ok(key, value):
+                raise _ConfigError(f"bad game parameter {key}: {value!r}")
+        if data.get("alphas") is not None:
             data["alphas"] = tuple(float(a) for a in data["alphas"])
         if args.toy:
             data.setdefault("toy", True)

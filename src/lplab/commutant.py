@@ -124,7 +124,8 @@ class CommutantWitness:
     ``op`` is the head block plus forward-shift tail; ``lambdas`` and the
     columns of ``V`` are eigenvalues and eigenvectors of the transposed head
     square; ``betas`` expands ``e_N`` in that eigenbasis.  Polynomial
-    coefficient arrays are in descending powers, with ``r*p + s*q = 1``.
+    coefficient arrays are in descending powers, with ``r*p + s*q = 1``;
+    ``reduced[n]`` holds prod_{k != n}(w - lambda_k).
     """
 
     N: int
@@ -136,13 +137,9 @@ class CommutantWitness:
     q_coeffs: np.ndarray
     r_coeffs: np.ndarray
     s_coeffs: np.ndarray
+    reduced: tuple[np.ndarray, ...]
     x0: SpVector
     op: StructuredOperator
-
-
-def _reduced_polys(lams: np.ndarray) -> list[np.ndarray]:
-    """Coefficients of prod_{k != n}(w - lambda_k) for each n, descending."""
-    return [np.atleast_1d(np.poly(np.delete(lams, n))) for n in range(len(lams))]
 
 
 def _poly_apply(T: StructuredOperator, coeffs: np.ndarray, v: SpVector) -> SpVector:
@@ -235,7 +232,9 @@ def build_commutant_witness(
             continue
 
         p_coeffs = np.atleast_1d(np.poly(lams))
-        reduced = _reduced_polys(lams)
+        reduced = tuple(
+            np.atleast_1d(np.poly(np.delete(lams, n))) for n in range(N + 1)
+        )
         q_coeffs = np.zeros(N + 1, dtype=complex)
         for n in range(N + 1):
             q_coeffs += b_N * betas[n] * V[0, n] * reduced[n]
@@ -267,6 +266,7 @@ def build_commutant_witness(
             q_coeffs=np.asarray(q_coeffs),
             r_coeffs=np.atleast_1d(r_coeffs),
             s_coeffs=s_coeffs,
+            reduced=reduced,
             x0=x0,
             op=op,
         )
@@ -289,10 +289,9 @@ def eval_f_w(wit: CommutantWitness, w: complex, window: int = 64) -> SpVector:
     if abs(w) >= 1.0:
         raise ValueError("|w| >= 1 rejected: the tail is not summable")
     N = wit.N
-    reduced = _reduced_polys(wit.lambdas)
     head = np.zeros(N + 1, dtype=complex)
-    for n in range(N + 1):
-        head += wit.b_N * wit.betas[n] * complex(np.polyval(reduced[n], w)) * wit.V[:, n]
+    for n, poly in enumerate(wit.reduced):
+        head += wit.b_N * wit.betas[n] * complex(np.polyval(poly, w)) * wit.V[:, n]
     pw = complex(np.polyval(wit.p_coeffs, w))
     ents = {j: head[j] for j in range(N + 1)}
     tail = None
@@ -324,9 +323,8 @@ def krylov_rank(T: np.ndarray, v: np.ndarray) -> int:
     return int(np.linalg.matrix_rank(cols))
 
 
-def witness_pairing_residual(wit: CommutantWitness, w: complex) -> float:
-    """|pairing(f_w, x0) - 1| at a given disk point."""
-    f_w = eval_f_w(wit, w)
+def witness_pairing_residual(wit: CommutantWitness, f_w: SpVector) -> float:
+    """|pairing(f_w, x0) - 1| for ``f_w = eval_f_w(wit, w)``."""
     return abs(pairing(f_w, wit.x0) - 1.0)
 
 

@@ -27,6 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .operators import _matvec_rows
 from .reports import section_status
 from .spectral import eigs_dense
 
@@ -976,8 +977,9 @@ def verify_nonsup_run(
     parts["row_coupling"] = coupling
 
     # -- orbit iteration ------------------------------------------------------
-    # one walk records the per-step reductions and runs the grid floor
-    # scan at the sampled steps
+    # x and the prefix starts y_k (x cut after N_k) walk once, as the rows of
+    # V; row k's mask marks what lies past e_0 (for x) or past N_k (for y_k).
+    # The prefix rows walk only up to the longest prefix span.
     want = set(range(0, min(n_cap, 10) + 1)) | set(
         int(t)
         for t in np.unique(np.geomspace(1, max(n_cap, 1), floor_samples).astype(int))
@@ -989,22 +991,31 @@ def verify_nonsup_run(
     head = np.zeros(n_cap + 1)
     rest = np.zeros(n_cap + 1)
     full = np.zeros(n_cap + 1)
-    v = x.copy()
+    spans = [min(rec.L, n_cap, 10_000) for rec in side]
+    reach = max(spans, default=0)
+    prefix_peak = np.zeros((K, reach + 1))
+    prefix_spill = np.zeros((K, reach + 1))
+    cut = np.array([1] + [rec.N + 1 for rec in side])
+    beyond = np.arange(dim)[None, :] >= cut[:, None]
+    V = np.vstack([x, np.where(beyond[1:], 0.0, x)])
     for n in range(n_cap + 1):
-        av = np.abs(v)
-        head[n] = av[0]
-        rest[n] = float(np.max(av[1:])) if dim > 1 else 0.0
-        full[n] = float(np.max(av))
-        for kk, rec in enumerate(side):
-            coords[kk, n] = av[rec.N + 1]
+        A = np.abs(V)
+        peak = A.max(axis=1)
+        past = np.where(beyond[: len(V)], A, 0.0).max(axis=1)
+        head[n], full[n], rest[n] = A[0, 0], peak[0], past[0]
+        coords[:, n] = A[0, cut[1:]]
+        if n <= reach:
+            prefix_peak[:, n], prefix_spill[:, n] = peak[1:], past[1:]
         if n in want:
-            rec_floor = scaled_orbit_floor(v, grid=grid)
+            rec_floor = scaled_orbit_floor(V[0], grid=grid)
             worst_grid = min(worst_grid, rec_floor["grid"])
             worst_mismatch = max(
                 worst_mismatch, abs(rec_floor["grid"] - rec_floor["exact"])
             )
+        if n == reach:
+            V = V[:1]
         if n < n_cap:
-            v = M @ v
+            V = _matvec_rows(M, V)
 
     checks: list[dict] = []
     # coordinate floor (cl-style lower bound), per round
@@ -1025,24 +1036,19 @@ def verify_nonsup_run(
         )
     parts["coordinate_floor"] = checks
 
-    # prefix spill/decay and norm checkpoints
+    # prefix spill/decay over n = 1..span, and norm checkpoints; the decay
+    # bound is a Python float power, as numpy's array pow can differ in the
+    # last bit
     pref: list[dict] = []
     for kk, rec in enumerate(side):
-        y = x.copy()
-        y[rec.N + 1 :] = 0.0
-        span = min(rec.L, n_cap, 10_000)
-        w = y.copy()
-        worst_spill = -math.inf
-        worst_decay = -math.inf
-        for n in range(1, span + 1):
-            w = M @ w
-            spill = float(np.max(np.abs(w[rec.N + 1 :]))) if rec.N + 1 < dim else 0.0
-            worst_spill = max(
-                worst_spill, spill - n * (rec.N + 1) * rec.eps_next
-            )
-            worst_decay = max(
-                worst_decay, float(np.max(np.abs(w))) - (1.0 - rec.eps / 4.0) ** n
-            )
+        span = spans[kk]
+        ns = np.arange(1, span + 1)
+        decay = np.array([(1.0 - rec.eps / 4.0) ** n for n in ns.tolist()])
+        spill = prefix_spill[kk, 1 : span + 1] - ns * (rec.N + 1) * rec.eps_next
+        worst_spill = float(np.max(spill, initial=-math.inf))
+        worst_decay = float(
+            np.max(prefix_peak[kk, 1 : span + 1] - decay, initial=-math.inf)
+        )
         pref.append(
             {
                 "name": f"round{rec.k}_prefix_spill",

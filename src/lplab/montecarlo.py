@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"samples must be in [0, {MAX_SAMPLES}], got {self.samples}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not isinstance(self.experiment, ExperimentKind):
             raise ValueError("experiment must be an ExperimentKind")
 
@@ -107,11 +109,14 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "ExperimentConfig":
+        for key in ("dim", "samples", "seed"):
+            if isinstance(data[key], bool) or not isinstance(data[key], int):
+                raise ValueError(f"{key} must be an integer, got {data[key]!r}")
         return ExperimentConfig(
             space=space_from_token(str(data["space"])),
-            dim=int(data["dim"]),
-            samples=int(data["samples"]),
-            seed=int(data["seed"]),
+            dim=data["dim"],
+            samples=data["samples"],
+            seed=data["seed"],
             experiment=ExperimentKind(data["experiment"]),
         )
 

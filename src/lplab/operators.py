@@ -625,46 +625,32 @@ def _split_model(
     return rect, row_lo, col_lo, tails
 
 
-def _op_norm_l2(T: StructuredOperator) -> NormCertificate:
+def _op_norm_split(T: StructuredOperator, p: float, seed: int = 0) -> NormCertificate:
+    """Norm of the exact split model: the SVD at p = 2, the fixed point otherwise."""
     model = _split_model(T)
     if model is None:
-        raise ValueError("no exact finite model for this operator at p = 2")
-    rect, _, col_lo, tails = model
-    if rect.size:
-        u, s, vh = sla.svd(rect)
-        v_rect = float(s[0])
-        x = np.conj(vh[0])
-    else:
-        v_rect, x = 0.0, np.zeros(0)
-    value = max([v_rect] + tails)
-    witness = None
-    if v_rect >= value and rect.size:
-        witness = SpVector.make(
-            {col_lo + i: x[i] for i in range(len(x))}, domain=T.domain
+        raise ValueError(
+            f"no exact finite model for this operator at p = {2 if p == 2.0 else p}"
         )
-    return NormCertificate(value, witness, "exact", 0.0)
-
-
-def _op_norm_lp(T: StructuredOperator, p: float, seed: int = 0) -> NormCertificate:
-    model = _split_model(T)
-    if model is None:
-        raise ValueError(f"no exact finite model for this operator at p = {p}")
     rect, _, col_lo, tails = model
-    if rect.size:
+    if not rect.size:
+        v_rect, x, res = 0.0, np.zeros(0), 0.0
+    elif p == 2.0:
+        _, s, vh = sla.svd(rect)
+        v_rect, x, res = float(s[0]), np.conj(vh[0]), 0.0
+    else:
         v_rect, x, res = _boyd(rect, p, seed=seed)
         if not math.isfinite(v_rect):
             raise ValueError(
                 f"fixed-point ascent at p = {p!r} gave a non-finite value {v_rect}"
             )
-    else:
-        v_rect, x, res = 0.0, np.zeros(0), 0.0
     value = max([v_rect] + tails)
     witness = None
     if v_rect >= value and rect.size:
         witness = SpVector.make(
             {col_lo + i: x[i] for i in range(len(x))}, domain=T.domain
         )
-    return NormCertificate(value, witness, "fixed_point", res)
+    return NormCertificate(value, witness, "exact" if p == 2.0 else "fixed_point", res)
 
 
 def op_norm(T: StructuredOperator, pn: PNorm, seed: int = 0) -> NormCertificate:
@@ -673,9 +659,7 @@ def op_norm(T: StructuredOperator, pn: PNorm, seed: int = 0) -> NormCertificate:
         return _op_norm_c0(T)
     if pn.p == 1.0:
         return _op_norm_l1(T)
-    if pn.p == 2.0:
-        return _op_norm_l2(T)
-    return _op_norm_lp(T, pn.p, seed=seed)
+    return _op_norm_split(T, pn.p, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +702,7 @@ def _phase_grid(n: int, P: int) -> np.ndarray:
 
 
 def _polish(M: np.ndarray, pn: PNorm, x0: np.ndarray) -> tuple[float, np.ndarray]:
-    """Quasi-Newton polish of the Rayleigh gain from x0, global phase pinned."""
+    """Quasi-Newton polish of the lp Rayleigh gain (1 < p < inf) from x0, global phase pinned."""
     n = M.shape[1]
     i0 = int(np.argmax(np.abs(x0)))
     if abs(x0[i0]) > 0:
@@ -733,16 +717,6 @@ def _polish(M: np.ndarray, pn: PNorm, x0: np.ndarray) -> tuple[float, np.ndarray
         return params[:n] + 1j * im
 
     params0 = np.concatenate([x0.real, np.delete(x0.imag, i0)])
-    if pn.is_c0:
-        res = minimize(
-            lambda q: -gain(unpack(q)),
-            params0,
-            method="BFGS",
-            options={"gtol": 1e-12, "maxiter": 300},
-        )
-        x = unpack(res.x)
-        return gain(x), x
-
     p = pn.p
 
     def fun_and_grad(q: np.ndarray) -> tuple[float, np.ndarray]:

@@ -8,7 +8,6 @@ tails use closed forms, never truncation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -23,10 +22,7 @@ __all__ = [
     "SpVector",
     "norm",
     "dense_norm",
-    "duality_map",
     "pairing",
-    "vector_to_json",
-    "vector_from_json",
 ]
 
 _TAIL_RATIO_MAX = 1.0 - 1e-13
@@ -59,14 +55,6 @@ class PNorm:
     @property
     def is_c0(self) -> bool:
         return self.kind == "c0"
-
-    def conjugate(self) -> "PNorm":
-        """Norm used on the dual side (sup norm for p = 1 and for c0)."""
-        if self.is_c0:
-            return PNorm.lp(1.0)
-        if self.p == 1.0:
-            return PNorm.c0()
-        return PNorm.lp(self.p / (self.p - 1.0))
 
     def label(self) -> str:
         """Space name; ``l`` + p in ``:g`` form only when that parses back to p."""
@@ -147,9 +135,6 @@ class SpVector:
     @staticmethod
     def zero(domain: IndexDomain = IndexDomain.NATURALS) -> "SpVector":
         return SpVector.make({}, domain=domain)
-
-    def is_zero(self) -> bool:
-        return not self.entries and self.tail is None
 
     def at(self, j: int) -> complex:
         for i, v in self.entries:
@@ -282,25 +267,6 @@ def dense_norm(z: np.ndarray, pn: PNorm) -> np.floating | np.ndarray:
     return np.sum(a**pn.p, axis=0) ** (1.0 / pn.p)
 
 
-def duality_map(x: SpVector, pn: PNorm) -> SpVector:
-    """J(x) with coordinates ``conj(x_j) |x_j|^(p-2)``.
-
-    Defined for 1 < p < inf (smooth range).  Satisfies
-    ``pairing(J(x), x) == norm(x,p)**p`` and ``norm(J(x), p') == norm(x,p)**(p-1)``.
-    """
-    if pn.is_c0 or pn.p == 1.0:
-        raise ValueError("duality map requires 1 < p < inf")
-    p = pn.p
-    ents = {j: np.conj(v) * abs(v) ** (p - 2.0) for j, v in x.entries}
-    tail = None
-    if x.tail is not None:
-        t = x.tail
-        ratio = np.conj(t.ratio) * abs(t.ratio) ** (p - 2.0)
-        coeff = np.conj(t.coeff) * abs(t.coeff) ** (p - 2.0)
-        tail = GeometricTail(t.start, coeff, ratio)
-    return SpVector.make(ents, tail, x.domain)
-
-
 def pairing(f: SpVector, x: SpVector) -> complex:
     """Bilinear pairing ``sum_j f_j x_j`` (no conjugation); tails in closed form."""
     total = 0.0 + 0.0j
@@ -328,41 +294,3 @@ def pairing(f: SpVector, x: SpVector) -> complex:
         # only where f has entries.
         pass
     return total
-
-
-def _c2f(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def vector_to_json(x: SpVector) -> str:
-    obj: dict = {
-        "entries": [[j] + _c2f(v) for j, v in x.entries],
-        "tail": None,
-    }
-    if x.tail is not None:
-        t = x.tail
-        obj["tail"] = {
-            "s": t.start,
-            "c_re": float(np.real(t.coeff)),
-            "c_im": float(np.imag(t.coeff)),
-            "w_re": float(np.real(t.ratio)),
-            "w_im": float(np.imag(t.ratio)),
-        }
-    if x.domain != IndexDomain.NATURALS:
-        obj["domain"] = x.domain.value
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def vector_from_json(text: str) -> SpVector:
-    obj = json.loads(text)
-    entries = {int(j): complex(re, im) for j, re, im in obj.get("entries", [])}
-    tail = None
-    if obj.get("tail") is not None:
-        t = obj["tail"]
-        tail = GeometricTail(int(t["s"]), complex(t["c_re"], t["c_im"]), complex(t["w_re"], t["w_im"]))
-    domain = IndexDomain(obj.get("domain", "naturals"))
-    if domain == IndexDomain.NATURALS and (
-        any(j < 0 for j in entries) or (tail is not None and tail.start < 0)
-    ):
-        domain = IndexDomain.INTEGERS
-    return SpVector.make(entries, tail, domain)

@@ -1,4 +1,4 @@
-"""Spectral probes: dense eigenpairs, weighted-translate point spectra, gains.
+"""Spectral probes: dense eigenpairs and weighted-translate point spectra.
 
 The bilateral model couples a finite block A on the span of f_{-N}..f_N with
 a weighted translation by 2N+1 positions: column j carries the weight
@@ -10,12 +10,11 @@ direction), which for eventually constant weights are all-or-nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 import scipy.linalg as sla
 
-from .operators import StructuredOperator, truncate
 from .spaces import IndexDomain, SpVector
 
 __all__ = [
@@ -25,11 +24,9 @@ __all__ = [
     "eigs_dense",
     "lambda_sets",
     "point_spectrum_SAomega",
-    "min_gain",
 ]
 
 MAX_DENSE_DIM = 256
-MAX_GAIN_DIM = 512
 
 
 @dataclass(frozen=True)
@@ -183,18 +180,3 @@ def point_spectrum_SAomega(
         domain=IndexDomain.INTEGERS,
     )
     return EigenPair(complex(lam), vec, res / max(scale, 1e-30))
-
-
-def min_gain(
-    T: StructuredOperator, lams: Iterable[complex], D: int
-) -> tuple[float, complex]:
-    """Smallest singular value of (T - lam) over the grid, on a D-window."""
-    if D > MAX_GAIN_DIM:
-        raise ValueError(f"gain probe capped at dimension {MAX_GAIN_DIM}")
-    M = truncate(T, D)
-    best, best_lam = np.inf, 0.0 + 0.0j
-    for lam in lams:
-        s = sla.svdvals(M - lam * np.eye(D))[-1]
-        if s < best:
-            best, best_lam = float(s), complex(lam)
-    return best, best_lam

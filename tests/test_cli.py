@@ -80,8 +80,21 @@ class TestUsageErrors:
         assert cli_main(["norm", "--matrix", matrix_file, "--p", "junk"]) == 2
 
     def test_bad_mc_config(self, tmp_path):
-        path = _write(tmp_path / "cfg.json", {"space": "l2", "dim": 4})
-        assert cli_main(["mc", "--config", path]) == 2
+        good = {"space": "l2", "dim": 4, "samples": 2, "seed": 1,
+                "experiment": "OrbitDecay"}
+        cases = [
+            {"space": "l2", "dim": 4},
+            {**good, "dim": 4.9},
+            {**good, "samples": 2.5},
+            {**good, "seed": 1.0},
+            {**good, "dim": True},
+            {**good, "seed": False},
+            {**good, "dim": "4"},
+            {**good, "seed": -1},
+        ]
+        for i, cfg in enumerate(cases):
+            path = _write(tmp_path / f"cfg{i}.json", cfg)
+            assert cli_main(["mc", "--config", path]) == 2, cfg
 
 
 class TestNormCommand:
@@ -199,12 +212,35 @@ class TestGameCommand:
         assert code == 0
 
     def test_bad_params_field(self, tmp_path):
-        params = _write(tmp_path / "p.json", {"no_such_field": 1})
+        cases = [
+            {"no_such_field": 1},
+            {"c": "x"},
+            {"c": True},
+            {"eta": float("nan")},
+            {"C": float("inf")},
+            {"a": [0.01]},
+            {"alphas": 0.1},
+            {"alphas": [0.1, "x"]},
+            {"dim_cap": "5"},
+            {"dim_cap": 5.0},
+            {"toy_L_cap": True},
+            {"toy": "yes"},
+        ]
+        for i, data in enumerate(cases):
+            params = _write(tmp_path / f"p{i}.json", data)
+            code = cli_main(
+                ["game", "--strategy", "eigenfree", "--rounds", "2", "--toy",
+                 "--params", params]
+            )
+            assert code == 2, data
+
+    def test_losing_params_fail_the_check(self, tmp_path):
+        params = _write(tmp_path / "p.json", {"c": 0.5})
         code = cli_main(
             ["game", "--strategy", "eigenfree", "--rounds", "2", "--toy",
              "--params", params]
         )
-        assert code == 2
+        assert code == 1
 
 
 class TestMcCommand:

@@ -113,7 +113,7 @@ class TestBuildCommutantWitness:
     def test_pairing_with_x0_is_one(self):
         wit = build_commutant_witness(_rotation_example_block(), 1)
         for w in (0.0, 0.3j, -0.5):
-            assert witness_pairing_residual(wit, w) < TOL_WITNESS
+            assert witness_pairing_residual(wit, eval_f_w(wit, w)) < TOL_WITNESS
 
     def test_x0_cyclic_at_truncation(self):
         for N in (1, 2, 3):
@@ -132,7 +132,7 @@ class TestBuildCommutantWitness:
                 )
                 assert bezout_residual(wit) < TOL_WITNESS
                 for w in (0.0, 0.5j, -0.4, 0.2 - 0.6j):
-                    assert witness_pairing_residual(wit, w) < TOL_WITNESS
+                    assert witness_pairing_residual(wit, eval_f_w(wit, w)) < TOL_WITNESS
 
     def test_jitter_fixes_triangular_head(self):
         # Upper-triangular head: the transposed square has an eigenvector
@@ -148,7 +148,7 @@ class TestBuildCommutantWitness:
         lams = sorted(wit.lambdas.tolist(), key=lambda z: z.real)
         assert lams[0] == pytest.approx(1.0 / 3.0, abs=1e-6)
         assert lams[1] == pytest.approx(0.5, abs=1e-6)
-        assert witness_pairing_residual(wit, 0.25) < TOL_WITNESS
+        assert witness_pairing_residual(wit, eval_f_w(wit, 0.25)) < TOL_WITNESS
 
     def test_input_validation(self):
         blk = _rotation_example_block()
@@ -171,7 +171,7 @@ class TestBuildCommutantWitness:
         T = random_t1_contraction(8, rng)
         wit = build_commutant_witness(T, 2)
         assert wit.b_N == pytest.approx(T[3, 2].real, abs=1e-14)
-        assert witness_pairing_residual(wit, 0.1 + 0.2j) < TOL_WITNESS
+        assert witness_pairing_residual(wit, eval_f_w(wit, 0.1 + 0.2j)) < TOL_WITNESS
 
 
 class TestEvalFw:
@@ -189,7 +189,7 @@ class TestEvalFw:
             f = eval_f_w(wit, lam)
             # The head part collapses to a single transpose-eigenvector.
             assert norm(f, PNorm.lp(2.0)) > 0
-            assert witness_pairing_residual(wit, lam) < TOL_WITNESS
+            assert witness_pairing_residual(wit, f) < TOL_WITNESS
 
     def test_outside_disk_rejected(self):
         wit = build_commutant_witness(_rotation_example_block(), 1)

@@ -383,25 +383,56 @@ class TestVerifyNonsup:
     def test_grid_floor_matches_independent_orbit_walk(self):
         run = play_game("nonsup", 3, seed=7, adversary="random")
         rep = verify_nonsup_run(run, n_direct=200)
+        lhs = {
+            c["name"]: c["lhs"]
+            for s in rep["sections"]
+            if s["name"] in ("coordinate_floor", "prefix_bounds")
+            for c in s["records"]
+            if "lhs" in c
+        }
         floor = next(s for s in rep["sections"] if s["name"] == "scaled_orbit_floor")
         sub = next(c for c in floor["records"] if c["name"] == "grid_floor_subsample")
         blk = run.final_set.A
-        M = block_to_dense(blk, blk.N + 1)
-        v = np.zeros(blk.N + 1, dtype=complex)
-        v[0] = 1.0
+        dim = blk.N + 1
+        M = block_to_dense(blk, dim)
+        x = np.zeros(dim, dtype=complex)
+        x[0] = 1.0
         for rec in run.side:
-            v[rec.N + 1] += 2.0 ** (-(rec.k + 1))
+            x[rec.N + 1] += 2.0 ** (-(rec.k + 1))
         want = set(sub["sampled_n"])
         assert max(want) == 200
         worst_grid, worst_gap = math.inf, 0.0
+        coord_gap = {rec.k: math.inf for rec in run.side}
+        v = x.copy()
         for n in range(max(want) + 1):
             if n in want:
                 f = scaled_orbit_floor(v, grid=sub["grid"])
                 worst_grid = min(worst_grid, f["grid"])
                 worst_gap = max(worst_gap, abs(f["grid"] - f["exact"]))
+            av = np.abs(v)
+            for rec in run.side:
+                bound = 2.0 ** (-(rec.k + 1)) - 2.0 * n * rec.eps_next
+                if bound > 0:
+                    coord_gap[rec.k] = min(coord_gap[rec.k], av[rec.N + 1] - bound)
             v = M @ v
         assert sub["rhs"] == worst_grid
         assert sub["max_gap_to_exact"] == worst_gap
+        for rec in run.side:
+            gap = coord_gap[rec.k] if coord_gap[rec.k] < math.inf else 0.0
+            assert lhs[f"round{rec.k}_coordinate_floor"] == -gap
+            # each round's prefix start, walked on its own
+            w = x.copy()
+            w[rec.N + 1 :] = 0.0
+            worst_spill = worst_decay = -math.inf
+            for n in range(1, min(rec.L, 200) + 1):
+                w = M @ w
+                spill = float(np.max(np.abs(w[rec.N + 1 :]))) if rec.N + 1 < dim else 0.0
+                worst_spill = max(worst_spill, spill - n * (rec.N + 1) * rec.eps_next)
+                worst_decay = max(
+                    worst_decay, float(np.max(np.abs(w))) - (1.0 - rec.eps / 4.0) ** n
+                )
+            assert lhs[f"round{rec.k}_prefix_spill"] == worst_spill
+            assert lhs[f"round{rec.k}_prefix_decay"] == worst_decay
 
     def test_floor_exceeds_one_ninth_on_direct_range(self):
         run = play_game("nonsup", 2, seed=2, adversary="passthrough")

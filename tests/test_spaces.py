@@ -1,4 +1,4 @@
-"""Vector model: norms, duality map, pairing, labels, JSON round trip."""
+"""Vector model: norms, pairing, algebra, labels."""
 
 from __future__ import annotations
 
@@ -14,11 +14,8 @@ from lplab.spaces import (
     PNorm,
     SpVector,
     dense_norm,
-    duality_map,
     norm,
     pairing,
-    vector_from_json,
-    vector_to_json,
 )
 
 TOL = 1e-10
@@ -102,31 +99,6 @@ class TestLabel:
         assert space_from_token(pn.label()) == pn
 
 
-class TestDualityMap:
-    @pytest.mark.parametrize("p", [1.3, 2.0, 3.0, 4.5])
-    def test_identities(self, p):
-        rng = np.random.default_rng(int(p * 100))
-        pn = PNorm.lp(p)
-        pn_dual = pn.conjugate()
-        for _ in range(80):
-            x = _random_vector(rng)
-            if x.is_zero():
-                continue
-            j = duality_map(x, pn)
-            nx = norm(x, pn)
-            assert pairing(j, x) == pytest.approx(nx**p, abs=TOL * max(1, nx**p))
-            assert norm(j, pn_dual) == pytest.approx(
-                nx ** (p - 1), abs=TOL * max(1, nx ** (p - 1))
-            )
-
-    def test_rejects_nonsmooth(self):
-        x = SpVector.basis(0)
-        with pytest.raises(ValueError):
-            duality_map(x, PNorm.lp(1))
-        with pytest.raises(ValueError):
-            duality_map(x, PNorm.c0())
-
-
 class TestPairing:
     def test_bilinear_no_conjugation(self):
         f = SpVector.make({0: 1j})
@@ -167,19 +139,3 @@ class TestAlgebra:
         c = a + b
         assert all(v != 0 for _, v in c.entries)
         np.testing.assert_allclose(_dense(c, 10), _dense(a, 10) + _dense(b, 10), atol=TOL)
-
-
-class TestJson:
-    def test_round_trip(self):
-        rng = np.random.default_rng(41)
-        for _ in range(60):
-            x = _random_vector(rng)
-            y = vector_from_json(vector_to_json(x))
-            np.testing.assert_allclose(_dense(y, 500), _dense(x, 500), atol=0)
-            assert vector_to_json(y) == vector_to_json(x)
-
-    def test_integers_domain_round_trip(self):
-        x = SpVector.make({-3: 1.0 + 2j, 5: -1.0}, domain=IndexDomain.INTEGERS)
-        y = vector_from_json(vector_to_json(x))
-        assert y.domain == IndexDomain.INTEGERS
-        assert y.at(-3) == 1.0 + 2j

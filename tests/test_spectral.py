@@ -12,7 +12,6 @@ from lplab.spectral import (
     OmegaWeights,
     eigs_dense,
     lambda_sets,
-    min_gain,
     point_spectrum_SAomega,
 )
 
@@ -119,20 +118,3 @@ class TestPointSpectrum:
         far_right = abs(vec.at(50))
         assert far_left < 1e-8
         assert far_right < 1e-8
-
-
-class TestGainAndOrbit:
-    def test_min_gain_diagonal(self):
-        A = np.diag([0.9, 0.5, 0.3])
-        omega = OmegaWeights(left=1.0, right=1.0)
-        S = build_S_A_omega(A, omega)
-        lams = [0.0, 0.9, 2.0]
-        g, lam = min_gain(S, lams, D=41)
-        assert g >= 0.0
-        assert lam in (0.0 + 0.0j, 0.9 + 0.0j, 2.0 + 0.0j)
-
-    def test_min_gain_cap(self):
-        A = np.zeros((1, 1))
-        S = build_S_A_omega(A, OmegaWeights())
-        with pytest.raises(ValueError):
-            min_gain(S, [0.0], D=513)
