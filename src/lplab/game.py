@@ -360,6 +360,10 @@ class EigenfreeParams:
     toy_L_cap: int = 8
     toy_R_cap: int = 6
 
+    def __post_init__(self) -> None:
+        if not self.eta > 0.0:
+            raise ValueError(f"eta must be positive (C > 4/eta), got {self.eta!r}")
+
     @staticmethod
     def honest() -> "EigenfreeParams":
         return EigenfreeParams()
@@ -428,9 +432,14 @@ def _eigenfree_geometry(eps: float, alpha: float, C: float) -> tuple[float, int,
     tau = alpha * eps
     if not 0.0 < tau < 1.0:
         raise ValueError("tau = alpha * eps must lie in (0, 1)")
-    L = math.ceil(math.pi / math.asin(tau / 2.0))
-    lratio = math.log1p(-tau / 2.0) - math.log1p(-tau)
-    m = math.floor(math.log(C / eps) / lratio) + 1
+    try:
+        L = math.ceil(math.pi / math.asin(tau / 2.0))
+        lratio = math.log1p(-tau / 2.0) - math.log1p(-tau)
+        m = math.floor(math.log(C / eps) / lratio) + 1
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(
+            f"net size L or chain length R is not finite at tau = {tau!r}, C/eps = {C / eps!r}"
+        ) from None
     return tau, L, max(0, m) + 2
 
 

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from lplab.acceptance import CRITERIA, DEFAULT_SEED, run_battery
+from lplab.acceptance import CRITERIA, DEFAULT_SEED, criterion_norm_engine, run_battery
 from lplab.game import EigenfreeParams, play_game, verify_eigenfree_run
 
 
@@ -45,6 +45,13 @@ def _check(battery, num: int, budget: float | None = None) -> None:
 
 def test_01_norm_engine(battery):
     _check(battery, 1, budget=120.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_01_norm_engine_other_seeds(seed):
+    sec = criterion_norm_engine(seed)
+    assert [r["samples"] for r in sec.records] == [200] * 6
+    assert all(r["ok"] for r in sec.records), sec.records
 
 
 def test_02_kan_inequality(battery):

@@ -225,6 +225,10 @@ class TestGameCommand:
             {"dim_cap": 5.0},
             {"toy_L_cap": True},
             {"toy": "yes"},
+            {"eta": 0},  # C > 4/eta is undefined
+            {"eta": -0.5},
+            {"a": 1e-320},  # the net size L = ceil(pi / asin(tau/2)) is not finite
+            {"eta": 1e308, "C": 1e308},  # C/eps overflows, so the chain length R is not finite
         ]
         for i, data in enumerate(cases):
             params = _write(tmp_path / f"p{i}.json", data)

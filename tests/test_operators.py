@@ -19,8 +19,10 @@ from lplab.operators import (
     fixed_point_restarts,
     op_norm,
     op_norm_oracle,
+    op_norm_oracle_batch,
     truncate,
 )
+from lplab import operators
 from lplab.spaces import GeometricTail, PNorm, SpVector, dense_norm, norm, pairing
 
 TOL = 1e-10
@@ -348,6 +350,51 @@ class TestOracle:
     def test_rejects_large_matrices(self):
         with pytest.raises(ValueError):
             op_norm_oracle(np.eye(4), PNorm.lp(2))
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (2, 3), (3, 1)])
+    def test_batch_gives_each_member_its_lone_bits(self, shape, p):
+        # complex and non-negative real members (two different grids) and a
+        # zero matrix share one batch
+        rng = np.random.default_rng(403)
+        Ms = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(3)]
+        Ms += [np.abs(rng.normal(size=shape)).astype(complex) for _ in range(2)]
+        Ms.append(np.zeros(shape, dtype=complex))
+        pn = PNorm.lp(p)
+        batch = op_norm_oracle_batch(np.array(Ms), pn)
+        assert len(batch) == len(Ms)
+        for M, got in zip(Ms, batch):
+            want = op_norm_oracle(M, pn)
+            assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+            assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
+            assert [(j, np.complex128(v).tobytes()) for j, v in got.witness.entries] == [
+                (j, np.complex128(v).tobytes()) for j, v in want.witness.entries
+            ]
+        assert batch[-1].value == 0.0
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_independent_of_the_fixed_point(self, monkeypatch, p):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle must not use the fixed-point route")
+
+        monkeypatch.setattr(operators, "fixed_point_restarts", refuse)
+        monkeypatch.setattr(operators, "_J", refuse)
+        M = np.array([[1.0, 1.0], [0.0, 1.0]])
+        cert = op_norm_oracle(M, PNorm.lp(p))
+        assert cert.method == "oracle" and 1.0 < cert.value < 2.0
+
+    def test_never_calls_scipy_minimize(self, monkeypatch):
+        import scipy.optimize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle must not call scipy.optimize.minimize")
+
+        monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+        monkeypatch.setattr(operators, "minimize", refuse)
+        rng = np.random.default_rng(404)
+        M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        for pn in (PNorm.lp(1.5), PNorm.lp(3.0), PNorm.lp(1.0), PNorm.c0()):
+            assert op_norm_oracle(M, pn).value > 0.0
 
 
 class TestDualSup:
