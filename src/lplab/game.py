@@ -61,6 +61,7 @@ __all__ = [
 _EXACT_SLACK = 1e-14  # slack for inequalities on exactly representable data
 _ORBIT_SLACK = 1e-9  # slack for inequalities reached through orbit iteration
 _NORM_TOL = 1e-12
+_ORBIT_BLOCK = 256  # orbit steps verify_nonsup_run holds and reduces at once
 _RESIDUAL_TOL = 1e-6  # extended-window residual above which an eigenpair
 # of a truncation is a truncation artifact
 
@@ -945,6 +946,13 @@ def verify_nonsup_run(
     + refinement on a subsample).  For n_direct < n <= n_max the floor and
     ratio are certified analytically from the closed-form round inequalities
     2 L eps' <= (eps/2)(1 - eps/2)^L <= 2^-(k+2).
+
+    The orbit is walked once into a buffer of ``_ORBIT_BLOCK`` steps, and
+    each block is reduced with whole-array abs and max.  Every step is the
+    gemv a stepwise walk makes, and abs, max and masking are exact, so the
+    report does not depend on the block size.  An empty direct range
+    (min(n_max, n_direct) < 1) raises ``ValueError``: no check may pass over
+    no steps.
     """
     if run.strategy != "nonsup":
         raise ValueError("run was not produced by the non-sup strategy")
@@ -957,6 +965,10 @@ def verify_nonsup_run(
     if n_max is None:
         n_max = side[-1].L
     n_cap = min(n_max, n_direct)
+    if n_cap < 1:
+        raise ValueError(
+            f"direct orbit range is empty: min(n_max, n_direct) = {n_cap}"
+        )
     parts: dict[str, list[dict]] = {}
 
     # -- legality + membership ----------------------------------------------
@@ -987,11 +999,15 @@ def verify_nonsup_run(
 
     # -- orbit iteration ------------------------------------------------------
     # x and the prefix starts y_k (x cut after N_k) walk once, as the rows of
-    # V; row k's mask marks what lies past e_0 (for x) or past N_k (for y_k).
-    # The prefix rows walk only up to the longest prefix span.
+    # one step buf[i]; row k's mask marks what lies past e_0 (for x) or past
+    # N_k (for y_k).  The prefix rows walk only up to the longest prefix span,
+    # then x walks alone.  Steps n fill buf[n % _ORBIT_BLOCK], and each full
+    # block (and the last, partial one) is reduced at once.  The products are
+    # the same gemv calls in the same order as a stepwise walk, and abs, max
+    # and masking are exact and order-free, so the block size moves no bit.
     want = set(range(0, min(n_cap, 10) + 1)) | set(
         int(t)
-        for t in np.unique(np.geomspace(1, max(n_cap, 1), floor_samples).astype(int))
+        for t in np.unique(np.geomspace(1, n_cap, floor_samples).astype(int))
         if t <= n_cap
     )
     worst_grid = math.inf
@@ -1006,25 +1022,34 @@ def verify_nonsup_run(
     prefix_spill = np.zeros((K, reach + 1))
     cut = np.array([1] + [rec.N + 1 for rec in side])
     beyond = np.arange(dim)[None, :] >= cut[:, None]
-    V = np.vstack([x, np.where(beyond[1:], 0.0, x)])
+    buf = np.empty((_ORBIT_BLOCK, K + 1, dim), dtype=complex)
+    buf[0] = np.vstack([x, np.where(beyond[1:], 0.0, x)])
     for n in range(n_cap + 1):
-        A = np.abs(V)
-        peak = A.max(axis=1)
-        past = np.where(beyond[: len(V)], A, 0.0).max(axis=1)
-        head[n], full[n], rest[n] = A[0, 0], peak[0], past[0]
-        coords[:, n] = A[0, cut[1:]]
-        if n <= reach:
-            prefix_peak[:, n], prefix_spill[:, n] = peak[1:], past[1:]
-        if n in want:
-            rec_floor = scaled_orbit_floor(V[0], grid=grid)
-            worst_grid = min(worst_grid, rec_floor["grid"])
-            worst_mismatch = max(
-                worst_mismatch, abs(rec_floor["grid"] - rec_floor["exact"])
-            )
-        if n == reach:
-            V = V[:1]
-        if n < n_cap:
-            V = _matvec_rows(M, V)
+        i = n % _ORBIT_BLOCK
+        if n > reach:
+            np.matmul(M, buf[i - 1, 0], out=buf[i, 0])
+        elif n > 0:
+            buf[i] = _matvec_rows(M, buf[i - 1])
+        if i < _ORBIT_BLOCK - 1 and n < n_cap:
+            continue
+        lo = n - i
+        A = np.abs(buf[: i + 1, 0])
+        head[lo : n + 1] = A[:, 0]
+        full[lo : n + 1] = A.max(axis=1)
+        rest[lo : n + 1] = np.where(beyond[0], A, 0.0).max(axis=1)
+        coords[:, lo : n + 1] = A[:, cut[1:]].T
+        pre = min(n, reach) + 1 - lo
+        if pre > 0:
+            P = np.abs(buf[:pre, 1:])
+            prefix_peak[:, lo : lo + pre] = P.max(axis=2).T
+            prefix_spill[:, lo : lo + pre] = np.where(beyond[1:], P, 0.0).max(axis=2).T
+        for t in want:
+            if lo <= t <= n:
+                rec_floor = scaled_orbit_floor(buf[t - lo, 0], grid=grid)
+                worst_grid = min(worst_grid, rec_floor["grid"])
+                worst_mismatch = max(
+                    worst_mismatch, abs(rec_floor["grid"] - rec_floor["exact"])
+                )
 
     checks: list[dict] = []
     # coordinate floor (cl-style lower bound), per round

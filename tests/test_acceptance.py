@@ -2,11 +2,13 @@
 
 Criteria 1-12 run in process through the battery entries (seed 7); wall-time
 budgets are asserted where a criterion carries one.  Criterion 13 invokes the
-command-line tool twice in a subprocess and compares report bytes.
+command-line tool twice in a subprocess, on one and on two BLAS threads, and
+compares report bytes.
 """
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import time
@@ -113,22 +115,24 @@ def test_12_triangularization(battery):
 
 
 def test_13_determinism(tmp_path):
-    """verify-all --seed 7 twice: byte-identical reports, exit code 0."""
+    """verify-all --seed 7 twice, on one and on two BLAS threads:
+    byte-identical reports, exit code 0."""
     outs = []
-    for tag in ("a", "b"):
-        out = tmp_path / f"report_{tag}.json"
+    for threads in ("1", "2"):
+        out = tmp_path / f"report_{threads}.json"
         proc = subprocess.run(
             [sys.executable, "-m", "lplab", "verify-all", "--seed", "7",
              "--out", str(out)],
             capture_output=True,
             text=True,
             timeout=900,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         outs.append(out.read_bytes())
     identical = outs[0] == outs[1]
     print(f"ACCEPTANCE 13 determinism: {'PASS' if identical else 'FAIL'}")
-    assert identical, "verify-all reports differ between identical invocations"
+    assert identical, "verify-all reports differ between one and two BLAS threads"
 
 
 def test_unknown_number_raises():

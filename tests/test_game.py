@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import lplab.game as game_mod
 from lplab.game import (
     BasicOpenSet,
     EigenfreeParams,
@@ -381,17 +382,22 @@ class TestVerifyNonsup:
         assert "certified_floor_tail_range" in names  # L_5 exceeds n_direct
 
     def test_grid_floor_matches_independent_orbit_walk(self):
+        # 600 steps span three orbit blocks, and the prefix reach (533) ends
+        # inside the third
+        n_direct = 600
+        assert n_direct > 2 * game_mod._ORBIT_BLOCK
         run = play_game("nonsup", 3, seed=7, adversary="random")
-        rep = verify_nonsup_run(run, n_direct=200)
+        rep = verify_nonsup_run(run, n_direct=n_direct)
         lhs = {
             c["name"]: c["lhs"]
             for s in rep["sections"]
-            if s["name"] in ("coordinate_floor", "prefix_bounds")
+            if s["name"] in ("coordinate_floor", "prefix_bounds", "norm_coordinate_ratio")
             for c in s["records"]
             if "lhs" in c
         }
         floor = next(s for s in rep["sections"] if s["name"] == "scaled_orbit_floor")
         sub = next(c for c in floor["records"] if c["name"] == "grid_floor_subsample")
+        direct = next(c for c in floor["records"] if c["name"] == "exact_floor_direct_range")
         blk = run.final_set.A
         dim = blk.N + 1
         M = block_to_dense(blk, dim)
@@ -400,31 +406,46 @@ class TestVerifyNonsup:
         for rec in run.side:
             x[rec.N + 1] += 2.0 ** (-(rec.k + 1))
         want = set(sub["sampled_n"])
-        assert max(want) == 200
+        assert max(want) == n_direct
         worst_grid, worst_gap = math.inf, 0.0
+        worst_exact = math.inf
         coord_gap = {rec.k: math.inf for rec in run.side}
+        ratio = {rec.k: -math.inf for rec in run.side}
+        peaks = []
         v = x.copy()
-        for n in range(max(want) + 1):
+        for n in range(n_direct + 1):
             if n in want:
                 f = scaled_orbit_floor(v, grid=sub["grid"])
                 worst_grid = min(worst_grid, f["grid"])
                 worst_gap = max(worst_gap, abs(f["grid"] - f["exact"]))
             av = np.abs(v)
-            for rec in run.side:
+            a, s = float(av[0]), float(np.max(av[1:]))
+            worst_exact = min(worst_exact, s / (a + s) if a + s > 0 else 1.0)
+            peaks.append(float(np.max(av)))
+            for kk, rec in enumerate(run.side):
                 bound = 2.0 ** (-(rec.k + 1)) - 2.0 * n * rec.eps_next
                 if bound > 0:
                     coord_gap[rec.k] = min(coord_gap[rec.k], av[rec.N + 1] - bound)
+                lo_n = run.side[kk - 1].L if kk > 0 else 0
+                if lo_n <= n < rec.L:
+                    ratio[rec.k] = max(ratio[rec.k], peaks[-1] - 8.0 * av[rec.N + 1])
             v = M @ v
         assert sub["rhs"] == worst_grid
         assert sub["max_gap_to_exact"] == worst_gap
+        assert direct["rhs"] == worst_exact
+        checkpoints = [kk for kk in range(1, len(run.side)) if run.side[kk - 1].L <= n_direct]
+        assert checkpoints
+        for kk in checkpoints:
+            assert lhs[f"norm_checkpoint_k{kk}"] == peaks[run.side[kk - 1].L]
         for rec in run.side:
             gap = coord_gap[rec.k] if coord_gap[rec.k] < math.inf else 0.0
             assert lhs[f"round{rec.k}_coordinate_floor"] == -gap
+            assert lhs[f"round{rec.k}_norm_coordinate_ratio"] == ratio[rec.k]
             # each round's prefix start, walked on its own
             w = x.copy()
             w[rec.N + 1 :] = 0.0
             worst_spill = worst_decay = -math.inf
-            for n in range(1, min(rec.L, 200) + 1):
+            for n in range(1, min(rec.L, n_direct) + 1):
                 w = M @ w
                 spill = float(np.max(np.abs(w[rec.N + 1 :]))) if rec.N + 1 < dim else 0.0
                 worst_spill = max(worst_spill, spill - n * (rec.N + 1) * rec.eps_next)
@@ -433,6 +454,27 @@ class TestVerifyNonsup:
                 )
             assert lhs[f"round{rec.k}_prefix_spill"] == worst_spill
             assert lhs[f"round{rec.k}_prefix_decay"] == worst_decay
+
+    @pytest.mark.parametrize(
+        "rounds, seed, adversary", [(2, 2, "passthrough"), (3, 7, "random")]
+    )
+    def test_block_size_cannot_move_the_report(self, monkeypatch, rounds, seed, adversary):
+        # block size 1 is the stepwise walk; the passthrough play's prefix
+        # reach (533) ends mid-walk at n_direct = 2,000
+        run = play_game("nonsup", rounds, seed=seed, adversary=adversary)
+        for n_direct in (1, 200, 2_000):
+            want = verify_nonsup_run(run, n_direct=n_direct)
+            for block in (1, 7, 64):
+                monkeypatch.setattr(game_mod, "_ORBIT_BLOCK", block)
+                assert verify_nonsup_run(run, n_direct=n_direct) == want, (n_direct, block)
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize("kwargs", [{"n_direct": 0}, {"n_max": 0}, {"n_direct": -3}])
+    def test_empty_direct_range_is_refused(self, kwargs):
+        # no check may pass over an empty range of orbit steps
+        run = play_game("nonsup", 3, seed=7, adversary="random")
+        with pytest.raises(ValueError, match="empty"):
+            verify_nonsup_run(run, **kwargs)
 
     def test_floor_exceeds_one_ninth_on_direct_range(self):
         run = play_game("nonsup", 2, seed=2, adversary="passthrough")
