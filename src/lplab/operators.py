@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.optimize import minimize  # noqa: F401 -- unused; perfbench/tracer.py patches this name
 
 from .spaces import (
     GeometricTail,
@@ -56,6 +54,13 @@ __all__ = [
 
 _DECAY = 1e-17
 _MAX_ENUM = 5_000_000
+
+
+# Unused: perfbench/tracer.py wraps this name; SciPy is imported only on a call.
+def minimize(*args, **kwargs):
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 class UnrepresentableImage(Exception):
@@ -299,6 +304,12 @@ def adjoint(T: StructuredOperator) -> StructuredOperator:
         for e in rule.entries:
             if e.row_kind != "affine" or e.row_a != 1:
                 raise UnrepresentableImage("adjoint requires unit-slope affine rows")
+            if T.domain == IndexDomain.NATURALS and rule.step == -1 and e.row_b > 0:
+                # T* would carry this rule down to column 0, i.e. to rows -b..-1.
+                raise ValueError(
+                    "adjoint of a backward rule with row shift b > 0 on the naturals "
+                    "would need rows below 0"
+                )
             rules.append(
                 ColumnRule(
                     rule.start + e.row_b,
@@ -642,7 +653,8 @@ def _op_norm_split(T: StructuredOperator, p: float, seed: int = 0) -> NormCertif
     if not rect.size:
         v_rect, x, res = 0.0, np.zeros(0), 0.0
     elif p == 2.0:
-        _, s, vh = sla.svd(rect)
+        # np.linalg.svd does not check its input: on inf it returns NaN or hangs
+        _, s, vh = np.linalg.svd(np.asarray_chkfinite(rect))
         v_rect, x, res = float(s[0]), np.conj(vh[0]), 0.0
     else:
         v_rect, x, res = _boyd(rect, p, seed=seed)

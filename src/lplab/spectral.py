@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg as sla
 
 from .spaces import IndexDomain, SpVector
 
@@ -86,7 +85,7 @@ def eigs_dense(M: np.ndarray) -> list[EigenPair]:
         raise ValueError("square matrix required")
     if n > MAX_DENSE_DIM:
         raise ValueError(f"dense eigensolve capped at dimension {MAX_DENSE_DIM}")
-    vals, vecs = sla.eig(M)
+    vals, vecs = np.linalg.eig(M)
     out = []
     for i in range(n):
         v = vecs[:, i]
@@ -141,7 +140,7 @@ def point_spectrum_SAomega(
     else:
         # need (A - lam) u = 0 exactly: smallest singular vector
         B = A - lam * np.eye(n)
-        uu, ss, vh = sla.svd(B)
+        uu, ss, vh = np.linalg.svd(np.asarray_chkfinite(B))
         scale = ss[0] if ss[0] > 0 else 1.0
         if ss[-1] > 1e-10 * scale:
             return None

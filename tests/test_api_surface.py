@@ -4,8 +4,11 @@ the package reads no environment variable but ``SOURCE_DATE_EPOCH``."""
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +51,22 @@ def test_only_env_variable_is_source_date_epoch():
         assert mentions == len(names), f"{path.name} reads the environment indirectly"
         read.update(names)
     assert read == {"SOURCE_DATE_EPOCH"}
+
+
+def test_import_loads_no_scipy():
+    # SciPy is a test-only dependency: the CLI and the battery run on NumPy.
+    # operators.minimize stays bound (the benchmark tracer wraps it by name)
+    # but imports SciPy only when it is called.
+    code = (
+        "import sys\n"
+        "import lplab.acceptance, lplab.cli, lplab.game, lplab.montecarlo\n"
+        "assert callable(lplab.operators.__dict__['minimize'])\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(lplab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

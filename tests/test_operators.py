@@ -23,7 +23,7 @@ from lplab.operators import (
     truncate,
 )
 from lplab import operators
-from lplab.spaces import GeometricTail, PNorm, SpVector, dense_norm, norm, pairing
+from lplab.spaces import GeometricTail, IndexDomain, PNorm, SpVector, dense_norm, norm, pairing
 
 TOL = 1e-10
 TOL_EXACT = 1e-12
@@ -133,6 +133,22 @@ class TestAdjointCompose:
         with pytest.raises(UnrepresentableImage):
             adjoint(T)
 
+    def test_adjoint_of_backward_rule_below_row_zero_raises(self):
+        # T e_j = e_{j+2} for j = 3, 2, 1, 0: T* e_0 and T* e_1 would need rows
+        # -2 and -1, which the naturals do not have
+        rule = ColumnRule(3, -1, (RuleEntry("affine", 1, 2, 1.0, 1.0, 0.0),))
+        T = StructuredOperator.from_dense(np.zeros((1, 1)), 0, 0, (rule,))
+        with pytest.raises(ValueError, match="rows below 0"):
+            adjoint(T)
+        # the same rule on the integers, and an unshifted one on the naturals, stay fine
+        T_int = StructuredOperator.from_dense(
+            np.zeros((1, 1)), 0, 0, (rule,), IndexDomain.INTEGERS
+        )
+        assert apply(adjoint(T_int), SpVector.basis(0, IndexDomain.INTEGERS)).entries == ((-2, 1.0),)
+        flat = ColumnRule(3, -1, (RuleEntry("affine", 1, 0, 1.0, 1.0, 0.0),))
+        T0 = StructuredOperator.from_dense(np.zeros((1, 1)), 0, 0, (flat,))
+        assert apply(adjoint(T0), SpVector.basis(0)).entries == ((0, 1.0),)
+
     def test_truncate_matches_columns(self):
         rng = np.random.default_rng(204)
         T = _random_operator(rng)
@@ -193,6 +209,13 @@ class TestNorms:
             T = StructuredOperator.from_dense(M)
             s = np.linalg.svd(M, compute_uv=False)[0]
             assert op_norm(T, PNorm.lp(2)).value == pytest.approx(s, abs=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_l2_non_finite_block_raises(self, bad):
+        # 2x2 with inf: np.linalg.svd alone would return NaN without raising
+        M = np.array([[1.0, bad], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(ValueError):
+            op_norm(StructuredOperator.from_dense(M), PNorm.lp(2))
 
     def test_l2_split_block_plus_shift(self):
         M = np.array([[0.3, 0.1], [0.0, 0.2]])

@@ -37,6 +37,13 @@ class TestEigsDense:
         with pytest.raises(ValueError):
             eigs_dense(np.eye(257))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_raises(self, bad):
+        M = np.eye(3, dtype=complex)
+        M[1, 2] = bad
+        with pytest.raises(ValueError):
+            eigs_dense(M)
+
 
 class TestLambdaSets:
     def test_zero_lambda(self):
@@ -96,6 +103,16 @@ class TestPointSpectrum:
         assert ep is not None
         assert ep.residual < TOL_RESIDUAL
         assert _sweep_residual(A, omega, ep, 1) < 1e-8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_kernel_branch_non_finite_block_raises(self, bad):
+        # no plus-set at |lam| >= right, so the SVD branch runs; np.linalg.svd
+        # alone returns NaN (or hangs) on inf instead of raising
+        A = np.diag([1.5, 0.2, 0.1]).astype(complex)
+        A[0, 1] = bad
+        omega = OmegaWeights(left=0.3, right=1.0)
+        with pytest.raises(ValueError):
+            point_spectrum_SAomega(A, omega, 1.5)
 
     def test_kernel_branch_rejects_non_eigenvalue(self):
         A = np.diag([1.5, 0.2, 0.1])
