@@ -10,10 +10,17 @@ that drive everything else:
 * a family ``f_w`` of transpose-eigenvectors, holomorphic in ``w`` on the
   open unit disk, with ``adjoint(T) f_w = w f_w``;
 * ``pairing(f_w, x0) = 1`` for every ``w``, which exhibits ``x0`` as cyclic.
+
+``eval_f_w_grid`` evaluates the family on a grid of ``w`` in one pass: one
+adjoint per witness, one ``np.polyval`` per polynomial over the whole grid,
+and one image ``adjoint(T) f_w`` per point, returned with ``f_w``.
+``eval_f_w`` is that pass on a grid of one point.
 """
 
 from __future__ import annotations
 
+import cmath
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +43,7 @@ __all__ = [
     "random_t1_contraction",
     "build_commutant_witness",
     "eval_f_w",
+    "eval_f_w_grid",
     "krylov_rank",
     "witness_pairing_residual",
     "bezout_residual",
@@ -275,40 +283,65 @@ def build_commutant_witness(
     )
 
 
-def eval_f_w(wit: CommutantWitness, w: complex, window: int = 64) -> SpVector:
-    """Transpose-eigenvector ``f_w`` of ``wit.op`` for ``|w| < 1``.
+def eval_f_w_grid(
+    wit: CommutantWitness, ws: Sequence[complex], window: int = 64
+) -> list[tuple[SpVector, SpVector]]:
+    """``(f_w, adjoint(T) f_w)`` for every ``w`` in ``ws``, all ``|w| < 1``.
 
     ``f_w`` consists of a head part in coordinates ``0..N`` and the geometric
     tail ``p(w) w^(j-(N+1))`` from ``N+1`` on.  Removable singularities at
     ``w = lambda_n`` are evaluated through the expanded polynomial form, so
-    every ``w`` in the open disk is admissible.  The eigen-equation residual
-    ``adjoint(T) f_w - w f_w`` is checked on ``[0, window]`` and must stay
-    below 1e-8.
+    every ``w`` in the open disk is admissible.  ``adjoint(T)`` is built once
+    for the grid, each polynomial of the witness is evaluated once over the
+    whole grid, and each image is computed once: it serves both the caller
+    and the eigen-equation check, whose residual ``adjoint(T) f_w - w f_w``
+    on ``[0, window]`` must stay below 1e-8.
     """
-    w = complex(w)
-    if abs(w) >= 1.0:
-        raise ValueError("|w| >= 1 rejected: the tail is not summable")
+    ws = [complex(w) for w in ws]
+    for w in ws:
+        if not cmath.isfinite(w):
+            raise ValueError(f"non-finite w {w!r} rejected")
+        if abs(w) >= 1.0:
+            raise ValueError("|w| >= 1 rejected: the tail is not summable")
     N = wit.N
-    head = np.zeros(N + 1, dtype=complex)
-    for n, poly in enumerate(wit.reduced):
-        head += wit.b_N * wit.betas[n] * complex(np.polyval(poly, w)) * wit.V[:, n]
-    pw = complex(np.polyval(wit.p_coeffs, w))
-    ents = {j: head[j] for j in range(N + 1)}
-    tail = None
-    if pw != 0 and w != 0:
-        tail = GeometricTail(N + 1, pw, w)
-    else:
-        ents[N + 1] = pw
-    f_w = SpVector.make(ents, tail)
-
-    image = apply(adjoint(wit.op), f_w)
+    adj = adjoint(wit.op)
+    grid = np.array(ws, dtype=complex)
+    reduced_at = [np.polyval(poly, grid) for poly in wit.reduced]
+    p_at = np.polyval(wit.p_coeffs, grid)
     hi = max(window, N + 2) + 1
-    residual = float(np.linalg.norm(image.window(0, hi) - w * f_w.window(0, hi)))
-    if residual >= _EIGEN_RESIDUAL_TOL:
-        raise AssertionError(
-            f"eigen-equation residual {residual:.3e} on [0, {hi - 1}]"
-        )
-    return f_w
+    out = []
+    for g, w in enumerate(ws):
+        head = np.zeros(N + 1, dtype=complex)
+        # Per point, not broadcast over the grid: an array complex multiply
+        # may round differently from this scalar chain.
+        for n, at in enumerate(reduced_at):
+            head += wit.b_N * wit.betas[n] * complex(at[g]) * wit.V[:, n]
+        pw = complex(p_at[g])
+        ents = {j: head[j] for j in range(N + 1)}
+        tail = None
+        if pw != 0 and w != 0:
+            tail = GeometricTail(N + 1, pw, w)
+        else:
+            ents[N + 1] = pw
+        f_w = SpVector.make(ents, tail)
+
+        image = apply(adj, f_w)
+        residual = float(np.linalg.norm(image.window(0, hi) - w * f_w.window(0, hi)))
+        if not residual < _EIGEN_RESIDUAL_TOL:
+            raise AssertionError(
+                f"eigen-equation residual {residual:.3e} on [0, {hi - 1}]"
+            )
+        out.append((f_w, image))
+    return out
+
+
+def eval_f_w(wit: CommutantWitness, w: complex, window: int = 64) -> SpVector:
+    """Transpose-eigenvector ``f_w`` of ``wit.op`` for ``|w| < 1``.
+
+    ``eval_f_w_grid`` on the grid of one point, without the image; the same
+    checks apply (finite ``w``, ``|w| < 1``, residual below 1e-8).
+    """
+    return eval_f_w_grid(wit, [w], window)[0][0]
 
 
 def krylov_rank(T: np.ndarray, v: np.ndarray) -> int:

@@ -8,10 +8,11 @@ tails use closed forms, never truncation.
 
 from __future__ import annotations
 
+import cmath
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -73,6 +74,10 @@ class GeometricTail:
     ratio: complex
 
     def __post_init__(self) -> None:
+        if not (cmath.isfinite(self.coeff) and cmath.isfinite(self.ratio)):
+            raise ValueError(
+                f"tail coefficient and ratio must be finite, got {self.coeff!r}, {self.ratio!r}"
+            )
         if abs(self.ratio) > _TAIL_RATIO_MAX:
             raise ValueError(f"tail ratio must satisfy |w| < 1, got |w|={abs(self.ratio)}")
         if self.coeff == 0:

@@ -8,6 +8,7 @@ compares report bytes.
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import time
 
 import pytest
 
+from lplab import acceptance
 from lplab.acceptance import CRITERIA, DEFAULT_SEED, criterion_norm_engine, run_battery
 from lplab.game import EigenfreeParams, play_game, verify_eigenfree_run
 
@@ -108,6 +110,25 @@ def test_10_game_eigenfree(battery):
 
 def test_11_commutant_witness(battery):
     _check(battery, 11)
+
+
+def test_11_nan_bezout_residual_fails(monkeypatch):
+    """A NaN residual must not vanish from the running maximum."""
+    monkeypatch.setattr(acceptance, "bezout_residual", lambda wit: float("nan"))
+    sec = acceptance.criterion_commutant_witness(DEFAULT_SEED)
+    rec = next(r for r in sec.records if r["name"] == "bezout_residual")
+    assert rec["max"] == "nan"  # records hold non-finite floats as strings
+    assert rec["ok"] is False
+    assert sec.status == "fail"
+
+
+def test_running_worst_carries_nan():
+    nan = float("nan")
+    worst = acceptance._worst
+    assert worst(0.0, 1e-9, 3e-9, 2e-9) == 3e-9
+    assert worst(0.5, 0.25) == 0.5
+    for args in ((0.0, nan), (nan, 1.0), (0.0, nan, 1.0), (1.0, 2.0, nan)):
+        assert math.isnan(worst(*args)), args
 
 
 def test_12_triangularization(battery):

@@ -4,6 +4,7 @@ the package reads no environment variable but ``SOURCE_DATE_EPOCH``."""
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import re
@@ -70,3 +71,18 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracer.py wraps lplab functions by (owner, attribute name);
+    # a renamed target would make a traced benchmark run die with KeyError.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for _, owner, attr, _ in tracer.TARGETS
+        if attr not in vars(owner)
+    ]
+    assert not missing, f"tracer targets that no longer resolve: {missing}"

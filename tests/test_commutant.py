@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,14 @@ from lplab.commutant import (
     bezout_residual,
     build_commutant_witness,
     eval_f_w,
+    eval_f_w_grid,
     gram_schmidt_triangularize,
     krylov_rank,
     random_t1_contraction,
     witness_pairing_residual,
 )
 from lplab.operators import adjoint, apply, truncate
-from lplab.spaces import PNorm, norm
+from lplab.spaces import GeometricTail, PNorm, SpVector, norm
 
 TOL_ENTRYWISE = 1e-12
 TOL_UNITARY = 1e-10
@@ -198,6 +201,20 @@ class TestEvalFw:
         with pytest.raises(ValueError, match="summable"):
             eval_f_w(wit, -1.2j)
 
+    @pytest.mark.parametrize("w", [np.nan, complex(0.2, np.nan), np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_w_rejected(self, w):
+        wit = build_commutant_witness(_rotation_example_block(), 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            eval_f_w(wit, w)
+        with pytest.raises(ValueError, match="non-finite"):
+            eval_f_w_grid(wit, [0.1, w])
+
+    def test_nan_residual_fails_the_eigen_check(self):
+        wit = build_commutant_witness(_rotation_example_block(), 1)
+        broken = replace(wit, betas=np.full_like(wit.betas, np.nan))
+        with pytest.raises(AssertionError, match="residual nan"):
+            eval_f_w(broken, 0.3)
+
     def test_eigen_equation_on_disk_grid(self):
         rng = np.random.default_rng(7)
         wit = build_commutant_witness(random_t1_contraction(4, rng), 2, seed=7)
@@ -218,3 +235,47 @@ class TestEvalFw:
         pw = np.polyval(wit.p_coeffs, w)
         for j in range(2, 8):
             assert f.at(j) == pytest.approx(pw * w ** (j - 2), abs=1e-14)
+
+
+# The grid criterion 11 checks: w = 0 plus three rings of eight points.
+CRITERION_GRID = [0.0 + 0.0j] + [
+    complex(r * np.exp(2j * np.pi * j / 8)) for r in (0.3, 0.6, 0.9) for j in range(8)
+]
+
+
+def _f_w_pointwise(wit, w: complex) -> SpVector:
+    """Reference f_w: every polynomial evaluated at the single point w."""
+    head = np.zeros(wit.N + 1, dtype=complex)
+    for n, poly in enumerate(wit.reduced):
+        head += wit.b_N * wit.betas[n] * complex(np.polyval(poly, w)) * wit.V[:, n]
+    pw = complex(np.polyval(wit.p_coeffs, w))
+    ents = {j: head[j] for j in range(wit.N + 1)}
+    if pw != 0 and w != 0:
+        return SpVector.make(ents, GeometricTail(wit.N + 1, pw, w))
+    ents[wit.N + 1] = pw
+    return SpVector.make(ents)
+
+
+class TestEvalFwGrid:
+    @pytest.mark.parametrize("N", [0, 1, 2, 3])
+    def test_matches_pointwise_eval_and_image(self, N):
+        rng = np.random.default_rng(40 + N)
+        wit = build_commutant_witness(random_t1_contraction(N + 2, rng), N, seed=N)
+        ws = CRITERION_GRID + [0.0] + [complex(lam) for lam in wit.lambdas]
+        got = eval_f_w_grid(wit, ws)
+        assert len(got) == len(ws)
+        adj = adjoint(wit.op)
+        for w, (f, image) in zip(ws, got):
+            want = eval_f_w(wit, w)
+            assert f == want == _f_w_pointwise(wit, w)
+            assert image == apply(adj, want)
+
+    def test_any_point_outside_disk_rejected(self):
+        wit = build_commutant_witness(_rotation_example_block(), 1)
+        for bad in (1.0, -1.2j, 0.8 + 0.6j):
+            with pytest.raises(ValueError, match="summable"):
+                eval_f_w_grid(wit, [0.0, 0.5, bad, 0.1j])
+
+    def test_empty_grid(self):
+        wit = build_commutant_witness(_rotation_example_block(), 1)
+        assert eval_f_w_grid(wit, []) == []

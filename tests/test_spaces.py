@@ -127,6 +127,20 @@ class TestAlgebra:
         d = _dense(a) + _dense(b)
         np.testing.assert_allclose(_dense(c), d, atol=TOL)
 
+    @pytest.mark.parametrize(
+        "coeff, ratio",
+        [
+            (np.nan, 0.5),
+            (complex(0.0, np.inf), 0.5),
+            (1.0, np.nan),
+            (1.0, complex(np.nan, 0.0)),
+            (1.0, np.inf),
+        ],
+    )
+    def test_non_finite_tail_rejected(self, coeff, ratio):
+        with pytest.raises(ValueError):
+            GeometricTail(0, coeff, ratio)
+
     def test_add_distinct_ratio_tails_raises(self):
         a = SpVector.make({}, GeometricTail(0, 1.0, 0.5))
         b = SpVector.make({}, GeometricTail(0, 1.0, 0.25))
