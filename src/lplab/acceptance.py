@@ -50,15 +50,17 @@ from .game import (
     verify_nonsup_run,
 )
 from .operators import (
+    NormCertificate,
     StructuredOperator,
     apply,
     dual_sup_norm,
     materialize,
     op_norm,
+    op_norm_batch,
     op_norm_oracle_batch,
     truncate,
 )
-from .reports import Report, Section, make_report, make_section
+from .reports import Report, Section, make_report, make_section, max_or_nan
 from .spaces import IndexDomain, PNorm, SpVector, norm
 from .spectral import OmegaWeights, point_spectrum_SAomega
 
@@ -84,20 +86,6 @@ DEFAULT_SEED = 7
 
 def _crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def _worst(acc: float, *vals: float) -> float:
-    """``max(acc, *vals)``, except that a NaN among them is the result.
-
-    The builtin ``max(0.0, nan)`` keeps 0.0, so a NaN residual would vanish
-    from a running maximum and its record would pass.
-    """
-    for v in vals:
-        if math.isnan(acc):
-            break
-        if math.isnan(v) or v > acc:
-            acc = v
-    return acc
 
 
 def _l1_contraction(rng: np.random.Generator, n: int, margin: float = 0.0) -> np.ndarray:
@@ -129,16 +117,20 @@ def criterion_norm_engine(seed: int = DEFAULT_SEED) -> Section:
         for _ in range(200):
             d = int(rng.integers(1, 4))
             Ms.append(_crandn(rng, d, d))
-        # one oracle batch per shape; values go back to draw order
+        # one op_norm batch and one oracle batch per shape, back in draw order
+        engine: dict[int, NormCertificate | Exception] = {}
         oracle: dict[int, float] = {}
         for d in sorted({M.shape[0] for M in Ms}):
             idx = [i for i, M in enumerate(Ms) if M.shape[0] == d]
-            certs = op_norm_oracle_batch(np.array([Ms[i] for i in idx]), pn)
-            oracle.update(zip(idx, (c.value for c in certs)))
+            stack = np.array([Ms[i] for i in idx])
+            engine.update(zip(idx, op_norm_batch(stack, pn)))
+            oracle.update(zip(idx, (c.value for c in op_norm_oracle_batch(stack, pn))))
         worst = 0.0
-        for i, M in enumerate(Ms):
-            a = op_norm(StructuredOperator.from_dense(M), pn).value
-            worst = _worst(worst, abs(a - oracle[i]))
+        for i in range(len(Ms)):
+            cert = engine[i]
+            if isinstance(cert, Exception):
+                raise cert
+            worst = max_or_nan(worst, abs(cert.value - oracle[i]))
         records.append(
             {
                 "name": f"agreement[{pn.label()}]",
@@ -199,8 +191,8 @@ def criterion_doubled_operator(seed: int = DEFAULT_SEED) -> Section:
         A = A / (np.abs(A).sum() + 1.0)
         rec = build_B_eta_delta(A, N, eta=0.5, p=p)
         pn = PNorm.lp(p)
-        worst_norm = _worst(worst_norm, abs(op_norm(rec.op, pn).value - 1.0))
-        worst_gain = _worst(worst_gain, abs(rec.gain_u0 - 1.0))
+        worst_norm = max_or_nan(worst_norm, abs(op_norm(rec.op, pn).value - 1.0))
+        worst_gain = max_or_nan(worst_gain, abs(rec.gain_u0 - 1.0))
         try:
             passed, _, _ = check_evenly_distributed(rec.op, pn)
         except ExposednessUndetermined:
@@ -261,7 +253,7 @@ def criterion_localization(seed: int = DEFAULT_SEED) -> Section:
             coupling = op_norm(
                 StructuredOperator.from_dense(T[:M_loc, M_loc:]), pn
             ).value
-            worst = _worst(worst, coupling)
+            worst = max_or_nan(worst, coupling)
         records.append(
             {
                 "name": f"coupling[p={p}]",
@@ -350,7 +342,7 @@ def criterion_coisometry(seed: int = DEFAULT_SEED) -> Section:
         for _ in range(20):
             A = _l1_contraction(rng, N + 1, margin=margin)
             T = builder(A)
-            worst_norm = _worst(
+            worst_norm = max_or_nan(
                 worst_norm, abs(op_norm(T, PNorm.lp(1.0)).value - 1.0)
             )
             for _ in range(5):
@@ -362,7 +354,7 @@ def criterion_coisometry(seed: int = DEFAULT_SEED) -> Section:
                     }
                 )
                 sup = max(abs(v) for _, v in xstar.entries)
-                worst_dual = _worst(worst_dual, abs(dual_sup_norm(T, xstar) - sup))
+                worst_dual = max_or_nan(worst_dual, abs(dual_sup_norm(T, xstar) - sup))
         records.append(
             {
                 "name": f"{variant}_norm_exact",
@@ -544,14 +536,14 @@ def criterion_commutant_witness(seed: int = DEFAULT_SEED) -> Section:
         for N in (1, 2, 3):
             rng = np.random.default_rng(seed + 100 * s + N)
             wit = build_commutant_witness(random_t1_contraction(N + 2, rng), N, seed=s)
-            worst_bezout = _worst(worst_bezout, bezout_residual(wit))
+            worst_bezout = max_or_nan(worst_bezout, bezout_residual(wit))
             D = 3 * (N + 2)
             if krylov_rank(truncate(wit.op, D), wit.x0.window(0, D)) != D:
                 rank_failures += 1
             for w, (f, image) in zip(grid, eval_f_w_grid(wit, grid)):
                 resid = norm(image + f.scale(-w), pn2) / norm(f, pn2)
-                worst_eigen = _worst(worst_eigen, resid)
-                worst_pair = _worst(worst_pair, witness_pairing_residual(wit, f))
+                worst_eigen = max_or_nan(worst_eigen, resid)
+                worst_pair = max_or_nan(worst_pair, witness_pairing_residual(wit, f))
     records = [
         {
             "name": "bezout_residual",
@@ -596,7 +588,7 @@ def criterion_triangularization(seed: int = DEFAULT_SEED) -> Section:
         e0 = np.zeros(9)
         e0[0] = 1.0
         U, R = gram_schmidt_triangularize(T, e0)
-        t1_dev = _worst(
+        t1_dev = max_or_nan(
             t1_dev,
             float(np.max(np.abs(R - T))),
             float(np.max(np.abs(U - np.eye(9)))),
@@ -611,7 +603,7 @@ def criterion_triangularization(seed: int = DEFAULT_SEED) -> Section:
         e0 = np.zeros(D)
         e0[0] = 1.0
         U, R = gram_schmidt_triangularize(M, e0)
-        unitary_dev = _worst(
+        unitary_dev = max_or_nan(
             unitary_dev, float(np.max(np.abs(U @ U.conj().T - np.eye(D))))
         )
         below = [R[i, j] for j in range(D) for i in range(j + 2, D)]

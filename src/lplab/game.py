@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .operators import _matvec_rows
-from .reports import section_status
+from .reports import max_or_nan, min_or_nan, section_status
 from .spectral import eigs_dense
 
 __all__ = [
@@ -702,11 +702,11 @@ def _row_coupling_checks(blk: GameBlock) -> list[dict]:
             if kind[0] == "spoke":
                 excluded = {rd.k, r}
                 mass = sum(v for j, v in per_col.items() if j not in excluded)
-                worst_spoke = max(worst_spoke, mass)
+                worst_spoke = max_or_nan(worst_spoke, mass)
             else:
                 excluded = {r - 1}
                 mass = sum(v for j, v in per_col.items() if j not in excluded)
-                worst_chain = max(worst_chain, mass)
+                worst_chain = max_or_nan(worst_chain, mass)
         out.append(
             _check(
                 f"round{rd.k}_spoke_row_complement",
@@ -757,7 +757,7 @@ def _extended_residual(
     for rd in blk.rounds:
         if rd.k < D and abs(vec[rd.k]) > 0.0:
             if rd.N + rd.L * rd.R >= rows2:
-                best = max(best, abs(vec[rd.k]) * rd.eps / 2.0)
+                best = max_or_nan(best, abs(vec[rd.k]) * rd.eps / 2.0)
     return best
 
 
@@ -830,6 +830,13 @@ def verify_eigenfree_run(
     for pair in eigs_dense(Msq):
         vec = np.asarray(pair.vector, dtype=complex)
         resid = _extended_residual(blk, M2, pair.value, vec)
+        if math.isnan(resid):
+            # an unreadable residual classifies nothing, so it counts against the run
+            counts["violation"] += 1
+            violations.append(
+                {"eigenvalue": [pair.value.real, pair.value.imag], "residual": resid, "rounds": []}
+            )
+            continue
         if resid > residual_tol:
             counts["artifact"] += 1
             continue
@@ -1046,8 +1053,8 @@ def verify_nonsup_run(
         for t in want:
             if lo <= t <= n:
                 rec_floor = scaled_orbit_floor(buf[t - lo, 0], grid=grid)
-                worst_grid = min(worst_grid, rec_floor["grid"])
-                worst_mismatch = max(
+                worst_grid = min_or_nan(worst_grid, rec_floor["grid"])
+                worst_mismatch = max_or_nan(
                     worst_mismatch, abs(rec_floor["grid"] - rec_floor["exact"])
                 )
 
@@ -1152,7 +1159,8 @@ def verify_nonsup_run(
             "name": "grid_floor_subsample",
             "lhs": 1.0 / 9.0,
             "rhs": worst_grid,
-            "ok": bool(worst_grid >= 1.0 / 9.0 - _ORBIT_SLACK),
+            # a NaN gap means a grid value could not be compared with its exact one
+            "ok": bool(worst_grid >= 1.0 / 9.0 - _ORBIT_SLACK and not math.isnan(worst_mismatch)),
             "sampled_n": sorted(want),
             "grid": grid,
             "max_gap_to_exact": worst_mismatch,

@@ -10,6 +10,8 @@ column sums, c0 row sums, p = 2 via a finite model) and use a monotone
 fixed-point ascent on an exactly norm-equivalent finite model otherwise.
 The ascent's restarts advance together as the rows of one array; each row
 goes through its own gemv and a scalar root, so its bits match a lone restart.
+``op_norm_batch`` runs the restarts of a whole stack of dense matrices as the
+rows of one array in the same way, and gives each matrix its lone bits.
 
 ``op_norm_oracle_batch`` is an independent brute-force check for matrices
 with at most three rows and columns: extreme-point candidates, a sphere grid,
@@ -47,6 +49,7 @@ __all__ = [
     "truncate",
     "materialize",
     "op_norm",
+    "op_norm_batch",
     "op_norm_oracle",
     "op_norm_oracle_batch",
     "dual_sup_norm",
@@ -505,10 +508,21 @@ def _op_norm_c0(T: StructuredOperator) -> NormCertificate:
 
 
 def _J(z: np.ndarray, p: float) -> np.ndarray:
+    """conj(z) |z|^(p-2) entrywise, 0 where z is 0 (the duality map's shape).
+
+    The masked copies are updated in place, the same ufunc calls on the same
+    values as ``np.conj(z[nz]) * a[nz] ** (p - 2.0)`` with fewer temporaries.
+    """
     a = np.abs(z)
-    out = np.zeros_like(z)
     nz = a > 0
-    out[nz] = np.conj(z[nz]) * a[nz] ** (p - 2.0)
+    w = a[nz]
+    del a
+    w **= p - 2.0
+    zc = z[nz]
+    np.conjugate(zc, out=zc)
+    zc *= w
+    out = np.zeros_like(z)
+    out[nz] = zc
     return out
 
 
@@ -519,7 +533,8 @@ def _row_norms(Z: np.ndarray, p: float) -> np.ndarray:
     same order as a lone vector.  The root is taken on Python floats because
     numpy's array ``pow`` can differ from the scalar one in the last bit.
     """
-    return np.array([s ** (1.0 / p) for s in np.sum(np.abs(Z) ** p, axis=-1).tolist()])
+    r = 1.0 / p
+    return np.array([s ** r for s in np.sum(np.abs(Z) ** p, axis=-1).tolist()])
 
 
 def _matvec_rows(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -530,17 +545,30 @@ def _matvec_rows(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return np.matmul(A, Z[:, :, None])[:, :, 0]
 
 
-def fixed_point_restarts(
-    M: np.ndarray, p: float, restarts: int = 32, seed: int = 0
-) -> list[tuple[float, np.ndarray, float]]:
-    """All restart outcomes of the monotone fixed-point ascent (value, x, residual).
+def _matvec_slices(Ms: np.ndarray, Z: np.ndarray, bounds: list[int]) -> np.ndarray:
+    """``Ms[k] @ z`` for each row z of ``Z[bounds[k]:bounds[k + 1]]``, one gemv per row.
 
-    One outcome per non-zero start, in start order.  The starts advance
-    together as the rows of one array, and a row leaves as soon as it stops.
-    Each row still gets its own gemv and a scalar root, so every outcome is
-    bit for bit the one its start gives when run alone.
+    Each matrix's rows sit in one contiguous slice, so each slice goes through
+    the ``np.matmul`` call ``_matvec_rows`` makes for a lone matrix, on the
+    same view of its matrix, written straight into its rows of the result.
     """
-    n = M.shape[1]
+    out = np.empty((len(Z), Ms.shape[1]), dtype=complex)
+    for M, a, b in zip(Ms, bounds, bounds[1:]):
+        if a < b:
+            np.matmul(M, Z[a:b, :, None], out=out[a:b, :, None])
+    return out
+
+
+def _fixed_point_batch(
+    Ms: np.ndarray, p: float, restarts: int = 32, seed: int = 0
+) -> list[list[tuple[float, np.ndarray, float]] | AssertionError]:
+    """``fixed_point_restarts`` for every matrix of a stack of one shape.
+
+    Entry k is matrix k's outcomes, or the ``AssertionError`` its ascent
+    raises when a row loses monotonicity; that matrix leaves the batch there
+    and the others run on as if it had never been in it.
+    """
+    K, _, n = Ms.shape
     q = p / (p - 1.0)
     rng = np.random.default_rng(seed)
     starts = [np.eye(n, dtype=complex), np.ones((1, n), dtype=complex)]
@@ -551,37 +579,73 @@ def fixed_point_restarts(
     X = np.concatenate(starts)
     nx = _row_norms(X, p)
     X = X[nx != 0] / nx[nx != 0, None]
-    MX = _matvec_rows(M, X)
+    # Row k*R + r is start r of matrix k.  Rows only ever leave, so the active
+    # rows of matrix k stay one contiguous slice, act[bounds[k]:bounds[k + 1]].
+    R = len(X)
+    X = np.tile(X, (K, 1))
+    edges = np.arange(K + 1) * R
+    bounds = edges.tolist()
+    # Ts[k] is the view Ms[k].T a lone matrix uses; a contiguous copy would
+    # round differently
+    Ts = Ms.transpose(0, 2, 1)
+    MX = _matvec_slices(Ms, X, bounds)
     value = _row_norms(MX, p)
     res = value.copy()
     out = X.copy()
-    act = np.arange(len(X))
+    act = np.arange(K * R)
+    lost: set[int] = set()  # matrices whose ascent lost monotonicity
     for _ in range(500):
         if not act.size:
             break
-        Y = _J(_matvec_rows(M.T, _J(MX, p)), q)
+        Y = _J(_matvec_slices(Ts, _J(MX, p), bounds), q)
         ny = _row_norms(Y, p)
         moved = ny != 0  # a row with a zero step stops where it is
-        act, X = act[moved], Y[moved] / ny[moved, None]
-        MX = _matvec_rows(M, X)
+        if moved.all():
+            X = Y / ny[:, None]
+        else:
+            act, X = act[moved], Y[moved] / ny[moved, None]
+            bounds = np.searchsorted(act, edges).tolist()
+        MX = _matvec_slices(Ms, X, bounds)
         v = _row_norms(MX, p)
         prev = value[act]
-        if np.any(v < prev - 1e-12 * np.maximum(1.0, prev)):
-            raise AssertionError("fixed-point ascent lost monotonicity")
+        drop = v < prev - 1e-12 * np.maximum(1.0, prev)
+        if drop.any():
+            bad = act[drop] // R
+            lost.update(bad.tolist())
+            keep = ~np.isin(act // R, bad)
+            act, X, MX, v, prev = act[keep], X[keep], MX[keep], v[keep], prev[keep]
+            bounds = np.searchsorted(act, edges).tolist()
         value[act], res[act], out[act] = v, v - prev, X
         # not (res <= tol) rather than res > tol: a NaN row keeps running
         running = ~(res[act] <= 1e-15 * np.maximum(v, 1e-30))
-        act, X, MX = act[running], X[running], MX[running]
-    return [(float(value[i]), x, float(abs(res[i]))) for i, x in enumerate(out)]
+        if not running.all():
+            act, X, MX = act[running], X[running], MX[running]
+            bounds = np.searchsorted(act, edges).tolist()
+    return [
+        AssertionError("fixed-point ascent lost monotonicity")
+        if k in lost
+        else [(float(value[i]), out[i], float(abs(res[i]))) for i in range(k * R, (k + 1) * R)]
+        for k in range(K)
+    ]
 
 
-def _boyd(M: np.ndarray, p: float, restarts: int = 32, seed: int = 0) -> tuple[float, np.ndarray, float]:
-    """Best outcome of the monotone fixed-point ascent."""
-    runs = fixed_point_restarts(M, p, restarts=restarts, seed=seed)
-    if not runs:
-        return 0.0, np.zeros(M.shape[1], dtype=complex), 0.0
-    best_v, best_x, best_res = max(runs, key=lambda t: t[0])
-    return best_v, best_x, best_res
+def fixed_point_restarts(
+    M: np.ndarray, p: float, restarts: int = 32, seed: int = 0
+) -> list[tuple[float, np.ndarray, float]]:
+    """All restart outcomes of the monotone fixed-point ascent (value, x, residual).
+
+    One outcome per non-zero start, in start order.  The starts advance
+    together as the rows of one array, and a row leaves as soon as it stops.
+    Each row still gets its own gemv (``M @ x`` and ``M.T @ y``, with ``M.T``
+    a transposed view) and a scalar root, so every outcome is bit for bit the
+    one its start gives when run alone.  This is the batch of one of
+    ``op_norm_batch``'s ascent, which runs each matrix's rows through the same
+    calls and so gives each matrix these same bits.
+    """
+    runs = _fixed_point_batch(M[None], p, restarts=restarts, seed=seed)[0]
+    if isinstance(runs, AssertionError):
+        raise runs
+    return runs
 
 
 def _split_model(
@@ -642,6 +706,30 @@ def _split_model(
     return rect, row_lo, col_lo, tails
 
 
+def _best_run(runs: list[tuple[float, np.ndarray, float]], p: float) -> tuple[float, np.ndarray, float]:
+    """The ascent's best outcome; a non-finite best value raises ``ValueError``."""
+    v, x, res = max(runs, key=lambda t: t[0])
+    if not math.isfinite(v):
+        raise ValueError(f"fixed-point ascent at p = {p!r} gave a non-finite value {v}")
+    return v, x, res
+
+
+def _split_certificate(
+    v_rect: float,
+    x: np.ndarray,
+    res: float,
+    col_lo: int,
+    tails: list[float],
+    domain: IndexDomain,
+    method: str,
+) -> NormCertificate:
+    value = max([v_rect] + tails)
+    witness = None
+    if v_rect >= value and x.size:
+        witness = SpVector.make({col_lo + i: x[i] for i in range(len(x))}, domain=domain)
+    return NormCertificate(value, witness, method, res)
+
+
 def _op_norm_split(T: StructuredOperator, p: float, seed: int = 0) -> NormCertificate:
     """Norm of the exact split model: the SVD at p = 2, the fixed point otherwise."""
     model = _split_model(T)
@@ -657,18 +745,9 @@ def _op_norm_split(T: StructuredOperator, p: float, seed: int = 0) -> NormCertif
         _, s, vh = np.linalg.svd(np.asarray_chkfinite(rect))
         v_rect, x, res = float(s[0]), np.conj(vh[0]), 0.0
     else:
-        v_rect, x, res = _boyd(rect, p, seed=seed)
-        if not math.isfinite(v_rect):
-            raise ValueError(
-                f"fixed-point ascent at p = {p!r} gave a non-finite value {v_rect}"
-            )
-    value = max([v_rect] + tails)
-    witness = None
-    if v_rect >= value and rect.size:
-        witness = SpVector.make(
-            {col_lo + i: x[i] for i in range(len(x))}, domain=T.domain
-        )
-    return NormCertificate(value, witness, "exact" if p == 2.0 else "fixed_point", res)
+        v_rect, x, res = _best_run(fixed_point_restarts(rect, p, seed=seed), p)
+    method = "exact" if p == 2.0 else "fixed_point"
+    return _split_certificate(v_rect, x, res, col_lo, tails, T.domain, method)
 
 
 def op_norm(T: StructuredOperator, pn: PNorm, seed: int = 0) -> NormCertificate:
@@ -678,6 +757,49 @@ def op_norm(T: StructuredOperator, pn: PNorm, seed: int = 0) -> NormCertificate:
     if pn.p == 1.0:
         return _op_norm_l1(T)
     return _op_norm_split(T, pn.p, seed=seed)
+
+
+def op_norm_batch(
+    Ms: np.ndarray, pn: PNorm, seed: int = 0
+) -> list[NormCertificate | Exception]:
+    """``op_norm`` of each matrix of a stack of dense matrices of one shape.
+
+    Entry k is bit for bit what ``op_norm(StructuredOperator.from_dense(Ms[k]),
+    pn, seed)`` returns, or the exception that call raises: a matrix whose
+    ascent loses monotonicity or ends non-finite fails alone, with its own
+    error, and every other entry stays as it is.  An empty stack gives ``[]``.
+
+    At p = 1, p = 2 and on c0 the matrices go through ``op_norm`` one by one.
+    Otherwise the fixed-point ascents of all matrices advance together: the
+    32 restarts of matrix k are one contiguous slice of the rows, and each row
+    gets its own gemv with ``Ms[k]`` and with the transposed view ``Ms[k].T``,
+    the calls ``fixed_point_restarts`` (the batch of one) makes for a lone
+    matrix.  The cost of the numpy calls per step is shared by the whole
+    stack; memory grows with the stack's rows, never with a copy per row.
+    """
+    Ms = np.asarray(Ms, dtype=complex)
+    if Ms.ndim != 3:
+        raise ValueError(f"op_norm_batch needs a stack of matrices, got shape {Ms.shape}")
+    certs: list[NormCertificate | Exception] = []
+    if pn.is_c0 or pn.p in (1.0, 2.0) or 0 in Ms.shape:
+        for M in Ms:
+            try:
+                certs.append(op_norm(StructuredOperator.from_dense(M), pn, seed=seed))
+            except ValueError as exc:  # non-finite entries: this matrix's failure alone
+                certs.append(exc)
+        return certs
+    for runs in _fixed_point_batch(Ms, pn.p, seed=seed):
+        try:
+            if isinstance(runs, AssertionError):
+                raise runs
+            best = _best_run(runs, pn.p)
+        except (AssertionError, ValueError) as exc:
+            certs.append(exc)
+            continue
+        certs.append(
+            _split_certificate(*best, 0, [], IndexDomain.NATURALS, "fixed_point")
+        )
+    return certs
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -28,6 +29,8 @@ __all__ = [
     "config_hash",
     "build_timestamp",
     "section_status",
+    "max_or_nan",
+    "min_or_nan",
     "make_section",
     "make_report",
     "report_from_dict",
@@ -110,6 +113,30 @@ def build_timestamp() -> str:
 
 # ---------------------------------------------------------------------------
 # sections and reports
+
+
+def max_or_nan(acc: float, *vals: float) -> float:
+    """``max(acc, *vals)``, except that a NaN among them is the result.
+
+    The builtin ``max(0.0, nan)`` keeps 0.0, so a NaN residual would vanish
+    from a running maximum and its record would pass.
+    """
+    for v in vals:
+        if math.isnan(acc):
+            break
+        if math.isnan(v) or v > acc:
+            acc = v
+    return acc
+
+
+def min_or_nan(acc: float, *vals: float) -> float:
+    """``min(acc, *vals)``, except that a NaN among them is the result."""
+    for v in vals:
+        if math.isnan(acc):
+            break
+        if math.isnan(v) or v < acc:
+            acc = v
+    return acc
 
 
 def section_status(records: Sequence[Mapping[str, Any]]) -> str:

@@ -14,6 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .reports import max_or_nan
 from .spaces import IndexDomain, SpVector
 
 __all__ = [
@@ -172,7 +173,7 @@ def point_spectrum_SAomega(
         val = omega.value(k) * getv(k + step)
         if -N <= k <= N:
             val += sum(A[k + N, i + N] * getv(i) for i in range(-N, N + 1))
-        res = max(res, abs(val - lam * getv(k)))
+        res = max_or_nan(res, abs(val - lam * getv(k)))
     scale = float(np.abs(y).max())
     vec = SpVector.make(
         {j - offs: y[j] for j in range(len(y)) if y[j] != 0},

@@ -348,6 +348,59 @@ class TestVerifyEigenfree:
             assert c["lhs"] <= c["rhs"] + EXACT_TOL
 
 
+class TestNanIsCarried:
+    """A NaN mass, residual or floor must fail its record, not vanish from
+    a running maximum or minimum."""
+
+    @pytest.mark.parametrize("row, kind", [(3, "spoke"), (4, "chain")])
+    def test_nan_row_mass_fails_its_complement_check(self, row, kind):
+        # toy round N = 0, R = 3: rows 3, 6, 9, 12 are spokes, 4 and 5 chain
+        rd = _toy_round()
+        blk = block_from_columns(rd.N_next, {1: {row: math.nan}}, rounds=(rd,))
+        checks = {c["name"]: c for c in game_mod._row_coupling_checks(blk)}
+        rec = checks[f"round0_{kind}_row_complement"]
+        assert math.isnan(rec["lhs"])
+        assert rec["ok"] is False
+
+    def test_nan_spoke_term_reaches_the_extended_residual(self):
+        rd = dataclasses.replace(_toy_round(), eps=math.nan)
+        blk = block_from_columns(rd.N_next, {0: {0: 0.5}}, rounds=(rd,))
+        M2 = block_to_dense(blk, 2, 1)
+        resid = game_mod._extended_residual(blk, M2, 0.5, np.array([1.0 + 0.0j]))
+        assert math.isnan(resid)
+
+    def test_nan_extended_residual_is_a_violation(self, monkeypatch):
+        run = play_game("eigenfree", 2, seed=7, adversary="passthrough")
+        monkeypatch.setattr(game_mod, "_extended_residual", lambda *args: math.nan)
+        rep = verify_eigenfree_run(run)
+        screen = next(s for s in rep["sections"] if s["name"] == "eigen_screen")
+        assert screen["status"] == "fail"
+        assert screen["records"][0]["counts"]["violation"] >= 1
+        assert not rep["ok"]
+
+    @pytest.mark.parametrize("field", ["grid", "exact"])
+    def test_nan_floor_sample_fails_the_grid_record(self, monkeypatch, field):
+        run = play_game("nonsup", 2, seed=2, adversary="passthrough")
+        floor = game_mod.scaled_orbit_floor
+        calls = []
+
+        def poisoned(v, grid=64):
+            rec = floor(v, grid=grid)
+            calls.append(None)
+            if len(calls) == 3:
+                rec[field] = math.nan
+            return rec
+
+        monkeypatch.setattr(game_mod, "scaled_orbit_floor", poisoned)
+        rep = verify_nonsup_run(run, n_direct=50)
+        section = next(s for s in rep["sections"] if s["name"] == "scaled_orbit_floor")
+        rec = next(c for c in section["records"] if c["name"] == "grid_floor_subsample")
+        assert len(calls) > 3
+        assert math.isnan(rec["rhs"] if field == "grid" else rec["max_gap_to_exact"])
+        assert rec["ok"] is False
+        assert section["status"] == "fail"
+
+
 class TestScaledOrbitFloor:
     def test_two_coordinate_vector(self):
         v = np.array([1.0 + 0.0j, 1.0])

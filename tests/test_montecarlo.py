@@ -22,7 +22,8 @@ from lplab.montecarlo import (
     space_to_token,
 )
 from lplab.operators import StructuredOperator, op_norm
-from lplab.reports import exit_code
+from lplab import montecarlo
+from lplab.reports import canonical_json, exit_code
 from lplab.spaces import PNorm
 
 NORM_SLACK = 1e-9
@@ -81,6 +82,67 @@ class TestSampleContraction:
     def test_complex_entries(self):
         M = sample_contraction(4, PNorm.lp(2.0), np.random.default_rng(2))
         assert np.abs(M.imag).max() > 0.0
+
+
+class TestChunkedNormalisation:
+    """_map_samples draws each sample's G from its own stream, then
+    normalises NORMALISE_CHUNK samples at a time through op_norm_batch."""
+
+    @staticmethod
+    def _one_at_a_time(monkeypatch, cfg):
+        monkeypatch.setattr(montecarlo, "NORMALISE_CHUNK", 1)
+        text = canonical_json(run_suite([cfg]))
+        monkeypatch.undo()
+        return text
+
+    @pytest.mark.parametrize("token", ["1.5", "3.0", "c0"])
+    def test_same_bytes_as_one_sample_at_a_time(self, monkeypatch, token):
+        cfg = _cfg(ExperimentKind.EIGEN_STATS, space=space_from_token(token), dim=6, samples=23)
+        want = self._one_at_a_time(monkeypatch, cfg)
+        assert canonical_json(run_suite([cfg])) == want
+
+    def test_a_failing_sample_is_its_own_error(self, monkeypatch):
+        cfg = _cfg(ExperimentKind.ORBIT_DECAY, dim=6, samples=13)
+        clean = run_suite([cfg]).sections[0].records
+        draw = montecarlo._gaussian
+        calls = []
+
+        def poisoned(dim, rng):
+            G = draw(dim, rng)
+            calls.append(len(calls))
+            if len(calls) == 3:  # sample 2
+                G[1, 4] = np.inf
+            return G
+
+        monkeypatch.setattr(montecarlo, "_gaussian", poisoned)
+        with np.errstate(all="ignore"):
+            batched = run_suite([cfg])
+            calls.clear()
+            alone = self._one_at_a_time(monkeypatch, cfg)
+        assert canonical_json(batched) == alone
+        records = batched.sections[0].records
+        assert records[2] == {
+            "sample": 2,
+            "error": "ValueError: fixed-point ascent at p = 3.0 gave a non-finite value nan",
+            "ok": False,
+        }
+        for k in range(cfg.samples):
+            if k != 2:
+                assert canonical_json(records[k]) == canonical_json(clean[k]), k
+        assert records[-1]["errors"] == 1
+
+    def test_memory_is_bounded_by_the_chunk(self, monkeypatch):
+        sizes = []
+        batch = montecarlo.op_norm_batch
+
+        def recording(Ms, pn, seed=0):
+            sizes.append(len(Ms))
+            return batch(Ms, pn, seed=seed)
+
+        monkeypatch.setattr(montecarlo, "op_norm_batch", recording)
+        run_suite([_cfg(ExperimentKind.DISJOINT_SUPPORT, dim=3, samples=50)])
+        assert sum(sizes) == 50
+        assert max(sizes) <= montecarlo.NORMALISE_CHUNK < 50
 
 
 class TestOrbitDecay:

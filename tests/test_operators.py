@@ -18,6 +18,7 @@ from lplab.operators import (
     dual_sup_norm,
     fixed_point_restarts,
     op_norm,
+    op_norm_batch,
     op_norm_oracle,
     op_norm_oracle_batch,
     truncate,
@@ -351,6 +352,73 @@ class TestFixedPointBatch:
             Z = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
             for z, v in zip(Z, _row_norms(Z, p)):
                 assert np.float64(v).tobytes() == np.float64(dense_norm(z, pn)).tobytes()
+
+
+def _cert_bits(cert) -> tuple:
+    witness = None
+    if cert.witness is not None:
+        witness = [(j, np.complex128(v).tobytes()) for j, v in cert.witness.entries]
+    return (
+        np.float64(cert.value).tobytes(),
+        np.float64(cert.residual).tobytes(),
+        cert.method,
+        witness,
+    )
+
+
+def _stack(rng: np.random.Generator, K: int, shape: tuple[int, int]) -> np.ndarray:
+    """K complex Gaussian matrices; the first is zero, the second has a zero column."""
+    Ms = rng.normal(size=(K, *shape)) + 1j * rng.normal(size=(K, *shape))
+    Ms[0] = 0.0
+    if K > 1:
+        Ms[1][:, shape[1] // 2] = 0.0
+    return Ms
+
+
+_BATCH_SPACES = [PNorm.lp(1.0), PNorm.lp(1.5), PNorm.lp(2.0), PNorm.lp(3.0), PNorm.lp(4.0), PNorm.c0()]
+
+
+class TestOpNormBatch:
+    @pytest.mark.parametrize("pn", _BATCH_SPACES, ids=lambda pn: pn.label())
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (8, 8), (24, 24), (8, 24)])
+    def test_each_member_gets_its_lone_bits(self, pn, shape):
+        Ms = _stack(np.random.default_rng(shape[0] * 100 + shape[1]), 20, shape)
+        want = [_cert_bits(op_norm(StructuredOperator.from_dense(M), pn)) for M in Ms]
+        for K in (1, 5, 20):
+            got = op_norm_batch(Ms[-K:], pn)
+            assert [_cert_bits(c) for c in got] == want[-K:], K
+        assert op_norm_batch(Ms[:2], pn)[0].value == 0.0
+
+    @pytest.mark.parametrize("pn", _BATCH_SPACES, ids=lambda pn: pn.label())
+    def test_empty_stack(self, pn):
+        assert op_norm_batch(np.zeros((0, 3, 3), dtype=complex), pn) == []
+
+    def test_rejects_a_lone_matrix(self):
+        with pytest.raises(ValueError, match="stack"):
+            op_norm_batch(np.eye(3), PNorm.lp(3.0))
+
+    @pytest.mark.parametrize("p", [3.0, 7.0])
+    def test_a_failing_member_fails_alone(self, p):
+        # a matrix that loses monotonicity at p = 7 and one with an inf entry
+        # sit between ordinary ones; each failure is that member's own error
+        rng = np.random.default_rng(409)
+        Ms = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+        Ms[1] = [[1e300, 2.0], [0.0, 1.0]]
+        Ms[3, 0, 1] = np.inf
+        pn = PNorm.lp(p)
+        with np.errstate(all="ignore"):
+            got = op_norm_batch(Ms, pn)
+            for M, cert in zip(Ms, got):
+                try:
+                    want = op_norm(StructuredOperator.from_dense(M), pn)
+                except (AssertionError, ValueError) as exc:
+                    assert type(cert) is type(exc) and str(cert) == str(exc)
+                else:
+                    assert _cert_bits(cert) == _cert_bits(want)
+        assert isinstance(got[3], ValueError) and "non-finite" in str(got[3])
+        if p == 7.0:
+            assert isinstance(got[1], AssertionError) and "monotonicity" in str(got[1])
+        assert all(not isinstance(got[k], Exception) for k in (0, 2, 4))
 
 
 class TestOracle:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,34 @@ class TestPointSpectrum:
         assert ep is not None
         assert ep.residual < TOL_RESIDUAL
         assert _sweep_residual(A, omega, ep, N) < 1e-8
+
+    def test_nan_residual_term_is_carried(self, monkeypatch):
+        # NaN from the weight only on the residual loop's last row (k = W):
+        # the reconstructed vector stays finite and the residual must be NaN
+        A = 0.4 * np.eye(3, dtype=complex)
+        omega = OmegaWeights(table={-2: 0.05, 1: 0.02}, left=0.3, right=1.0)
+        value = OmegaWeights.value
+        calls = []
+
+        def counting(self, k):
+            calls.append(k)
+            return value(self, k)
+
+        monkeypatch.setattr(OmegaWeights, "value", counting)
+        clean = point_spectrum_SAomega(A, omega, 0.5, window=40)
+        last = len(calls)
+        calls.clear()
+
+        def poisoned(self, k):
+            calls.append(k)
+            return math.nan if len(calls) == last else value(self, k)
+
+        monkeypatch.setattr(OmegaWeights, "value", poisoned)
+        ep = point_spectrum_SAomega(A, omega, 0.5, window=40)
+        assert clean.residual < TOL_RESIDUAL
+        assert ep.vector == clean.vector
+        assert math.isnan(ep.residual)
+        assert not ep.residual < TOL_RESIDUAL
 
     def test_kernel_branch(self):
         # |lam| >= right forces (A - lam) u = 0; pick A with eigenvalue 1.5
