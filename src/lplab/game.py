@@ -22,12 +22,12 @@ form on this sparse data.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .operators import _matvec_rows
 from .reports import max_or_nan, min_or_nan, section_status
 from .spectral import eigs_dense
 
@@ -61,7 +61,10 @@ __all__ = [
 _EXACT_SLACK = 1e-14  # slack for inequalities on exactly representable data
 _ORBIT_SLACK = 1e-9  # slack for inequalities reached through orbit iteration
 _NORM_TOL = 1e-12
-_ORBIT_BLOCK = 256  # orbit steps verify_nonsup_run holds and reduces at once
+# orbit steps verify_nonsup_run walks and reduces at once; its powers
+# [I, M, ..., M^B] take (B + 1) dim^2 complex entries (0.7 MB at B = 256,
+# dim = 13)
+_ORBIT_BLOCK = 256
 _RESIDUAL_TOL = 1e-6  # extended-window residual above which an eigenpair
 # of a truncation is a truncation artifact
 
@@ -954,12 +957,19 @@ def verify_nonsup_run(
     ratio are certified analytically from the closed-form round inequalities
     2 L eps' <= (eps/2)(1 - eps/2)^L <= 2^-(k+2).
 
-    The orbit is walked once into a buffer of ``_ORBIT_BLOCK`` steps, and
-    each block is reduced with whole-array abs and max.  Every step is the
-    gemv a stepwise walk makes, and abs, max and masking are exact, so the
-    report does not depend on the block size.  An empty direct range
-    (min(n_max, n_direct) < 1) raises ``ValueError``: no check may pass over
-    no steps.
+    The orbit is walked in blocks of B = ``_ORBIT_BLOCK`` steps by blocked
+    matrix powers: P = [I, M, ..., M^B] is computed once, each block is one
+    stacked product of P with the block's start vectors, and each block is
+    reduced with whole-array abs and max.  Blocked powers round differently
+    from the repeated gemv of a stepwise walk, so the orbit's last bits (and
+    the ``lhs``/``rhs`` fields read from it) depend on B; no check outcome
+    does, as the drift is orders of magnitude inside ``_ORBIT_SLACK``.  The
+    ``exact_floor_direct_range`` record carries ``block_seam``: the largest
+    ||M v_end - v_next||_inf over the block seams, where v_end is a block's
+    last step and v_next the next block's start.  It is a deterministic
+    consistency diagnostic of the two products, not a bound on the drift.
+    An empty direct range (min(n_max, n_direct) < 1) raises ``ValueError``:
+    no check may pass over no steps.
     """
     if run.strategy != "nonsup":
         raise ValueError("run was not produced by the non-sup strategy")
@@ -1005,17 +1015,22 @@ def verify_nonsup_run(
     parts["row_coupling"] = coupling
 
     # -- orbit iteration ------------------------------------------------------
-    # x and the prefix starts y_k (x cut after N_k) walk once, as the rows of
-    # one step buf[i]; row k's mask marks what lies past e_0 (for x) or past
-    # N_k (for y_k).  The prefix rows walk only up to the longest prefix span,
-    # then x walks alone.  Steps n fill buf[n % _ORBIT_BLOCK], and each full
-    # block (and the last, partial one) is reduced at once.  The products are
-    # the same gemv calls in the same order as a stepwise walk, and abs, max
-    # and masking are exact and order-free, so the block size moves no bit.
-    want = set(range(0, min(n_cap, 10) + 1)) | set(
-        int(t)
-        for t in np.unique(np.geomspace(1, n_cap, floor_samples).astype(int))
-        if t <= n_cap
+    # x and the prefix starts y_k (x cut after N_k) walk once, as the columns
+    # of one start block S; beyond[k] marks what lies past e_0 (for x) or
+    # past N_k (for y_k).  With P = [I, M, ..., M^B] computed once, the block
+    # of steps lo .. lo + B - 1 is the stacked product P[:B] @ S, and the next
+    # block starts at P[B] @ S.  The prefix columns walk while a block holds a
+    # step <= reach, then x walks alone.  abs, max and masking are exact, but
+    # blocked powers round differently from repeated M @ v, so the block size
+    # moves the last bits of the orbit (the drift against a stepwise walk is
+    # ~1e-14 at 10^5 steps, far inside _ORBIT_SLACK), never a check outcome.
+    ts = sorted(
+        set(range(0, min(n_cap, 10) + 1))
+        | set(
+            int(t)
+            for t in np.unique(np.geomspace(1, n_cap, floor_samples).astype(int))
+            if t <= n_cap
+        )
     )
     worst_grid = math.inf
     worst_mismatch = 0.0
@@ -1029,34 +1044,39 @@ def verify_nonsup_run(
     prefix_spill = np.zeros((K, reach + 1))
     cut = np.array([1] + [rec.N + 1 for rec in side])
     beyond = np.arange(dim)[None, :] >= cut[:, None]
-    buf = np.empty((_ORBIT_BLOCK, K + 1, dim), dtype=complex)
-    buf[0] = np.vstack([x, np.where(beyond[1:], 0.0, x)])
-    for n in range(n_cap + 1):
-        i = n % _ORBIT_BLOCK
-        if n > reach:
-            np.matmul(M, buf[i - 1, 0], out=buf[i, 0])
-        elif n > 0:
-            buf[i] = _matvec_rows(M, buf[i - 1])
-        if i < _ORBIT_BLOCK - 1 and n < n_cap:
-            continue
-        lo = n - i
-        A = np.abs(buf[: i + 1, 0])
-        head[lo : n + 1] = A[:, 0]
-        full[lo : n + 1] = A.max(axis=1)
-        rest[lo : n + 1] = np.where(beyond[0], A, 0.0).max(axis=1)
-        coords[:, lo : n + 1] = A[:, cut[1:]].T
-        pre = min(n, reach) + 1 - lo
+    B = _ORBIT_BLOCK
+    P = np.empty((min(B, n_cap) + 1, dim, dim), dtype=complex)
+    P[0] = np.eye(dim)
+    for j in range(1, len(P)):
+        np.matmul(M, P[j - 1], out=P[j])
+    S = np.vstack([x, np.where(beyond[1:], 0.0, x)]).T
+    seam = 0.0  # max over seams of ||M v_(block end) - v_(next block start)||_inf
+    seams = 0
+    for lo in range(0, n_cap + 1, B):
+        hi = min(lo + B, n_cap + 1)  # this block holds steps lo .. hi - 1
+        if lo > reach:
+            S = S[:, :1]
+        V = np.matmul(P[: hi - lo], S)
+        A = np.abs(V).transpose(0, 2, 1)  # step, start, coordinate
+        head[lo:hi] = A[:, 0, 0]
+        full[lo:hi] = A[:, 0].max(axis=1)
+        rest[lo:hi] = np.where(beyond[0], A[:, 0], 0.0).max(axis=1)
+        coords[:, lo:hi] = A[:, 0, cut[1:]].T
+        pre = min(hi - 1, reach) + 1 - lo
         if pre > 0:
-            P = np.abs(buf[:pre, 1:])
-            prefix_peak[:, lo : lo + pre] = P.max(axis=2).T
-            prefix_spill[:, lo : lo + pre] = np.where(beyond[1:], P, 0.0).max(axis=2).T
-        for t in want:
-            if lo <= t <= n:
-                rec_floor = scaled_orbit_floor(buf[t - lo, 0], grid=grid)
-                worst_grid = min_or_nan(worst_grid, rec_floor["grid"])
-                worst_mismatch = max_or_nan(
-                    worst_mismatch, abs(rec_floor["grid"] - rec_floor["exact"])
-                )
+            Q = A[:pre, 1:]
+            prefix_peak[:, lo : lo + pre] = Q.max(axis=2).T
+            prefix_spill[:, lo : lo + pre] = np.where(beyond[1:], Q, 0.0).max(axis=2).T
+        for t in ts[bisect_left(ts, lo) : bisect_left(ts, hi)]:
+            rec_floor = scaled_orbit_floor(V[t - lo, :, 0], grid=grid)
+            worst_grid = min_or_nan(worst_grid, rec_floor["grid"])
+            worst_mismatch = max_or_nan(
+                worst_mismatch, abs(rec_floor["grid"] - rec_floor["exact"])
+            )
+        if hi <= n_cap:
+            S = P[B] @ S
+            seam = max_or_nan(seam, float(np.max(np.abs(M @ V[-1] - S))))
+            seams += 1
 
     checks: list[dict] = []
     # coordinate floor (cl-style lower bound), per round
@@ -1066,6 +1086,10 @@ def verify_nonsup_run(
         bound = lo - 2.0 * ns * rec.eps_next
         live = bound > 0
         gap = float(np.min(coords[kk][live] - bound[live])) if live.any() else 0.0
+        # at n = 0 the coordinate equals the bound exactly, so the gap above
+        # is never positive; the margin is the gap over n >= 1 alone
+        live[0] = False
+        margin = float(np.min(coords[kk][live] - bound[live])) if live.any() else None
         checks.append(
             {
                 "name": f"round{rec.k}_coordinate_floor",
@@ -1073,6 +1097,7 @@ def verify_nonsup_run(
                 "rhs": 0.0,
                 "ok": bool(gap >= -_ORBIT_SLACK),
                 "checked_n": int(n_cap),
+                "min_gap_n_ge_1": margin,
             }
         )
     parts["coordinate_floor"] = checks
@@ -1152,6 +1177,12 @@ def verify_nonsup_run(
             "rhs": float(np.min(exact_inf)),
             "ok": bool(np.min(exact_inf) >= 1.0 / 9.0 - _ORBIT_SLACK),
             "checked_n": int(n_cap),
+            "block_seam": {
+                "role": "consistency diagnostic, not a drift bound",
+                "block": B,
+                "seams": seams,
+                "max_residual": seam,
+            },
         }
     )
     floor_checks.append(
@@ -1161,7 +1192,7 @@ def verify_nonsup_run(
             "rhs": worst_grid,
             # a NaN gap means a grid value could not be compared with its exact one
             "ok": bool(worst_grid >= 1.0 / 9.0 - _ORBIT_SLACK and not math.isnan(worst_mismatch)),
-            "sampled_n": sorted(want),
+            "sampled_n": ts,
             "grid": grid,
             "max_gap_to_exact": worst_mismatch,
         }

@@ -397,7 +397,19 @@ def _rough_scale(T: StructuredOperator) -> float:
     return max(s, 1e-30)
 
 
+def _require_finite(T: StructuredOperator, space: str) -> None:
+    """Raise ``ValueError`` when T's block or a rule weight is not finite.
+
+    The exact column and row sums would pass over a NaN (``v > best`` is false
+    for it) and return inf for an inf, both labelled ``exact``.
+    """
+    weights = [w for rule in T.rules for e in rule.entries for w in (e.c, e.rho, e.d)]
+    if not (np.isfinite(T.block).all() and np.isfinite(weights).all()):
+        raise ValueError(f"the exact {space} norm needs finite entries")
+
+
 def _op_norm_l1(T: StructuredOperator) -> NormCertificate:
+    _require_finite(T, "l1")
     scale = _rough_scale(T)
     best, best_j = 0.0, None
     cols: set[int] = set(range(T.col_offset, T.col_offset + T.ncols))
@@ -440,6 +452,7 @@ def _c0_checks(T: StructuredOperator) -> None:
 
 
 def _op_norm_c0(T: StructuredOperator) -> NormCertificate:
+    _require_finite(T, "c0")
     _c0_checks(T)
     scale = _rough_scale(T)
     row_sums: dict[int, float] = {}
@@ -616,8 +629,10 @@ def _fixed_point_batch(
             act, X, MX, v, prev = act[keep], X[keep], MX[keep], v[keep], prev[keep]
             bounds = np.searchsorted(act, edges).tolist()
         value[act], res[act], out[act] = v, v - prev, X
-        # not (res <= tol) rather than res > tol: a NaN row keeps running
-        running = ~(res[act] <= 1e-15 * np.maximum(v, 1e-30))
+        # a row stops once its step is small or NaN.  A NaN step means a
+        # non-finite value, which later steps never bring back to a finite
+        # one, so the matrix ends with the same _best_run ValueError at once
+        running = res[act] > 1e-15 * np.maximum(v, 1e-30)
         if not running.all():
             act, X, MX = act[running], X[running], MX[running]
             bounds = np.searchsorted(act, edges).tolist()

@@ -131,6 +131,32 @@ class TestChunkedNormalisation:
                 assert canonical_json(records[k]) == canonical_json(clean[k]), k
         assert records[-1]["errors"] == 1
 
+    @pytest.mark.parametrize("token", ["1.0", "c0"])
+    def test_a_non_finite_sample_on_an_exact_route_is_its_own_error(self, monkeypatch, token):
+        cfg = _cfg(ExperimentKind.ORBIT_DECAY, space=space_from_token(token), dim=6, samples=5)
+        clean = run_suite([cfg]).sections[0].records
+        draw = montecarlo._gaussian
+        calls = []
+
+        def poisoned(dim, rng):
+            G = draw(dim, rng)
+            calls.append(None)
+            if len(calls) == 2:  # sample 1
+                G[3, 0] = np.inf
+            return G
+
+        monkeypatch.setattr(montecarlo, "_gaussian", poisoned)
+        records = run_suite([cfg]).sections[0].records
+        label = "l1" if token == "1.0" else "c0"
+        assert records[1] == {
+            "sample": 1,
+            "error": f"ValueError: the exact {label} norm needs finite entries",
+            "ok": False,
+        }
+        for k in (0, 2, 3, 4):
+            assert canonical_json(records[k]) == canonical_json(clean[k]), k
+        assert records[-1]["errors"] == 1
+
     def test_memory_is_bounded_by_the_chunk(self, monkeypatch):
         sizes = []
         batch = montecarlo.op_norm_batch

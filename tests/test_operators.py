@@ -218,6 +218,23 @@ class TestNorms:
         with pytest.raises(ValueError):
             op_norm(StructuredOperator.from_dense(M), PNorm.lp(2))
 
+    @pytest.mark.parametrize("pn", [PNorm.lp(1.0), PNorm.c0()], ids=lambda pn: pn.label())
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    def test_exact_routes_refuse_a_non_finite_block(self, pn, bad):
+        # the column and row sums would give inf, or pass over the NaN,
+        # under an "exact" label
+        M = np.ones((4, 4), dtype=complex)
+        M[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            op_norm(StructuredOperator.from_dense(M), pn)
+
+    @pytest.mark.parametrize("pn", [PNorm.lp(1.0), PNorm.c0()], ids=lambda pn: pn.label())
+    def test_exact_routes_refuse_a_non_finite_rule_weight(self, pn):
+        rule = ColumnRule(5, 1, (RuleEntry("affine", 1, 1, 0.0, 0.5, np.inf),))
+        T = StructuredOperator.from_dense(np.eye(2), 0, 0, (rule,))
+        with pytest.raises(ValueError, match="finite"):
+            op_norm(T, pn)
+
     def test_l2_split_block_plus_shift(self):
         M = np.array([[0.3, 0.1], [0.0, 0.2]])
         rule = ColumnRule(5, 1, (RuleEntry("affine", 1, 1, 0.0, 1.0, 0.9),))
@@ -342,6 +359,24 @@ class TestFixedPointBatch:
             with pytest.raises(AssertionError, match="monotonicity"):
                 fixed_point_restarts(M, 7.0)
 
+    def test_a_nan_row_stops_at_once(self, monkeypatch):
+        # NaN is absorbing: a matrix with an inf entry stops after its first
+        # step, with the ValueError text the full 500 steps gave
+        slices = operators._matvec_slices
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return slices(*args)
+
+        monkeypatch.setattr(operators, "_matvec_slices", counted)
+        M = np.random.default_rng(310).normal(size=(6, 6)) + 0j
+        M[2, 3] = np.inf
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="^fixed-point ascent at p = 3.0 gave a non-finite value nan$"):
+                op_norm(StructuredOperator.from_dense(M), PNorm.lp(3.0))
+        assert len(calls) == 3  # the first image, then one step's two products
+
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
     def test_row_norms_match_dense_norm(self, p):
         # Fails if a NumPy upgrade changes how a row is summed or how pow
@@ -419,6 +454,16 @@ class TestOpNormBatch:
         if p == 7.0:
             assert isinstance(got[1], AssertionError) and "monotonicity" in str(got[1])
         assert all(not isinstance(got[k], Exception) for k in (0, 2, 4))
+
+
+    @pytest.mark.parametrize("pn", [PNorm.lp(1.0), PNorm.c0()], ids=lambda pn: pn.label())
+    def test_a_non_finite_member_of_an_exact_route_fails_alone(self, pn):
+        Ms = _stack(np.random.default_rng(411), 4, (3, 3))
+        Ms[2, 1, 1] = np.inf
+        got = op_norm_batch(Ms, pn)
+        assert isinstance(got[2], ValueError) and "finite" in str(got[2])
+        for k in (0, 1, 3):
+            assert _cert_bits(got[k]) == _cert_bits(op_norm(StructuredOperator.from_dense(Ms[k]), pn))
 
 
 class TestOracle:
