@@ -308,14 +308,16 @@ def eval_f_w_grid(
     grid = np.array(ws, dtype=complex)
     reduced_at = [np.polyval(poly, grid) for poly in wit.reduced]
     p_at = np.polyval(wit.p_coeffs, grid)
+    # b_N * beta_n and the column views V[:, n] are the same at every point
+    terms = [(wit.b_N * wit.betas[n], wit.V[:, n], at) for n, at in enumerate(reduced_at)]
     hi = max(window, N + 2) + 1
     out = []
     for g, w in enumerate(ws):
         head = np.zeros(N + 1, dtype=complex)
         # Per point, not broadcast over the grid: an array complex multiply
         # may round differently from this scalar chain.
-        for n, at in enumerate(reduced_at):
-            head += wit.b_N * wit.betas[n] * complex(at[g]) * wit.V[:, n]
+        for bb, v, at in terms:
+            head += bb * complex(at[g]) * v
         pw = complex(p_at[g])
         ents = {j: head[j] for j in range(N + 1)}
         tail = None

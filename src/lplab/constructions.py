@@ -17,6 +17,7 @@ from .operators import (
     ColumnRule,
     RuleEntry,
     StructuredOperator,
+    _best_run,
     apply,
     fixed_point_restarts,
     op_norm,
@@ -415,7 +416,7 @@ def check_evenly_distributed(
     if pn.is_c0 or pn.p in (1.0,):
         raise ValueError("requires a smooth p-norm (1 < p < infinity)")
     runs = fixed_point_restarts(np.asarray(B.block), float(pn.p), restarts=32, seed=seed)
-    best_v, best_x, _ = max(runs, key=lambda t: t[0])
+    best_v, best_x, _ = _best_run(runs, float(pn.p))
     for v, x, _ in runs:
         if v >= best_v * (1.0 - 1e-9):
             olap = np.vdot(best_x, x)

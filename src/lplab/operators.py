@@ -57,6 +57,9 @@ __all__ = [
 
 _DECAY = 1e-17
 _MAX_ENUM = 5_000_000
+# Columns one StructuredOperator keeps; a norm or dual sup may enumerate up to
+# _MAX_ENUM columns, which must not all stay in memory.
+_COLUMN_MEMO_MAX = 4096
 
 
 # Unused: perfbench/tracer.py wraps this name; SciPy is imported only on a call.
@@ -140,13 +143,30 @@ class ColumnRule:
 
 @dataclass(frozen=True)
 class StructuredOperator:
-    """Dense block at (row_offset, col_offset) plus column rules."""
+    """Dense block at (row_offset, col_offset) plus column rules.
+
+    The block is a read-only copy of the given array, in the same memory
+    order: the caller's array stays writeable, and no write to it, or to an
+    array it views, can change the operator.  That makes ``column(j)`` safe to
+    memoise.  Each column is built once per operator, on first request, and
+    kept as one small ``SpVector`` in a dict that is freed with the operator;
+    past ``_COLUMN_MEMO_MAX`` columns, the further ones are built on every
+    request and not kept.
+    """
 
     block: np.ndarray
     row_offset: int = 0
     col_offset: int = 0
     rules: tuple[ColumnRule, ...] = ()
     domain: IndexDomain = IndexDomain.NATURALS
+
+    def __post_init__(self) -> None:
+        # order "K" keeps the memory order of a transposed block, so a gemv on
+        # the copy rounds as it would on the given array
+        block = self.block.copy(order="K")
+        block.flags.writeable = False
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "_columns", {})
 
     @staticmethod
     def from_dense(
@@ -171,7 +191,16 @@ class StructuredOperator:
         return self.col_offset <= j < self.col_offset + self.ncols
 
     def column(self, j: int) -> SpVector:
-        """T e_j as a finitely supported vector."""
+        """T e_j as a finitely supported vector, memoised per operator."""
+        memo = self._columns
+        col = memo.get(j)
+        if col is None:
+            col = self._build_column(j)
+            if len(memo) < _COLUMN_MEMO_MAX:
+                memo[j] = col
+        return col
+
+    def _build_column(self, j: int) -> SpVector:
         vals: dict[int, complex] = {}
         if self.has_block_column(j):
             colv = self.block[:, j - self.col_offset]
@@ -525,9 +554,16 @@ def _J(z: np.ndarray, p: float) -> np.ndarray:
 
     The masked copies are updated in place, the same ufunc calls on the same
     values as ``np.conj(z[nz]) * a[nz] ** (p - 2.0)`` with fewer temporaries.
+    When no coordinate is zero (or NaN) the mask selects everything, so the
+    same calls run on the whole arrays, without the copies and the scatter.
     """
     a = np.abs(z)
     nz = a > 0
+    if nz.all():
+        a **= p - 2.0
+        out = np.conjugate(z)
+        out *= a
+        return out
     w = a[nz]
     del a
     w **= p - 2.0
@@ -572,6 +608,7 @@ def _matvec_slices(Ms: np.ndarray, Z: np.ndarray, bounds: list[int]) -> np.ndarr
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _fixed_point_batch(
     Ms: np.ndarray, p: float, restarts: int = 32, seed: int = 0
 ) -> list[list[tuple[float, np.ndarray, float]] | AssertionError]:
@@ -579,7 +616,8 @@ def _fixed_point_batch(
 
     Entry k is matrix k's outcomes, or the ``AssertionError`` its ascent
     raises when a row loses monotonicity; that matrix leaves the batch there
-    and the others run on as if it had never been in it.
+    and the others run on as if it had never been in it.  Overflow and NaN
+    pass silently: a non-finite outcome ends in ``_best_run``'s ``ValueError``.
     """
     K, _, n = Ms.shape
     q = p / (p - 1.0)

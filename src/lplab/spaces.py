@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -93,20 +93,23 @@ def _normalized_entries(
     entries: Mapping[int, complex] | Iterable[tuple[int, complex]],
     tail: GeometricTail | None,
 ) -> tuple[tuple[int, complex], ...]:
-    if isinstance(entries, Mapping):
-        items = list(entries.items())
-    else:
-        items = list(entries)
+    """Sorted non-zero entries, the last of a repeated index winning.
+
+    A zero is skipped, so it leaves an earlier value of its index in place.  An
+    entry that merely restates the tail value is dropped, and it drops an
+    earlier value of its index too.
+    """
+    items = entries.items() if isinstance(entries, Mapping) else entries
     out: dict[int, complex] = {}
     for j, v in items:
         v = complex(v)
         if v == 0:
             continue
-        out[int(j)] = v
-    if tail is not None:
-        # Drop entries that merely restate the tail value.
-        for j in [j for j in out if j >= tail.start and out[j] == tail.value(j)]:
-            del out[j]
+        j = int(j)
+        if tail is not None and j >= tail.start and v == tail.value(j):
+            out.pop(j, None)
+        else:
+            out[j] = v
     return tuple(sorted(out.items()))
 
 
@@ -126,8 +129,8 @@ class SpVector:
     ) -> "SpVector":
         ents = _normalized_entries(entries, tail)
         if domain == IndexDomain.NATURALS:
-            bad = [j for j, _ in ents if j < 0]
-            if bad:
+            if ents and ents[0][0] < 0:  # sorted: the first index is the least
+                bad = [j for j, _ in ents if j < 0]
                 raise ValueError(f"negative indices {bad} on the naturals domain")
             if tail is not None and tail.start < 0:
                 raise ValueError("tail start must be >= 0 on the naturals domain")
@@ -209,16 +212,30 @@ def _merge_tails(a: GeometricTail | None, b: GeometricTail | None) -> tuple[Geom
     return GeometricTail(s, coeff, a.ratio), extra
 
 
+def _lookup(x: SpVector) -> Callable[[int], complex]:
+    """``x.at`` through one dict of x's entries instead of a scan per index.
+
+    A missing index gets the tail value, or ``0.0``, exactly as ``at`` gives it.
+    """
+    ents = dict(x.entries)
+    tail = x.tail
+    if tail is None:
+        return lambda j: ents.get(j, 0.0)
+    return lambda j: ents[j] if j in ents else tail.value(j)
+
+
 def add(x: SpVector, y: SpVector) -> SpVector:
+    """``x + y``; each summand's entries are looked up in one dict of them."""
     if x.domain != y.domain:
         raise ValueError("domain mismatch")
     tail, extra = _merge_tails(x.tail, y.tail)
     values: dict[int, complex] = dict(extra)
+    x_at, y_at = _lookup(x), _lookup(y)
     touched = {j for j, _ in x.entries} | {j for j, _ in y.entries}
     for j in touched:
-        values[j] = x.at(j) + y.at(j)
+        values[j] = x_at(j) + y_at(j)
     # Positions where an explicit entry of one summand meets the other's tail
-    # are already handled by .at().  Zero results inside the tail region force
+    # take that tail's value there.  Zero results inside the tail region force
     # a tail restart (explicit zeros are not stored).
     if tail is not None:
         zero_in_tail = [j for j, v in values.items() if j >= tail.start and v == 0]
@@ -273,12 +290,16 @@ def dense_norm(z: np.ndarray, pn: PNorm) -> np.floating | np.ndarray:
 
 
 def pairing(f: SpVector, x: SpVector) -> complex:
-    """Bilinear pairing ``sum_j f_j x_j`` (no conjugation); tails in closed form."""
+    """Bilinear pairing ``sum_j f_j x_j`` (no conjugation); tails in closed form.
+
+    x's values at f's entries are looked up in one dict of x's entries.
+    """
     total = 0.0 + 0.0j
     f_over = {j for j, _ in f.entries}
     x_over = {j for j, _ in x.entries}
+    x_at = _lookup(x)
     for j, v in f.entries:
-        total += v * x.at(j)
+        total += v * x_at(j)
     if f.tail is not None:
         tf = f.tail
         for j, v in x.entries:

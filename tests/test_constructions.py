@@ -292,6 +292,15 @@ class TestEvenlyDistributed:
         with pytest.raises(ExposednessUndetermined):
             check_evenly_distributed(B, PNorm.lp(3.0))
 
+    def test_non_finite_block_raises(self):
+        # the ascent's best value is NaN; without the finiteness check the
+        # call returned (False, nan, x1)
+        M = np.ones((3, 3), dtype=complex)
+        M[1, 2] = np.inf
+        B = StructuredOperator.from_dense(M)
+        with pytest.raises(ValueError, match="non-finite value"):
+            check_evenly_distributed(B, PNorm.lp(3.0))
+
 
 class TestBEtaDelta:
     @pytest.mark.parametrize("p,eta", [(2.5, 0.4), (3.0, 0.7), (4.0, 1.0)])

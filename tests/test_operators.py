@@ -58,6 +58,86 @@ def _random_operator(rng: np.random.Generator, with_rules: bool = True) -> Struc
     return StructuredOperator.from_dense(block, ro, co, tuple(rules))
 
 
+def _column_bits(col: SpVector) -> list[tuple[int, bytes]]:
+    return [(j, np.complex128(v).tobytes()) for j, v in col.entries]
+
+
+class TestColumnMemo:
+    def test_memoised_column_equals_a_fresh_operators(self):
+        rng = np.random.default_rng(111)
+        for _ in range(30):
+            T = _random_operator(rng)
+            for j in range(-2, 30):
+                first = T.column(j)
+                assert T.column(j) is first  # built once, then looked up
+                fresh = StructuredOperator(T.block, T.row_offset, T.col_offset, T.rules)
+                assert _column_bits(first) == _column_bits(fresh.column(j))
+
+    def test_columns_past_the_memo_cap_are_still_right(self, monkeypatch):
+        monkeypatch.setattr(operators, "_COLUMN_MEMO_MAX", 3)
+        T = _random_operator(np.random.default_rng(112))
+        cols = {j: T.column(j) for j in range(12)}
+        assert len(T._columns) == 3
+        fresh = StructuredOperator(T.block, T.row_offset, T.col_offset, T.rules)
+        for j, col in cols.items():
+            assert _column_bits(T.column(j)) == _column_bits(col) == _column_bits(fresh.column(j))
+
+    def test_block_is_read_only(self):
+        T = StructuredOperator.from_dense(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="read-only"):
+            T.block[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            T.block *= 2.0
+
+    def test_callers_array_stays_writeable_and_detached(self):
+        M = np.arange(4.0).reshape(2, 2) + 0j
+        T = StructuredOperator.from_dense(M)
+        D = StructuredOperator(M)
+        assert M.flags.writeable
+        before = _column_bits(T.column(1))
+        M[:, 1] = 9.0  # changes neither operator
+        assert _column_bits(T.column(1)) == before
+        assert _column_bits(D.column(1)) == before
+        assert np.array_equal(T.block, D.block)
+        assert T.block[0, 1] == 1.0
+
+    def test_a_read_only_view_is_copied_in_its_memory_order(self):
+        M = np.arange(6.0).reshape(2, 3) + 0j
+        view = M.T
+        view.flags.writeable = False
+        T = StructuredOperator(view)
+        M[0, 0] = 7.0  # a write to the viewed array leaves T as it was
+        assert T.block[0, 0] == 0.0
+        assert T.block.flags.f_contiguous and not T.block.flags.c_contiguous
+
+
+def _J_masked(z: np.ndarray, p: float) -> np.ndarray:
+    """Reference: ``_J`` as the masked scatter on every input."""
+    a = np.abs(z)
+    nz = a > 0
+    out = np.zeros_like(z)
+    out[nz] = np.conj(z[nz]) * a[nz] ** (p - 2.0)
+    return out
+
+
+class TestDualityMap:
+    @pytest.mark.parametrize("p", [1.5, 4.0 / 3.0, 3.0, 4.0])
+    @pytest.mark.parametrize("zeros", [False, True], ids=["no-zeros", "zeros"])
+    def test_equals_the_masked_path_bitwise(self, p, zeros):
+        rng = np.random.default_rng(313)
+        for shape in ((7,), (5, 3), (32, 24)):
+            z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            z[rng.random(size=shape) < 0.1] *= 1e-160  # tiny moduli, still non-zero
+            if zeros:
+                z.flat[::4] = 0.0
+            assert (np.abs(z) > 0).all() != zeros  # zeros take the masked path
+            assert _J(z, p).tobytes() == _J_masked(z, p).tobytes()
+
+    def test_nan_coordinates_map_to_zero(self):
+        z = np.array([1.0 + 1.0j, np.nan, 2.0])
+        assert np.array_equal(_J(z, 3.0), np.array([np.sqrt(2) * (1.0 - 1.0j), 0.0, 4.0]))
+
+
 class TestApply:
     def test_matches_dense_on_finite_vectors(self):
         rng = np.random.default_rng(101)
