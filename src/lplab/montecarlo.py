@@ -12,6 +12,7 @@ list.  Per-sample random streams are split from each experiment's seed with
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Mapping, Sequence
@@ -158,8 +159,8 @@ def sample_contraction(dim: int, pn: PNorm, rng: np.random.Generator) -> np.ndar
     result's norm is at most 1.  At other p it is the fixed-point ascent's
     best value, a lower bound on the norm, so ``||M|| <= 1`` is not
     certified there: M is a contraction only as far as the ascent found the
-    maximum.  This is the chunk of one of what the experiments do
-    ``NORMALISE_CHUNK`` samples at a time.
+    maximum.  The experiments normalise their samples the same way,
+    ``NORMALISE_CHUNK`` at a time (see ``_map_samples``).
     """
     M = _contractions(_gaussian(dim, rng)[None], pn)[0]
     if isinstance(M, Exception):
@@ -365,6 +366,23 @@ def ap_grid_points(n_radial: int = 20, n_angular: int = 20) -> list[complex]:
     ]
 
 
+# Relative slack of the Weyl certificate in ap_gain_profile (see there).
+_WEYL_MARGIN = 1e-9
+
+
+@functools.lru_cache(maxsize=64)
+def _shift_tail_gains(n_tail: int, n_radial: int) -> np.ndarray:
+    """sigma_min(J - r) of the n_tail-dimensional backward shift J at the
+    n_radial grid radii; read-only, and computed once per argument pair."""
+    shift = np.eye(n_tail, k=1)
+    tail = np.array([
+        np.linalg.svd(shift - r * np.eye(n_tail), compute_uv=False)[-1]
+        for r in np.linspace(0.0, 1.0, n_radial)
+    ])
+    tail.flags.writeable = False
+    return tail
+
+
 def ap_gain_profile(
     A: np.ndarray,
     D: int = 80,
@@ -382,8 +400,25 @@ def ap_gain_profile(
 
     The tail term depends on |lambda| only: with U = diag(e^{ik theta}) and
     theta = -arg(lambda), U (J - lambda) U* = e^{-i theta} (J - |lambda|).
-    So the tail takes one real SVD per grid radius, and the head one
-    dim x dim SVD per grid point.
+    So the tail takes one real SVD per grid radius.  These depend on
+    (D - dim, n_radial) alone and are computed once per pair.
+
+    The head takes one SVD for s = sigma_max(A), and one dim x dim SVD at
+    each grid point where it could set the gain.  By Weyl's inequality
+    sigma_min(A - lambda) >= |lambda| - ||A||_2.  LAPACK's SVD of an n x n
+    X is backward stable: each computed singular value is within
+    p(n) eps ||X||_2 of the exact one, with p(n) a modest function of n.
+    With ||A - lambda||_2 <= ||A||_2 + 1 on the disk, the two SVDs, and the
+    rounding in forming A - lambda and the bound, lose at most about
+    p(n) eps (2 s + 1).  The margin 1e-9 (s + 1) is about
+    4.5e6 eps (s + 1), so it covers p(n) up to 2e6, which is 30 n^2 at
+    MAX_DIM = 256, far above the growth LAPACK's bounds allow; it is
+    relative because A is not assumed to be a contraction.  Hence at every
+    point where the tail's gain is at most max(0, |lambda| - s - margin)
+    the computed head gain is at least the tail's (a computed singular
+    value is never negative).  There the gain is the tail's, bit for bit,
+    and the head cannot bind, so its SVD is skipped and its gain recorded
+    as +inf.  A non-finite A is refused before any SVD.
 
     Gains measure how far each grid point is from being an approximate
     eigenvalue of the windowed operator.  Interior points (|lambda| <= 0.9)
@@ -400,21 +435,19 @@ def ap_gain_profile(
         raise ValueError("A must be square")
     if D < dim + 2:
         raise ValueError(f"window D={D} too small for head dim={dim}")
+    if not np.isfinite(A).all():
+        raise ValueError("the head A must have finite entries")
     lams = ap_grid_points(n_radial, n_angular)
-    n_tail = D - dim
-    shift = np.eye(n_tail, k=1)
-    tail = np.array([
-        np.linalg.svd(shift - r * np.eye(n_tail), compute_uv=False)[-1]
-        for r in np.linspace(0.0, 1.0, n_radial)
-    ])
-    eye = np.eye(dim, dtype=complex)
-    head = np.empty(len(lams))
-    for idx, lam in enumerate(lams):
-        head[idx] = np.linalg.svd(A - lam * eye, compute_uv=False)[-1]
-    # ap_grid_points is radius-major: point idx lies on radius idx // n_angular.
-    tail_at = np.repeat(tail, n_angular)
-    gains = np.minimum(head, tail_at)
     moduli = np.abs(np.asarray(lams))
+    # ap_grid_points is radius-major: point idx lies on radius idx // n_angular.
+    tail_at = np.repeat(_shift_tail_gains(D - dim, n_radial), n_angular)
+    smax = np.linalg.svd(A, compute_uv=False)[0]
+    bound = np.maximum(0.0, moduli - smax - _WEYL_MARGIN * (smax + 1.0))
+    eye = np.eye(dim, dtype=complex)
+    head = np.full(len(lams), np.inf)
+    for idx in np.flatnonzero(~(tail_at <= bound)):  # a NaN bound skips nothing
+        head[idx] = np.linalg.svd(A - lams[idx] * eye, compute_uv=False)[-1]
+    gains = np.minimum(head, tail_at)
     interior = moduli <= 0.9 + 1e-12
     boundary = moduli >= 1.0 - 1e-12
     kmax = int(np.argmax(gains))

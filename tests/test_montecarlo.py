@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -371,6 +375,187 @@ class TestApGrid:
         assert agg["errors"] == 0
         body = sec.records[:-1]
         assert all(isinstance(r["head_binding_points"], int) for r in body)
+
+
+def _reference_profile(A, D):
+    """ap_gain_profile computed in full: all 400 head SVDs, and the tail
+    recomputed on every call."""
+    dim = A.shape[0]
+    lams = ap_grid_points()
+    n_tail = D - dim
+    shift = np.eye(n_tail, k=1)
+    tail = np.array([
+        np.linalg.svd(shift - r * np.eye(n_tail), compute_uv=False)[-1]
+        for r in np.linspace(0.0, 1.0, 20)
+    ])
+    eye = np.eye(dim, dtype=complex)
+    head = np.empty(len(lams))
+    for idx, lam in enumerate(lams):
+        head[idx] = np.linalg.svd(A - lam * eye, compute_uv=False)[-1]
+    tail_at = np.repeat(tail, 20)
+    gains = np.minimum(head, tail_at)
+    moduli = np.abs(np.asarray(lams))
+    interior = moduli <= 0.9 + 1e-12
+    boundary = moduli >= 1.0 - 1e-12
+    kmax = int(np.argmax(gains))
+    return {
+        "max_gain": float(gains.max()),
+        "argmax_lambda": complex(lams[kmax]),
+        "min_gain": float(gains.min()),
+        "interior_max_gain": float(gains[interior].max()),
+        "boundary_max_gain": float(gains[boundary].max()),
+        "head_binding_points": int(np.count_nonzero(head < tail_at)),
+        "window": D,
+    }
+
+
+def _scaled_unitary(scale, dim=6, seed=1):
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return scale * Q
+
+
+def _tail_at_one(dim, D=80):
+    return _sigma_min(np.eye(D - dim, k=1) - np.eye(D - dim))
+
+
+_RADII = np.linspace(0.0, 1.0, 20)
+_REFERENCE_HEADS = {
+    "zero": lambda: np.zeros((1, 1), dtype=complex),
+    "identity": lambda: np.eye(3, dtype=complex),
+    "nilpotent": lambda: np.eye(4, k=1, dtype=complex),
+    "boundary-diagonal": lambda: np.diag(ap_grid_points()[-20:]),
+    "unitary-on-radius": lambda: _scaled_unitary(_RADII[7]),
+    "unitary-below-radius": lambda: _scaled_unitary(_RADII[7] - 1e-13),
+    "norm-above-one": lambda: _scaled_unitary(1.0) @ np.diag([3.0, 2.0, 1.5, 1.2, 1.0, 0.5]),
+    # s * I attains the Weyl bound: at lambda = 1 its gain 1 - s sits a hair
+    # below (the head binds) or above the tail's gain t there
+    "weyl-tight-below": lambda: (1.0 - _tail_at_one(2) + 1e-12) * np.eye(2, dtype=complex),
+    "weyl-tight-above": lambda: (1.0 - _tail_at_one(2) - 1e-12) * np.eye(2, dtype=complex),
+}
+_REFERENCE_HEADS.update({
+    f"{token}-dim{dim}": (
+        lambda token=token, dim=dim: sample_contraction(
+            dim, space_from_token(token), np.random.default_rng(dim)
+        )
+    )
+    for token in ("c0", "3", "2")
+    for dim in (1, 6, 24, 40)
+})
+
+
+class TestApGainSkip:
+    """ap_gain_profile skips the head SVD wherever the Weyl bound
+    |lambda| - sigma_max(A) - margin already reaches the tail's gain."""
+
+    @pytest.mark.parametrize("name", list(_REFERENCE_HEADS))
+    def test_same_bits_as_the_full_grid(self, name):
+        A = _REFERENCE_HEADS[name]()
+        if name == "norm-above-one":
+            assert np.linalg.norm(A, 2) > 1.0
+        D = max(80, A.shape[0] + 40)
+        got = ap_gain_profile(A, D=D)
+        want = _reference_profile(A, D)
+        assert got == want
+        assert repr(got) == repr(want)  # also tells -0.0 from 0.0
+
+    def test_the_skip_is_live(self, monkeypatch):
+        heads = [
+            sample_contraction(24, PNorm.c0(), np.random.default_rng(seed))
+            for seed in range(8)
+        ]
+        svd = np.linalg.svd
+        shapes = []
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        montecarlo._shift_tail_gains.cache_clear()
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        head_calls, tail_calls = [], []
+        for A in heads:
+            shapes.clear()
+            ap_gain_profile(A, D=80)
+            head_calls.append(shapes.count((24, 24)))
+            tail_calls.append(shapes.count((56, 56)))
+        # the full grid takes 400 head SVDs per sample
+        assert max(head_calls) <= 160, head_calls
+        assert tail_calls == [20] + [0] * 7
+
+    def test_tail_cache_is_read_only_and_keyed_by_window(self):
+        tail = montecarlo._shift_tail_gains(56, 20)
+        assert montecarlo._shift_tail_gains(56, 20) is tail
+        with pytest.raises(ValueError):
+            tail[0] = 1.0
+        assert not np.array_equal(montecarlo._shift_tail_gains(40, 20), tail)
+
+    def test_mc_report_is_byte_identical_across_runs_and_threads(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"space": "c0", "dim": 24, "samples": 3, "seed": 5,
+             "experiment": "ApSpectrumGrid"}
+        ))
+        outs = []
+        for threads in ("1", "1", "2"):
+            out = tmp_path / f"mc_{len(outs)}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "lplab", "mc", "--config", str(cfg),
+                 "--out", str(out)],
+                capture_output=True,
+                text=True,
+                timeout=300,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+
+
+class TestNonFiniteHead:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_refused_before_any_svd(self, monkeypatch, bad):
+        A = np.eye(4, dtype=complex)
+        A[1, 2] = bad
+        svd = np.linalg.svd
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        with pytest.raises(ValueError, match="finite entries"):
+            ap_gain_profile(A)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_is_that_samples_error_record(self, monkeypatch, bad):
+        cfg = _cfg(ExperimentKind.AP_SPECTRUM_GRID, space=PNorm.c0(), dim=6, samples=5)
+        clean = run_suite([cfg]).sections[0].records
+        contractions = montecarlo._contractions
+        seen = []
+
+        def poisoned(Gs, pn):
+            out = contractions(Gs, pn)
+            for k in range(len(out)):
+                if len(seen) + k == 2:  # sample 2
+                    out[k] = out[k].copy()
+                    out[k][1, 2] = bad
+            seen.extend(out)
+            return out
+
+        monkeypatch.setattr(montecarlo, "_contractions", poisoned)
+        sec = run_suite([cfg]).sections[0]
+        assert sec.records[2] == {
+            "sample": 2,
+            "error": "ValueError: the head A must have finite entries",
+            "ok": False,
+        }
+        for k in (0, 1, 3, 4):
+            assert canonical_json(sec.records[k]) == canonical_json(clean[k]), k
+        assert sec.records[-1]["errors"] == 1
+        assert sec.status == "fail"
 
 
 class TestDisjointSupport:
