@@ -29,7 +29,7 @@ run = play_game("nonsup", rounds=3, seed=7, adversary="random")
 show("non-supercyclicity, 3 rounds vs random adversary:", verify_nonsup_run(run))
 
 run = play_game("eigenfree", rounds=2, seed=7, adversary="passthrough")
-show("eigen-free, 2 honest rounds:", verify_eigenfree_run(run, D=128))
+show("eigen-free, 2 honest rounds:", verify_eigenfree_run(run))
 
 run = play_game(
     "eigenfree",
@@ -38,4 +38,4 @@ run = play_game(
     params=EigenfreeParams.toy_mode(),
     adversary="passthrough",
 )
-show("eigen-free, 4 toy rounds (capped geometry):", verify_eigenfree_run(run, D=128))
+show("eigen-free, 4 toy rounds (capped geometry):", verify_eigenfree_run(run))

@@ -485,7 +485,7 @@ def criterion_game_eigenfree(seed: int = DEFAULT_SEED) -> Section:
         params=EigenfreeParams.honest(),
         adversary="passthrough",
     )
-    rep = verify_eigenfree_run(run, D=128)
+    rep = verify_eigenfree_run(run)
     records = _game_subsections(rep)
     screen = next(s for s in rep["sections"] if s["name"] == "eigen_screen")
     counts = next(r for r in screen["records"] if "counts" in r)["counts"]
@@ -506,7 +506,7 @@ def criterion_game_eigenfree(seed: int = DEFAULT_SEED) -> Section:
         params=EigenfreeParams.toy_mode(),
         adversary="passthrough",
     )
-    toy_rep = verify_eigenfree_run(toy_run, D=128)
+    toy_rep = verify_eigenfree_run(toy_run)
     records.append(
         {
             "name": "toy_pipeline",

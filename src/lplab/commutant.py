@@ -62,6 +62,7 @@ _DISTINCT_TOL = 1e-8
 _NONZERO_TOL = 1e-10
 _BEZOUT_TOL = 1e-8
 _EIGEN_RESIDUAL_TOL = 1e-8
+_T1_NORM = 0.95
 
 
 def gram_schmidt_triangularize(
@@ -111,10 +112,9 @@ def gram_schmidt_triangularize(
     return Q.conj().T.copy(), H
 
 
-def random_t1_contraction(
-    D: int, rng: np.random.Generator, norm_cap: float = 0.95
-) -> np.ndarray:
-    """Random dense contraction, upper Hessenberg with positive subdiagonal."""
+def random_t1_contraction(D: int, rng: np.random.Generator) -> np.ndarray:
+    """Random dense contraction of l2 norm ``_T1_NORM``, upper Hessenberg
+    with positive subdiagonal."""
     if D < 1:
         raise ValueError("dimension must be positive")
     M = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
@@ -122,7 +122,7 @@ def random_t1_contraction(
     idx = np.arange(D - 1)
     M[idx + 1, idx] = np.abs(M[idx + 1, idx]) + 0.05
     smax = float(np.linalg.svd(M, compute_uv=False)[0])
-    return M * (norm_cap / smax)
+    return M * (_T1_NORM / smax)
 
 
 @dataclass(frozen=True)

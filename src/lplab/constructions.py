@@ -48,6 +48,11 @@ __all__ = [
 ]
 
 
+# check_evenly_distributed: an image coordinate below _EVEN_TOL times the
+# largest one (or 1) counts as zero
+_EVEN_TOL = 1e-10
+
+
 class SearchExhausted(RuntimeError):
     """Raised when a bounded greedy index search finds no admissible index."""
 
@@ -241,22 +246,17 @@ def dq_witness(
     q: int,
     alpha: Sequence[float],
     Ns: Sequence[int],
-    r: int | None = None,
     return_plan: bool = False,
 ):
-    """Modify T0 beyond column Ns[r] so every triggering tuple is annihilated.
+    """Modify T0 beyond column Ns[q] so every triggering tuple is annihilated.
 
     For every increasing tuple tau inside {0..q} whose weighted trial vector
     sum_j alpha_j e_{Ns[tau_j]} has image norm at most alpha_{len(tau)}, a
-    fresh column is planted at Ns[r + 1 + position] that exactly cancels that
+    fresh column is planted at Ns[q + 1 + position] that exactly cancels that
     image; all remaining far columns are zeroed.  With ``return_plan`` the
     mapping from each triggering tuple to its cancelling index is returned
     alongside the operator.
     """
-    if r is None:
-        r = q
-    if r < q:
-        raise ValueError("r must be at least q")
     if q > 16:
         raise ValueError("tuple enumeration is exponential in q; q > 16 refused")
     alpha = tuple(float(a) for a in alpha)
@@ -278,21 +278,21 @@ def dq_witness(
                 triggering.append(tau)
                 images.append(img)
     s = len(triggering)
-    if len(Ns) <= r + s:
-        raise ValueError("Ns must extend past r by the number of triggering tuples")
+    if len(Ns) <= q + s:
+        raise ValueError("Ns must extend past q by the number of triggering tuples")
 
     plan: dict[tuple[int, ...], int] = {}
     killer_cols: dict[int, SpVector] = {}
     for k, (tau, img) in enumerate(zip(triggering, images)):
-        idx = r + 1 + k
+        idx = q + 1 + k
         plan[tau] = idx
         killer_cols[Ns[idx]] = img.scale(-1.0 / alpha[len(tau)])
 
-    last_col = Ns[r + s] if s else Ns[r]
+    last_col = Ns[q + s] if s else Ns[q]
     cols: list[SpVector] = []
     max_row = 0
     for n in range(last_col + 1):
-        if n <= Ns[r]:
+        if n <= Ns[q]:
             col = apply(T0, SpVector.basis(n))
             if not col.support_is_finite():
                 raise ValueError("T0 columns must be finitely supported")
@@ -318,28 +318,22 @@ def kernel_vector_greedy(
     alpha: Sequence[float],
     Ns: Sequence[int],
     max_l: int,
-    cap: int | None = None,
-    pn: PNorm | None = None,
 ) -> tuple[SpVector, list[dict]]:
     """Greedy growth of x = sum_{j<=l} alpha_j e_{Ns[i_j]} with i_0 = 0.
 
-    At step l (1 <= l <= max_l) the search scans i > i_{l-1} up to ``cap``
-    (default: the end of Ns) for the first index with
-    ||T(x + alpha_l e_{Ns[i]})|| < alpha_{l+1}.  Raises
-    :class:`SearchExhausted` reporting the failing step.  Returns the final
-    vector and a per-step trace (index chosen, candidates tested, image norm).
+    At step l (1 <= l <= max_l) the search scans i > i_{l-1} up to the end
+    of Ns for the first index with ||T(x + alpha_l e_{Ns[i]})||_1 <
+    alpha_{l+1}.  Raises :class:`SearchExhausted` reporting the failing step.
+    Returns the final vector and a per-step trace (index chosen, candidates
+    tested, image norm).
     """
-    if pn is None:
-        pn = PNorm.lp(1.0)
+    pn = PNorm.lp(1.0)
     alpha = tuple(float(a) for a in alpha)
     Ns = tuple(int(n) for n in Ns)
     _check_alpha_nseq(alpha, Ns)
     if len(alpha) < max_l + 2:
         raise ValueError("alpha must provide max_l + 2 terms")
-    if cap is None:
-        cap = len(Ns) - 1
-    if cap >= len(Ns):
-        raise ValueError("cap must stay within Ns")
+    cap = len(Ns) - 1
     x = SpVector.basis(Ns[0]).scale(alpha[0])
     chosen = [0]
     trace: list[dict] = []
@@ -398,12 +392,7 @@ def kan_check(u: complex, v: complex, p: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def check_evenly_distributed(
-    B: StructuredOperator,
-    pn: PNorm,
-    tol: float = 1e-10,
-    seed: int = 0,
-) -> tuple[bool, float, SpVector]:
+def check_evenly_distributed(B: StructuredOperator, pn: PNorm) -> tuple[bool, float, SpVector]:
     """Test whether the norming direction of B has an evenly distributed image.
 
     Runs the multi-restart norm ascent; if two near-maximal restarts disagree
@@ -415,7 +404,7 @@ def check_evenly_distributed(
         raise ValueError("dense-block operators only")
     if pn.is_c0 or pn.p in (1.0,):
         raise ValueError("requires a smooth p-norm (1 < p < infinity)")
-    runs = fixed_point_restarts(np.asarray(B.block), float(pn.p), restarts=32, seed=seed)
+    runs = fixed_point_restarts(np.asarray(B.block), float(pn.p))
     best_v, best_x, _ = _best_run(runs, float(pn.p))
     for v, x, _ in runs:
         if v >= best_v * (1.0 - 1e-9):
@@ -431,7 +420,7 @@ def check_evenly_distributed(
     )
     img = np.asarray(B.block) @ best_x
     gamma = float(np.abs(img).min())
-    passed = gamma > tol * max(1.0, float(np.abs(img).max()))
+    passed = gamma > _EVEN_TOL * max(1.0, float(np.abs(img).max()))
     return passed, gamma, x1
 
 

@@ -22,6 +22,7 @@ form on this sparse data.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping
@@ -67,6 +68,15 @@ _NORM_TOL = 1e-12
 _ORBIT_BLOCK = 256
 _RESIDUAL_TOL = 1e-6  # extended-window residual above which an eigenpair
 # of a truncation is a truncation artifact
+_SCREEN_WINDOW = 128  # largest truncation verify_eigenfree_run screens
+# scaled_orbit_floor's grid: _FLOOR_GRID moduli x _FLOOR_GRID phases, zoomed
+# _FLOOR_REFINE times; verify_nonsup_run runs it at _FLOOR_SAMPLES steps
+_FLOOR_GRID = 64
+_FLOOR_REFINE = 3
+_FLOOR_SAMPLES = 40
+# smallest eigen-free radius: player I shrinks a radius by 0.999, which a
+# subnormal float may round back to itself
+_MIN_RADIUS = sys.float_info.min
 
 
 class GameCapExceeded(Exception):
@@ -342,6 +352,35 @@ def block_ball_member(blk: GameBlock, S: BasicOpenSet) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _finite_real(value: object) -> bool:
+    """A number, not a bool, that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _whole(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The type of each EigenfreeParams field; alphas may be any sequence.
+_PARAM_OK = {
+    "c": _finite_real,
+    "eta": _finite_real,
+    "C": _finite_real,
+    "a": lambda v: v is None or _finite_real(v),
+    "alphas": lambda v: v is None
+    or (isinstance(v, (list, tuple)) and all(_finite_real(a) for a in v)),
+    "toy": lambda v: isinstance(v, bool),
+    "dim_cap": _whole,
+    "toy_L_cap": _whole,
+    "toy_R_cap": _whole,
+}
+
+
 @dataclass(frozen=True)
 class EigenfreeParams:
     """Winning-parameter bundle for the eigen-free strategy.
@@ -352,6 +391,9 @@ class EigenfreeParams:
     prod_k (1 - alpha_k)/(1 + 4 alpha_k) >= 8c + eta; for geometric alpha the
     infinite product is certified analytically through
     log(1 - t) >= -2 log(2) t (t <= 1/2) and log(1 + 4t) <= 4t.
+
+    A field of the wrong type, a non-finite number or eta <= 0 raises
+    ``ValueError``; ``alphas`` is stored as a tuple of floats.
     """
 
     c: float = 1.0 / 32.0
@@ -365,6 +407,11 @@ class EigenfreeParams:
     toy_R_cap: int = 6
 
     def __post_init__(self) -> None:
+        for name, ok in _PARAM_OK.items():
+            if not ok(getattr(self, name)):
+                raise ValueError(f"bad game parameter {name}: {getattr(self, name)!r}")
+        if self.alphas is not None:
+            object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         if not self.eta > 0.0:
             raise ValueError(f"eta must be positive (C > 4/eta), got {self.eta!r}")
 
@@ -469,6 +516,13 @@ def strategy_eigenfree_respond(
             f"window {n_next} exceeds the dimension cap {params.dim_cap}"
         )
     eps_next = params.c * tau * U.eps
+    # the response moves column k by eps/2, so it is legal only with a next
+    # radius below eps/2; below _MIN_RADIUS player I could not shrink it
+    if not _MIN_RADIUS <= eps_next < U.eps / 2.0:
+        raise ValueError(
+            f"round {k}: the next radius c * tau * eps = {eps_next!r} must be a "
+            f"normal float below eps/2 = {U.eps / 2.0!r}"
+        )
     rd = RoundData(
         k=k,
         N=U.N,
@@ -614,12 +668,12 @@ def play_game(
     seed: int = 0,
     params: EigenfreeParams | None = None,
     adversary: str = "random",
-    opening: BasicOpenSet | None = None,
 ) -> GameRun:
     """Alternate I (adversary) and II (strategy) for ``rounds`` II-moves.
 
-    Every consecutive pair of moves is checked for legality; the transcript
-    ends with a II move whose block is the germ of the limit operator.
+    Player I opens with ``opening_position()``.  Every consecutive pair of
+    moves is checked for legality; the transcript ends with a II move whose
+    block is the germ of the limit operator.
     """
     if strategy not in ("eigenfree", "nonsup"):
         raise ValueError("strategy must be 'eigenfree' or 'nonsup'")
@@ -630,7 +684,7 @@ def play_game(
     if strategy == "eigenfree" and params is None:
         params = EigenfreeParams.honest()
     rng = np.random.default_rng(seed)
-    U = opening_position() if opening is None else opening
+    U = opening_position()
     moves: list[tuple[str, BasicOpenSet]] = [("I", U)]
     side: list = []
     L_prev = 0
@@ -764,21 +818,18 @@ def _extended_residual(
     return best
 
 
-def verify_eigenfree_run(
-    run: GameRun,
-    D: int = 128,
-    residual_tol: float = _RESIDUAL_TOL,
-) -> dict:
+def verify_eigenfree_run(run: GameRun) -> dict:
     """Verification report for an eigen-free play.
 
     The limit operator is the zero-extension of the final block.  Sections:
     legality of the transcript, membership of the limit block in every
     played set, exact row-coupling bounds, winning-parameter
     invariants with the certified product bound, and an eigenpair screen of
-    the D-truncation: every eigenpair must be a truncation artifact
-    (extended residual beyond the doubled window above ``residual_tol``), or
-    carry no round coordinate of relative size 8c + eta, or have modulus at
-    least 1 - tau_k for every round whose coordinate is that large.
+    the D-truncation, D = min(_SCREEN_WINDOW, N + 1): every eigenpair must be
+    a truncation artifact (extended residual beyond the doubled window above
+    ``_RESIDUAL_TOL``), or carry no round coordinate of relative size
+    8c + eta, or have modulus at least 1 - tau_k for every round whose
+    coordinate is that large.
     """
     if run.strategy != "eigenfree":
         raise ValueError("run was not produced by the eigen-free strategy")
@@ -824,7 +875,7 @@ def verify_eigenfree_run(
     parts["parameters"] = pchecks
 
     # -- eigenpair screen ----------------------------------------------------
-    D_eff = min(D, blk.N + 1)
+    D_eff = min(_SCREEN_WINDOW, blk.N + 1)
     M2 = block_to_dense(blk, 2 * D_eff, D_eff)
     Msq = M2[:D_eff, :]
     thr = params.threshold()
@@ -840,7 +891,7 @@ def verify_eigenfree_run(
                 {"eigenvalue": [pair.value.real, pair.value.imag], "residual": resid, "rounds": []}
             )
             continue
-        if resid > residual_tol:
+        if resid > _RESIDUAL_TOL:
             counts["artifact"] += 1
             continue
         peak = float(np.max(np.abs(vec)))
@@ -899,12 +950,13 @@ def verify_eigenfree_run(
 # ---------------------------------------------------------------------------
 
 
-def scaled_orbit_floor(v: np.ndarray, grid: int = 64, refine: int = 3) -> dict:
+def scaled_orbit_floor(v: np.ndarray) -> dict:
     """inf over lambda of ||lambda v - e_0||_inf, exactly and over a grid.
 
     With a = |v_0| and s = sup_{j >= 1} |v_j| the infimum equals s/(a + s)
     (attained along lambda*v_0 in [0, 1]).  The grid scan covers moduli up to
-    2/(a + s) times phases, then zooms ``refine`` times around the best cell.
+    2/(a + s) times phases, then zooms ``_FLOOR_REFINE`` times around the
+    best cell.
     """
     a = float(abs(v[0]))
     s = float(np.max(np.abs(v[1:]))) if v.size > 1 else 0.0
@@ -913,7 +965,8 @@ def scaled_orbit_floor(v: np.ndarray, grid: int = 64, refine: int = 3) -> dict:
     r_lo, th_lo, th_hi = 0.0, 0.0, 2.0 * math.pi
     best = math.inf
     best_r = best_th = 0.0
-    for _ in range(refine + 1):
+    grid = _FLOOR_GRID
+    for _ in range(_FLOOR_REFINE + 1):
         rr = np.linspace(r_lo, r_hi, grid)
         tt = np.linspace(th_lo, th_hi, grid, endpoint=False)
         lam = rr[:, None] * np.exp(1j * tt[None, :])
@@ -938,13 +991,7 @@ def _nonsup_vector(side: tuple[NonsupRound, ...], dim: int) -> np.ndarray:
     return x
 
 
-def verify_nonsup_run(
-    run: GameRun,
-    n_max: int | None = None,
-    grid: int = 64,
-    n_direct: int = 100_000,
-    floor_samples: int = 40,
-) -> dict:
+def verify_nonsup_run(run: GameRun, n_direct: int = 100_000) -> dict:
     """Verification report for a non-supercyclicity play.
 
     Numerical checks by direct orbit iteration for n <= n_direct: the
@@ -953,8 +1000,9 @@ def verify_nonsup_run(
     bounds, the norm checkpoints ||T^{L'} x|| <= 2^-(k-1), the 8:1
     norm-to-coordinate ratio, and the scaled-orbit floor
     inf_lambda ||lambda T^n x - e_0|| >= 1/9 (exact infimum every step, grid
-    + refinement on a subsample).  For n_direct < n <= n_max the floor and
-    ratio are certified analytically from the closed-form round inequalities
+    + refinement at ``_FLOOR_SAMPLES`` geometrically spaced steps).  With
+    n_max the last round's L, for n_direct < n <= n_max the floor and ratio
+    are certified analytically from the closed-form round inequalities
     2 L eps' <= (eps/2)(1 - eps/2)^L <= 2^-(k+2).
 
     The orbit is walked in blocks of B = ``_ORBIT_BLOCK`` steps by blocked
@@ -968,8 +1016,8 @@ def verify_nonsup_run(
     ||M v_end - v_next||_inf over the block seams, where v_end is a block's
     last step and v_next the next block's start.  It is a deterministic
     consistency diagnostic of the two products, not a bound on the drift.
-    An empty direct range (min(n_max, n_direct) < 1) raises ``ValueError``:
-    no check may pass over no steps.
+    An empty direct range (n_direct < 1) raises ``ValueError``: no check may
+    pass over no steps.
     """
     if run.strategy != "nonsup":
         raise ValueError("run was not produced by the non-sup strategy")
@@ -979,13 +1027,10 @@ def verify_nonsup_run(
     dim = blk.N + 1
     M = block_to_dense(blk, dim)
     x = _nonsup_vector(side, dim)
-    if n_max is None:
-        n_max = side[-1].L
+    if n_direct < 1:
+        raise ValueError(f"direct orbit range is empty: n_direct = {n_direct}")
+    n_max = side[-1].L  # the rounds' L increase, so this one is the largest
     n_cap = min(n_max, n_direct)
-    if n_cap < 1:
-        raise ValueError(
-            f"direct orbit range is empty: min(n_max, n_direct) = {n_cap}"
-        )
     parts: dict[str, list[dict]] = {}
 
     # -- legality + membership ----------------------------------------------
@@ -1028,7 +1073,7 @@ def verify_nonsup_run(
         set(range(0, min(n_cap, 10) + 1))
         | set(
             int(t)
-            for t in np.unique(np.geomspace(1, n_cap, floor_samples).astype(int))
+            for t in np.unique(np.geomspace(1, n_cap, _FLOOR_SAMPLES).astype(int))
             if t <= n_cap
         )
     )
@@ -1068,7 +1113,7 @@ def verify_nonsup_run(
             prefix_peak[:, lo : lo + pre] = Q.max(axis=2).T
             prefix_spill[:, lo : lo + pre] = np.where(beyond[1:], Q, 0.0).max(axis=2).T
         for t in ts[bisect_left(ts, lo) : bisect_left(ts, hi)]:
-            rec_floor = scaled_orbit_floor(V[t - lo, :, 0], grid=grid)
+            rec_floor = scaled_orbit_floor(V[t - lo, :, 0])
             worst_grid = min_or_nan(worst_grid, rec_floor["grid"])
             worst_mismatch = max_or_nan(
                 worst_mismatch, abs(rec_floor["grid"] - rec_floor["exact"])
@@ -1193,7 +1238,7 @@ def verify_nonsup_run(
             # a NaN gap means a grid value could not be compared with its exact one
             "ok": bool(worst_grid >= 1.0 / 9.0 - _ORBIT_SLACK and not math.isnan(worst_mismatch)),
             "sampled_n": ts,
-            "grid": grid,
+            "grid": _FLOOR_GRID,
             "max_gap_to_exact": worst_mismatch,
         }
     )
@@ -1204,7 +1249,7 @@ def verify_nonsup_run(
         covered = True
         for kk, rec in enumerate(side):
             lo_n = side[kk - 1].L if kk > 0 else 0
-            if rec.L <= n_cap or lo_n > n_max:
+            if rec.L <= n_cap:
                 continue
             lhs1 = 2.0 * rec.L * rec.eps_next
             rhs1 = (rec.eps / 2.0) * (1.0 - rec.eps / 2.0) ** rec.L
@@ -1223,7 +1268,7 @@ def verify_nonsup_run(
                     "coupling_mid": rhs1,
                     "coordinate_floor": rhs2,
                     "norm_checkpoint_ok": bool(ckpt_ok),
-                    "range": [int(max(lo_n, n_cap + 1)), int(min(rec.L - 1, n_max))],
+                    "range": [int(max(lo_n, n_cap + 1)), rec.L - 1],
                     "implied_floor": 1.0 / 9.0,
                     "ok": bool(ok),
                 }

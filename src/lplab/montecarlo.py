@@ -50,6 +50,9 @@ _SCALE_PAD = 1e-9
 # Samples normalised together: enough rows to share the fixed-point ascent's
 # per-step cost, few enough that memory stays that of one chunk.
 NORMALISE_CHUNK = 8
+# ApSpectrumGrid's polar grid on the closed unit disk: radii x angles points
+AP_GRID_RADII = 20
+AP_GRID_ANGLES = 20
 
 ILLUSTRATIVE_NOTE = (
     "illustrative statistics over random samples; not evidence about "
@@ -357,10 +360,10 @@ def exp_isometry_defect(cfg: ExperimentConfig) -> Section:
 # approximate point spectrum probe
 
 
-def ap_grid_points(n_radial: int = 20, n_angular: int = 20) -> list[complex]:
-    """n_radial x n_angular polar grid on the closed unit disk."""
-    radii = np.linspace(0.0, 1.0, n_radial)
-    angles = np.linspace(0.0, 2.0 * np.pi, n_angular, endpoint=False)
+def ap_grid_points() -> list[complex]:
+    """AP_GRID_RADII x AP_GRID_ANGLES polar grid on the closed unit disk."""
+    radii = np.linspace(0.0, 1.0, AP_GRID_RADII)
+    angles = np.linspace(0.0, 2.0 * np.pi, AP_GRID_ANGLES, endpoint=False)
     return [
         complex(r * np.exp(1j * t)) for r in radii for t in angles
     ]
@@ -371,24 +374,19 @@ _WEYL_MARGIN = 1e-9
 
 
 @functools.lru_cache(maxsize=64)
-def _shift_tail_gains(n_tail: int, n_radial: int) -> np.ndarray:
+def _shift_tail_gains(n_tail: int) -> np.ndarray:
     """sigma_min(J - r) of the n_tail-dimensional backward shift J at the
-    n_radial grid radii; read-only, and computed once per argument pair."""
+    AP_GRID_RADII grid radii; read-only, and computed once per n_tail."""
     shift = np.eye(n_tail, k=1)
     tail = np.array([
         np.linalg.svd(shift - r * np.eye(n_tail), compute_uv=False)[-1]
-        for r in np.linspace(0.0, 1.0, n_radial)
+        for r in np.linspace(0.0, 1.0, AP_GRID_RADII)
     ])
     tail.flags.writeable = False
     return tail
 
 
-def ap_gain_profile(
-    A: np.ndarray,
-    D: int = 80,
-    n_radial: int = 20,
-    n_angular: int = 20,
-) -> dict[str, Any]:
+def ap_gain_profile(A: np.ndarray, D: int = 80) -> dict[str, Any]:
     """Euclidean window gains sigma_min(M - lambda) over the disk grid.
 
     M is the D-dimensional window with A on the head (coordinates
@@ -401,7 +399,7 @@ def ap_gain_profile(
     The tail term depends on |lambda| only: with U = diag(e^{ik theta}) and
     theta = -arg(lambda), U (J - lambda) U* = e^{-i theta} (J - |lambda|).
     So the tail takes one real SVD per grid radius.  These depend on
-    (D - dim, n_radial) alone and are computed once per pair.
+    D - dim alone and are computed once per tail size.
 
     The head takes one SVD for s = sigma_max(A), and one dim x dim SVD at
     each grid point where it could set the gain.  By Weyl's inequality
@@ -437,10 +435,10 @@ def ap_gain_profile(
         raise ValueError(f"window D={D} too small for head dim={dim}")
     if not np.isfinite(A).all():
         raise ValueError("the head A must have finite entries")
-    lams = ap_grid_points(n_radial, n_angular)
+    lams = ap_grid_points()
     moduli = np.abs(np.asarray(lams))
-    # ap_grid_points is radius-major: point idx lies on radius idx // n_angular.
-    tail_at = np.repeat(_shift_tail_gains(D - dim, n_radial), n_angular)
+    # ap_grid_points is radius-major: point idx lies on radius idx // AP_GRID_ANGLES.
+    tail_at = np.repeat(_shift_tail_gains(D - dim), AP_GRID_ANGLES)
     smax = np.linalg.svd(A, compute_uv=False)[0]
     bound = np.maximum(0.0, moduli - smax - _WEYL_MARGIN * (smax + 1.0))
     eye = np.eye(dim, dtype=complex)

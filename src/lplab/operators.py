@@ -31,6 +31,7 @@ from .spaces import (
     IndexDomain,
     PNorm,
     SpVector,
+    _merge_tails,
     add,
     dense_norm,
     norm,
@@ -60,6 +61,12 @@ _MAX_ENUM = 5_000_000
 # Columns one StructuredOperator keeps; a norm or dual sup may enumerate up to
 # _MAX_ENUM columns, which must not all stay in memory.
 _COLUMN_MEMO_MAX = 4096
+# The fixed-point ascent's starts: the basis vectors, the all-ones vector and
+# complex Gaussian draws from default_rng(_FIXED_POINT_SEED), 32 in all.
+_FIXED_POINT_RESTARTS = 32
+_FIXED_POINT_SEED = 0
+# The oracle's 10 random starts per matrix come from default_rng(_ORACLE_SEED).
+_ORACLE_SEED = 0
 
 
 # Unused: perfbench/tracer.py wraps this name; SciPy is imported only on a call.
@@ -311,17 +318,11 @@ def apply(T: StructuredOperator, x: SpVector) -> SpVector:
 
     merged: GeometricTail | None = None
     for tl in tails:
-        if merged is None:
-            merged = tl
-            continue
-        if tl.ratio != merged.ratio:
+        if merged is not None and tl.ratio != merged.ratio:
             raise UnrepresentableImage("image mixes tails with distinct ratios")
-        s = max(merged.start, tl.start)
-        coeff = merged.value(s) + tl.value(s)
-        # materialize the unaligned prefix exactly
-        for j in range(min(merged.start, tl.start), s):
-            acc(j, merged.value(j) + tl.value(j))
-        merged = GeometricTail(s, coeff, merged.ratio) if coeff != 0 else None
+        merged, prefix = _merge_tails(merged, tl)
+        for j, v in prefix:  # the unaligned prefix, materialized exactly
+            acc(j, v)
 
     finite = SpVector.make(out, domain=T.domain)
     if merged is None:
@@ -586,20 +587,13 @@ def _row_norms(Z: np.ndarray, p: float) -> np.ndarray:
     return np.array([s ** r for s in np.sum(np.abs(Z) ** p, axis=-1).tolist()])
 
 
-def _matvec_rows(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """``A @ z`` for each row z of Z, as one gemv per row.
-
-    ``Z @ A.T`` would be a single gemm, which rounds differently from ``A @ z``.
-    """
-    return np.matmul(A, Z[:, :, None])[:, :, 0]
-
-
 def _matvec_slices(Ms: np.ndarray, Z: np.ndarray, bounds: list[int]) -> np.ndarray:
     """``Ms[k] @ z`` for each row z of ``Z[bounds[k]:bounds[k + 1]]``, one gemv per row.
 
     Each matrix's rows sit in one contiguous slice, so each slice goes through
-    the ``np.matmul`` call ``_matvec_rows`` makes for a lone matrix, on the
-    same view of its matrix, written straight into its rows of the result.
+    the ``np.matmul`` call a lone matrix gets, on the same view of its matrix,
+    written straight into its rows of the result.  ``Z @ M.T`` would be a
+    single gemm, which rounds differently from ``M @ z``.
     """
     out = np.empty((len(Z), Ms.shape[1]), dtype=complex)
     for M, a, b in zip(Ms, bounds, bounds[1:]):
@@ -610,7 +604,7 @@ def _matvec_slices(Ms: np.ndarray, Z: np.ndarray, bounds: list[int]) -> np.ndarr
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _fixed_point_batch(
-    Ms: np.ndarray, p: float, restarts: int = 32, seed: int = 0
+    Ms: np.ndarray, p: float
 ) -> list[list[tuple[float, np.ndarray, float]] | AssertionError]:
     """``fixed_point_restarts`` for every matrix of a stack of one shape.
 
@@ -621,11 +615,11 @@ def _fixed_point_batch(
     """
     K, _, n = Ms.shape
     q = p / (p - 1.0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_FIXED_POINT_SEED)
     starts = [np.eye(n, dtype=complex), np.ones((1, n), dtype=complex)]
     starts += [
         rng.normal(size=(1, n)) + 1j * rng.normal(size=(1, n))
-        for _ in range(restarts - n - 1)
+        for _ in range(_FIXED_POINT_RESTARTS - n - 1)
     ]
     X = np.concatenate(starts)
     nx = _row_norms(X, p)
@@ -682,9 +676,7 @@ def _fixed_point_batch(
     ]
 
 
-def fixed_point_restarts(
-    M: np.ndarray, p: float, restarts: int = 32, seed: int = 0
-) -> list[tuple[float, np.ndarray, float]]:
+def fixed_point_restarts(M: np.ndarray, p: float) -> list[tuple[float, np.ndarray, float]]:
     """All restart outcomes of the monotone fixed-point ascent (value, x, residual).
 
     One outcome per non-zero start, in start order.  The starts advance
@@ -695,7 +687,7 @@ def fixed_point_restarts(
     ``op_norm_batch``'s ascent, which runs each matrix's rows through the same
     calls and so gives each matrix these same bits.
     """
-    runs = _fixed_point_batch(M[None], p, restarts=restarts, seed=seed)[0]
+    runs = _fixed_point_batch(M[None], p)[0]
     if isinstance(runs, AssertionError):
         raise runs
     return runs
@@ -783,7 +775,7 @@ def _split_certificate(
     return NormCertificate(value, witness, method, res)
 
 
-def _op_norm_split(T: StructuredOperator, p: float, seed: int = 0) -> NormCertificate:
+def _op_norm_split(T: StructuredOperator, p: float) -> NormCertificate:
     """Norm of the exact split model: the SVD at p = 2, the fixed point otherwise."""
     model = _split_model(T)
     if model is None:
@@ -798,27 +790,25 @@ def _op_norm_split(T: StructuredOperator, p: float, seed: int = 0) -> NormCertif
         _, s, vh = np.linalg.svd(np.asarray_chkfinite(rect))
         v_rect, x, res = float(s[0]), np.conj(vh[0]), 0.0
     else:
-        v_rect, x, res = _best_run(fixed_point_restarts(rect, p, seed=seed), p)
+        v_rect, x, res = _best_run(fixed_point_restarts(rect, p), p)
     method = "exact" if p == 2.0 else "fixed_point"
     return _split_certificate(v_rect, x, res, col_lo, tails, T.domain, method)
 
 
-def op_norm(T: StructuredOperator, pn: PNorm, seed: int = 0) -> NormCertificate:
+def op_norm(T: StructuredOperator, pn: PNorm) -> NormCertificate:
     """Operator norm certificate for T acting on the pn space."""
     if pn.is_c0:
         return _op_norm_c0(T)
     if pn.p == 1.0:
         return _op_norm_l1(T)
-    return _op_norm_split(T, pn.p, seed=seed)
+    return _op_norm_split(T, pn.p)
 
 
-def op_norm_batch(
-    Ms: np.ndarray, pn: PNorm, seed: int = 0
-) -> list[NormCertificate | Exception]:
+def op_norm_batch(Ms: np.ndarray, pn: PNorm) -> list[NormCertificate | Exception]:
     """``op_norm`` of each matrix of a stack of dense matrices of one shape.
 
     Entry k is bit for bit what ``op_norm(StructuredOperator.from_dense(Ms[k]),
-    pn, seed)`` returns, or the exception that call raises: a matrix whose
+    pn)`` returns, or the exception that call raises: a matrix whose
     ascent loses monotonicity or ends non-finite fails alone, with its own
     error, and every other entry stays as it is.  An empty stack gives ``[]``.
 
@@ -837,11 +827,11 @@ def op_norm_batch(
     if pn.is_c0 or pn.p in (1.0, 2.0) or 0 in Ms.shape:
         for M in Ms:
             try:
-                certs.append(op_norm(StructuredOperator.from_dense(M), pn, seed=seed))
+                certs.append(op_norm(StructuredOperator.from_dense(M), pn))
             except ValueError as exc:  # non-finite entries: this matrix's failure alone
                 certs.append(exc)
         return certs
-    for runs in _fixed_point_batch(Ms, pn.p, seed=seed):
+    for runs in _fixed_point_batch(Ms, pn.p):
         try:
             if isinstance(runs, AssertionError):
                 raise runs
@@ -967,9 +957,7 @@ def _oracle_grid(n: int, p: float, nonneg: bool) -> np.ndarray:
     return (mags[:, :, None] * ph[:, None, :]).reshape(n, -1)
 
 
-def op_norm_oracle_batch(
-    Ms: np.ndarray, pn: PNorm, seed: int = 0
-) -> list[NormCertificate]:
+def op_norm_oracle_batch(Ms: np.ndarray, pn: PNorm) -> list[NormCertificate]:
     """Brute-force norms of matrices of one shape, at most three rows and columns.
 
     Exact extreme-point candidates (basis vectors; per-row phase-aligned
@@ -1005,7 +993,7 @@ def op_norm_oracle_batch(
             out.append(NormCertificate(float(vals[i]), witness(X[:, i]), "oracle", 0.0))
         return out
     p = pn.p
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_ORACLE_SEED)
     randoms = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(10)]
     grids: dict[bool, np.ndarray] = {}
     starts, owners, grid_best = [], [], []
@@ -1037,9 +1025,9 @@ def op_norm_oracle_batch(
     return out
 
 
-def op_norm_oracle(M: np.ndarray, pn: PNorm, seed: int = 0) -> NormCertificate:
+def op_norm_oracle(M: np.ndarray, pn: PNorm) -> NormCertificate:
     """``op_norm_oracle_batch`` on the single matrix M."""
-    return op_norm_oracle_batch(np.atleast_2d(np.asarray(M, dtype=complex))[None], pn, seed)[0]
+    return op_norm_oracle_batch(np.atleast_2d(np.asarray(M, dtype=complex))[None], pn)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -315,8 +315,5 @@ def pairing(f: SpVector, x: SpVector) -> complex:
             for j in f_over | x_over:
                 if j >= s:
                     total -= tf.value(j) * tx.value(j)
-    elif x.tail is not None:
-        # f finitely supported: tail positions of x already covered above
-        # only where f has entries.
-        pass
+    # a finitely supported f meets x's tail only at f's entries, summed above
     return total

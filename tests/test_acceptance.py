@@ -103,7 +103,7 @@ def test_10_game_eigenfree(battery):
         params=EigenfreeParams.toy_mode(),
         adversary="passthrough",
     )
-    rep = verify_eigenfree_run(run, D=128)
+    rep = verify_eigenfree_run(run)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"toy four-round run took {elapsed:.1f}s"
     assert rep["ok"] and not rep["certified"]

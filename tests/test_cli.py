@@ -229,6 +229,8 @@ class TestGameCommand:
             {"eta": -0.5},
             {"a": 1e-320},  # the net size L = ceil(pi / asin(tau/2)) is not finite
             {"eta": 1e308, "C": 1e308},  # C/eps overflows, so the chain length R is not finite
+            {"c": 1e308},  # the next radius c * tau * eps exceeds eps/2: an illegal response
+            {"c": 1e-320},  # the next radius is subnormal, too small for player I to shrink
         ]
         for i, data in enumerate(cases):
             params = _write(tmp_path / f"p{i}.json", data)

@@ -213,6 +213,26 @@ class TestEigenfreeParams:
         assert not cert["certified"]
         assert cert["certified_lower_bound"] is None
 
+    @pytest.mark.parametrize(
+        "field",
+        [{"c": math.nan}, {"C": math.inf}, {"a": "0.01"}, {"alphas": (0.1, math.nan)},
+         {"toy": 1}, {"dim_cap": 5.0}, {"toy_R_cap": True}],
+    )
+    def test_bad_field_is_refused_before_play(self, field):
+        # a NaN c used to play and die with IllegalMove
+        with pytest.raises(ValueError, match="bad game parameter"):
+            EigenfreeParams(**field)
+
+    def test_alphas_are_stored_as_a_tuple_of_floats(self):
+        assert EigenfreeParams(a=None, alphas=[1, 0.5]).alphas == (1.0, 0.5)
+
+    @pytest.mark.parametrize("c", [1e308, 1e-320])
+    def test_response_radius_out_of_range_is_refused(self, c):
+        # too large a radius makes the response illegal; a subnormal one is
+        # too small for player I to shrink
+        with pytest.raises(ValueError, match="next radius"):
+            strategy_eigenfree_respond(opening_position(), 0, EigenfreeParams(c=c))
+
 
 class TestNonsupStrategy:
     def test_worked_example(self):
@@ -405,8 +425,8 @@ class TestNanIsCarried:
         floor = game_mod.scaled_orbit_floor
         calls = []
 
-        def poisoned(v, grid=64):
-            rec = floor(v, grid=grid)
+        def poisoned(v):
+            rec = floor(v)
             calls.append(None)
             if len(calls) == 3:
                 rec[field] = math.nan
@@ -481,6 +501,7 @@ class TestVerifyNonsup:
         for rec in run.side:
             x[rec.N + 1] += 2.0 ** (-(rec.k + 1))
         want = set(sub["sampled_n"])
+        assert sub["grid"] == game_mod._FLOOR_GRID
         assert max(want) == n_direct
         worst_grid, worst_gap = math.inf, 0.0
         worst_exact = math.inf
@@ -491,7 +512,7 @@ class TestVerifyNonsup:
         v = x.copy()
         for n in range(n_direct + 1):
             if n in want:
-                f = scaled_orbit_floor(v, grid=sub["grid"])
+                f = scaled_orbit_floor(v)
                 worst_grid = min(worst_grid, f["grid"])
                 worst_gap = max(worst_gap, abs(f["grid"] - f["exact"]))
             av = np.abs(v)
@@ -609,7 +630,7 @@ class TestVerifyNonsup:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
-    @pytest.mark.parametrize("kwargs", [{"n_direct": 0}, {"n_max": 0}, {"n_direct": -3}])
+    @pytest.mark.parametrize("kwargs", [{"n_direct": 0}, {"n_direct": -3}])
     def test_empty_direct_range_is_refused(self, kwargs):
         # no check may pass over an empty range of orbit steps
         run = play_game("nonsup", 3, seed=7, adversary="random")

@@ -165,9 +165,9 @@ class TestChunkedNormalisation:
         sizes = []
         batch = montecarlo.op_norm_batch
 
-        def recording(Ms, pn, seed=0):
+        def recording(Ms, pn):
             sizes.append(len(Ms))
-            return batch(Ms, pn, seed=seed)
+            return batch(Ms, pn)
 
         monkeypatch.setattr(montecarlo, "op_norm_batch", recording)
         run_suite([_cfg(ExperimentKind.DISJOINT_SUPPORT, dim=3, samples=50)])
@@ -484,11 +484,11 @@ class TestApGainSkip:
         assert tail_calls == [20] + [0] * 7
 
     def test_tail_cache_is_read_only_and_keyed_by_window(self):
-        tail = montecarlo._shift_tail_gains(56, 20)
-        assert montecarlo._shift_tail_gains(56, 20) is tail
+        tail = montecarlo._shift_tail_gains(56)
+        assert montecarlo._shift_tail_gains(56) is tail
         with pytest.raises(ValueError):
             tail[0] = 1.0
-        assert not np.array_equal(montecarlo._shift_tail_gains(40, 20), tail)
+        assert not np.array_equal(montecarlo._shift_tail_gains(40), tail)
 
     def test_mc_report_is_byte_identical_across_runs_and_threads(self, tmp_path):
         cfg = tmp_path / "cfg.json"

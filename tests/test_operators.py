@@ -354,18 +354,16 @@ class TestNorms:
             assert gain == pytest.approx(cert.value, abs=TOL_EXACT)
 
 
-def _restarts_one_by_one(
-    M: np.ndarray, p: float, restarts: int = 32, seed: int = 0
-) -> list[tuple[float, np.ndarray, float]]:
+def _restarts_one_by_one(M: np.ndarray, p: float) -> list[tuple[float, np.ndarray, float]]:
     """Reference: the fixed-point ascent run one restart at a time, one
-    matrix-vector product per Python step."""
+    matrix-vector product per Python step, from the module's starts."""
     m, n = M.shape
     q = p / (p - 1.0)
     pn = PNorm.lp(p)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(operators._FIXED_POINT_SEED)
     starts = [np.eye(n, dtype=complex)[:, i] for i in range(n)]
     starts.append(np.ones(n, dtype=complex))
-    while len(starts) < restarts:
+    while len(starts) < operators._FIXED_POINT_RESTARTS:
         starts.append(rng.normal(size=n) + 1j * rng.normal(size=n))
     out: list[tuple[float, np.ndarray, float]] = []
     for x0 in starts:
@@ -427,8 +425,8 @@ def _fixed_point_cases() -> list:
 class TestFixedPointBatch:
     @pytest.mark.parametrize("M, p", _fixed_point_cases())
     def test_bitwise_equal_to_one_restart_at_a_time(self, M, p):
-        want = _restarts_one_by_one(M, p, seed=11)
-        got = fixed_point_restarts(M, p, seed=11)
+        want = _restarts_one_by_one(M, p)
+        got = fixed_point_restarts(M, p)
         assert _bits(got) == _bits(want)
 
     def test_monotonicity_error_as_in_the_loop(self):

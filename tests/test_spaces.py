@@ -10,7 +10,6 @@ import pytest
 from lplab.montecarlo import space_from_token
 from lplab.spaces import (
     GeometricTail,
-    IndexDomain,
     PNorm,
     SpVector,
     dense_norm,
