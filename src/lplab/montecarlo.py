@@ -13,15 +13,15 @@ list.  Per-sample random streams are split from each experiment's seed with
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .operators import op_norm_batch
+from .operators import _row_norms, op_norm_batch
 from .reports import Report, Section, make_report, make_section
-from .spaces import PNorm, dense_norm
+from .spaces import PNorm
 
 __all__ = [
     "ExperimentKind",
@@ -116,6 +116,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "ExperimentConfig":
+        unknown = sorted(set(data) - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
         for key in ("dim", "samples", "seed"):
             if isinstance(data[key], bool) or not isinstance(data[key], int):
                 raise ValueError(f"{key} must be an integer, got {data[key]!r}")
@@ -243,11 +246,16 @@ def exp_orbit_decay(cfg: ExperimentConfig) -> Section:
     def one(i: int, M: np.ndarray) -> dict[str, Any]:
         v = np.zeros(cfg.dim, dtype=complex)
         v[0] = 1.0
-        norms = np.empty(ORBIT_STEPS + 1)
-        norms[0] = dense_norm(v, cfg.space)
+        orbit = np.empty((ORBIT_STEPS + 1, cfg.dim), dtype=complex)
+        orbit[0] = v
         for n in range(ORBIT_STEPS):
             v = M @ v
-            norms[n + 1] = dense_norm(v, cfg.space)
+            orbit[n + 1] = v
+        # each row's norm, bit for bit dense_norm of that row
+        if cfg.space.is_c0:
+            norms = np.abs(orbit).max(axis=1)
+        else:
+            norms = _row_norms(orbit, cfg.space.p)
         monotone = bool(
             np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-9) + 1e-15)
         )
@@ -369,8 +377,9 @@ def ap_grid_points() -> list[complex]:
     ]
 
 
-# Relative slack of the Weyl certificate in ap_gain_profile (see there).
-_WEYL_MARGIN = 1e-9
+# Relative slack of the head certificates in ap_gain_profile (see there).
+_HEAD_MARGIN = 1e-9
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
 @functools.lru_cache(maxsize=64)
@@ -384,6 +393,25 @@ def _shift_tail_gains(n_tail: int) -> np.ndarray:
     ])
     tail.flags.writeable = False
     return tail
+
+
+def _head_gain_floor(A: np.ndarray, lams: np.ndarray, smax: float) -> np.ndarray:
+    """At each lambda, a number that the computed sigma_min(A - lambda) is
+    at least: the larger of the Weyl and eigenvector bounds, less the margin,
+    and at least 0.  smax is the computed sigma_max(A); the derivation is in
+    ``ap_gain_profile``."""
+    n = A.shape[0]
+    mu, V = np.linalg.eig(A)
+    sv = np.linalg.svd(V, compute_uv=False)
+    R = A @ V - V * mu
+    gamma = 2 * n * _UNIT_ROUNDOFF / (1.0 - 2 * n * _UNIT_ROUNDOFF)
+    res = np.linalg.norm(R) + np.sqrt(2.0) * gamma * (
+        np.linalg.norm(A) + np.abs(mu).max()
+    ) * np.linalg.norm(V)
+    dist = np.abs(lams[:, None] - mu[None, :]).min(axis=1)
+    eig = (sv[-1] * dist - res) / sv[0]
+    weyl = np.abs(lams) - smax
+    return np.maximum(0.0, np.maximum(weyl, eig) - _HEAD_MARGIN * (smax + 1.0))
 
 
 def ap_gain_profile(A: np.ndarray, D: int = 80) -> dict[str, Any]:
@@ -401,22 +429,56 @@ def ap_gain_profile(A: np.ndarray, D: int = 80) -> dict[str, Any]:
     So the tail takes one real SVD per grid radius.  These depend on
     D - dim alone and are computed once per tail size.
 
-    The head takes one SVD for s = sigma_max(A), and one dim x dim SVD at
-    each grid point where it could set the gain.  By Weyl's inequality
-    sigma_min(A - lambda) >= |lambda| - ||A||_2.  LAPACK's SVD of an n x n
-    X is backward stable: each computed singular value is within
-    p(n) eps ||X||_2 of the exact one, with p(n) a modest function of n.
-    With ||A - lambda||_2 <= ||A||_2 + 1 on the disk, the two SVDs, and the
-    rounding in forming A - lambda and the bound, lose at most about
-    p(n) eps (2 s + 1).  The margin 1e-9 (s + 1) is about
-    4.5e6 eps (s + 1), so it covers p(n) up to 2e6, which is 30 n^2 at
-    MAX_DIM = 256, far above the growth LAPACK's bounds allow; it is
-    relative because A is not assumed to be a contraction.  Hence at every
-    point where the tail's gain is at most max(0, |lambda| - s - margin)
-    the computed head gain is at least the tail's (a computed singular
-    value is never negative).  There the gain is the tail's, bit for bit,
-    and the head cannot bind, so its SVD is skipped and its gain recorded
-    as +inf.  A non-finite A is refused before any SVD.
+    The head takes one SVD for s = sigma_max(A), one eigendecomposition
+    A V = V diag(mu) + R with one SVD of V, and a dim x dim SVD at each grid
+    point where neither of two lower bounds rules out that the head sets
+    the gain:
+
+    - Weyl: sigma_min(A - lambda) >= |lambda| - ||A||_2.
+    - Eigenvectors (Bauer-Fike type): R is the exact residual of the
+      computed mu and V, so (A - lambda) V z = V (diag(mu) - lambda) z + R z.
+      With x = V z for an invertible V, and d(lambda) = min_k |lambda - mu_k|,
+      ||(A - lambda) x|| >= (sigma_min(V) d - ||R||_2) ||z|| and
+      ||z|| >= ||x|| / ||V||_2, so
+      sigma_min(A - lambda) >= (sigma_min(V) d(lambda) - ||R||_2) / ||V||_2.
+      A defective or ill-conditioned A makes the right side negative, and
+      then only the Weyl bound, or the SVD, is left.  ||R||_2 is bounded by
+      the computed ||R||_F plus the rounding of forming it.  The real and
+      the imaginary part of an entry of A V is a sum of 2 dim real
+      products, and of V diag(mu) a sum of 2, so each is off by at most
+      gamma_{2 dim} = 2 dim u / (1 - 2 dim u) (u = eps/2) times the sum of
+      the products' moduli.  Hence R is off by at most
+      sqrt(2) gamma_{2 dim} (||A||_F + max |mu|) ||V||_F in Frobenius norm,
+      and the last subtraction's rounding is a relative error on ||R||_F.
+
+    LAPACK's SVD of an n x n X is backward stable: each computed singular
+    value is within p(n) eps ||X||_2 of the exact one, with p(n) a modest
+    function of n.  LAPACK's eig is backward stable too, so each computed
+    mu_k is an eigenvalue of a matrix within p(n) eps ||A||_2 of A, and
+    d(lambda) <= 1 + s (1 + 2 p(n) eps) on the disk.  What the computed
+    numbers can lose against the exact ones:
+
+    - the skipped SVD of A - lambda: p(n) eps (s + 1), since
+      ||A - lambda||_2 <= ||A||_2 + 1 on the disk;
+    - the Weyl bound, through the SVD for s: p(n) eps s;
+    - the eigenvector bound, through the computed sigma(V): 2 p(n) eps d;
+      through the distance (one subtraction, one modulus), the norms of R,
+      A and V (each with a relative error below (dim^2 + 3) u), R's last
+      subtraction and the bound's own arithmetic: below 2 (dim^2 + 11) u d.
+
+    In all, at most about 3 p(n) eps (s + 1) + 2 (dim^2 + 11) u (s + 1).  The
+    margin 1e-9 (s + 1) is about 4.5e6 eps (s + 1), so it covers p(n) up to
+    1.4e6, which is 21 n^2 at MAX_DIM = 256, far above the growth LAPACK's
+    bounds allow; it is relative because A is not assumed to be a
+    contraction.  Hence at every point where the tail's gain is at most
+    max(0, max(Weyl, eigenvector bound) - margin) the computed head gain is
+    at least the tail's (a computed singular value is never negative).
+    There the gain is the tail's, bit for bit, and the head cannot bind, so
+    its SVD is skipped and its gain recorded as +inf.  Where neither bound
+    reaches the tail's gain, as near the eigenvalues of any A or anywhere
+    for a defective A, the SVD is taken, so the bounds never change a
+    result, only how many SVDs it costs.  A non-finite A is refused before
+    any SVD.
 
     Gains measure how far each grid point is from being an approximate
     eigenvalue of the windowed operator.  Interior points (|lambda| <= 0.9)
@@ -436,14 +498,15 @@ def ap_gain_profile(A: np.ndarray, D: int = 80) -> dict[str, Any]:
     if not np.isfinite(A).all():
         raise ValueError("the head A must have finite entries")
     lams = ap_grid_points()
-    moduli = np.abs(np.asarray(lams))
+    grid = np.asarray(lams)
+    moduli = np.abs(grid)
     # ap_grid_points is radius-major: point idx lies on radius idx // AP_GRID_ANGLES.
     tail_at = np.repeat(_shift_tail_gains(D - dim), AP_GRID_ANGLES)
     smax = np.linalg.svd(A, compute_uv=False)[0]
-    bound = np.maximum(0.0, moduli - smax - _WEYL_MARGIN * (smax + 1.0))
+    floor = _head_gain_floor(A, grid, smax)
     eye = np.eye(dim, dtype=complex)
     head = np.full(len(lams), np.inf)
-    for idx in np.flatnonzero(~(tail_at <= bound)):  # a NaN bound skips nothing
+    for idx in np.flatnonzero(~(tail_at <= floor)):  # a NaN floor skips nothing
         head[idx] = np.linalg.svd(A - lams[idx] * eye, compute_uv=False)[-1]
     gains = np.minimum(head, tail_at)
     interior = moduli <= 0.9 + 1e-12

@@ -93,20 +93,18 @@ def _normalized_entries(
     entries: Mapping[int, complex] | Iterable[tuple[int, complex]],
     tail: GeometricTail | None,
 ) -> tuple[tuple[int, complex], ...]:
-    """Sorted non-zero entries, the last of a repeated index winning.
+    """Sorted non-zero entries, the last value of a repeated index winning.
 
-    A zero is skipped, so it leaves an earlier value of its index in place.  An
-    entry that merely restates the tail value is dropped, and it drops an
-    earlier value of its index too.
+    A zero, or an entry that merely restates the tail value, is not stored,
+    and it removes an earlier value of its index too; so an iterable of
+    pairs gives the entries of the dict built from it.
     """
     items = entries.items() if isinstance(entries, Mapping) else entries
     out: dict[int, complex] = {}
     for j, v in items:
         v = complex(v)
-        if v == 0:
-            continue
         j = int(j)
-        if tail is not None and j >= tail.start and v == tail.value(j):
+        if v == 0 or (tail is not None and j >= tail.start and v == tail.value(j)):
             out.pop(j, None)
         else:
             out[j] = v

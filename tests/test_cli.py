@@ -291,6 +291,15 @@ class TestMcCommand:
         )
         assert cli_main(["mc", "--config", cfg]) == 1
 
+    def test_unknown_key_exits_two_naming_it(self, tmp_path, capsys):
+        cfg = _write(
+            tmp_path / "cfg.json",
+            [{"space": "l2", "dim": 3, "samples": 1, "seed": 1,
+              "experiment": "OrbitDecay", "sample": 500}],
+        )
+        assert cli_main(["mc", "--config", cfg]) == 2
+        assert "unknown config keys ['sample']" in capsys.readouterr().err
+
 
 class TestVerifyAll:
     def test_subset_runs_and_reports(self, tmp_path, capsys):

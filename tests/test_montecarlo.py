@@ -28,7 +28,7 @@ from lplab.montecarlo import (
 from lplab.operators import StructuredOperator, op_norm
 from lplab import montecarlo
 from lplab.reports import canonical_json, exit_code
-from lplab.spaces import PNorm
+from lplab.spaces import PNorm, dense_norm
 
 NORM_SLACK = 1e-9
 
@@ -195,6 +195,30 @@ class TestOrbitDecay:
     def test_illustrative_label(self):
         sec = exp_orbit_decay(_cfg(ExperimentKind.ORBIT_DECAY, samples=1))
         assert "illustrative" in sec.records[-1]["note"]
+
+    @pytest.mark.parametrize("token", ["1.5", "3.0", "4.0", "c0"])
+    def test_same_bits_as_a_norm_per_step(self, token):
+        cfg = _cfg(ExperimentKind.ORBIT_DECAY, space=space_from_token(token), dim=24, samples=20, seed=9)
+
+        def per_step(i, M):
+            v = np.zeros(cfg.dim, dtype=complex)
+            v[0] = 1.0
+            norms = [dense_norm(v, cfg.space)]
+            for _ in range(montecarlo.ORBIT_STEPS):
+                v = M @ v
+                norms.append(dense_norm(v, cfg.space))
+            norms = np.array(norms)
+            monotone = bool(np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-9) + 1e-15))
+            return {
+                "final_norm": float(norms[-1]),
+                "half_norm": float(norms[montecarlo.ORBIT_STEPS // 2]),
+                "monotone": monotone,
+                "ok": monotone,
+            }
+
+        want = montecarlo._map_samples(cfg, per_step)
+        got = list(exp_orbit_decay(cfg).records[:-1])
+        assert repr(got) == repr(want)
 
 
 class TestEigenStats:
@@ -420,6 +444,31 @@ def _tail_at_one(dim, D=80):
 
 
 _RADII = np.linspace(0.0, 1.0, 20)
+# grid point 363 has radius 18/19, where the shift tail's gain is about 0.05
+_ON_GRID = 363
+
+
+def _eigenvalue_on_grid_point():
+    """A triangular head whose computed eigenvalues include grid point 363
+    exactly, so its gain there is about 0 and binds."""
+    A = np.diag([ap_grid_points()[_ON_GRID], 0.2, -0.1j, 0.5]).astype(complex)
+    A[0, 1:] = [0.3, -0.2j, 0.1]
+    A[1, 3] = 0.25
+    return A
+
+
+def _head_svd_points(calls, A):
+    """The non-zero grid points lambda whose A - lambda I was an SVD argument,
+    one per call.  The SVD of A - 0 I = A itself is the one for sigma_max(A);
+    at lambda = 0 the tail's gain is 0, so no head SVD is ever needed there."""
+    eye = np.eye(A.shape[0], dtype=complex)
+    shifted = {lam: A - lam * eye for lam in ap_grid_points() if lam != 0}
+    return [
+        lam
+        for a in calls
+        for lam, X in shifted.items()
+        if np.shape(a) == X.shape and np.array_equal(a, X)
+    ]
 _REFERENCE_HEADS = {
     "zero": lambda: np.zeros((1, 1), dtype=complex),
     "identity": lambda: np.eye(3, dtype=complex),
@@ -432,6 +481,12 @@ _REFERENCE_HEADS = {
     # below (the head binds) or above the tail's gain t there
     "weyl-tight-below": lambda: (1.0 - _tail_at_one(2) + 1e-12) * np.eye(2, dtype=complex),
     "weyl-tight-above": lambda: (1.0 - _tail_at_one(2) - 1e-12) * np.eye(2, dtype=complex),
+    # heads whose eigenvector bound is negative somewhere, so the SVD decides
+    "jordan": lambda: 0.3 * np.eye(6, dtype=complex) + np.eye(6, k=1),
+    "eigenvalue-on-grid-point": lambda: _eigenvalue_on_grid_point(),
+    "non-normal-triangular": lambda: (
+        np.diag(np.linspace(-0.3, 0.3, 8)).astype(complex) + 2.0 * np.triu(np.ones((8, 8)), 1)
+    ),
 }
 _REFERENCE_HEADS.update({
     f"{token}-dim{dim}": (
@@ -446,7 +501,9 @@ _REFERENCE_HEADS.update({
 
 class TestApGainSkip:
     """ap_gain_profile skips the head SVD wherever the Weyl bound
-    |lambda| - sigma_max(A) - margin already reaches the tail's gain."""
+    |lambda| - sigma_max(A) or the eigenvector bound
+    (sigma_min(V) d(lambda) - ||R||) / ||V||, less the margin, already
+    reaches the tail's gain."""
 
     @pytest.mark.parametrize("name", list(_REFERENCE_HEADS))
     def test_same_bits_as_the_full_grid(self, name):
@@ -459,29 +516,81 @@ class TestApGainSkip:
         assert got == want
         assert repr(got) == repr(want)  # also tells -0.0 from 0.0
 
+    @staticmethod
+    def _svd_args(monkeypatch):
+        svd = np.linalg.svd
+        args = []
+
+        def recording(a, *rest, **kwargs):
+            args.append(np.array(a))
+            return svd(a, *rest, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        return args
+
     def test_the_skip_is_live(self, monkeypatch):
         heads = [
             sample_contraction(24, PNorm.c0(), np.random.default_rng(seed))
             for seed in range(8)
         ]
-        svd = np.linalg.svd
-        shapes = []
-
-        def counting(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
         montecarlo._shift_tail_gains.cache_clear()
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        args = self._svd_args(monkeypatch)
         head_calls, tail_calls = [], []
         for A in heads:
-            shapes.clear()
+            args.clear()
             ap_gain_profile(A, D=80)
-            head_calls.append(shapes.count((24, 24)))
-            tail_calls.append(shapes.count((56, 56)))
-        # the full grid takes 400 head SVDs per sample
-        assert max(head_calls) <= 160, head_calls
+            head_calls.append(len(_head_svd_points(args, A)))
+            tail_calls.append(sum(np.shape(a) == (56, 56) for a in args))
+        # the full grid takes 400 head SVDs per sample, the Weyl bound alone 120-140
+        assert head_calls == [0] * 8
         assert tail_calls == [20] + [0] * 7
+
+    def test_an_eigenvalue_on_a_grid_point_takes_its_svd(self, monkeypatch):
+        A = _eigenvalue_on_grid_point()
+        assert ap_grid_points()[_ON_GRID] in np.linalg.eigvals(A)
+        args = self._svd_args(monkeypatch)
+        prof = ap_gain_profile(A)
+        assert ap_grid_points()[_ON_GRID] in _head_svd_points(args, A)
+        assert prof["head_binding_points"] >= 1
+
+    @pytest.mark.parametrize("name", ["c0-dim6", "3-dim24", "jordan", "non-normal-triangular"])
+    def test_an_inaccurate_eigendecomposition_only_costs_svds(self, monkeypatch, name):
+        # the bound holds for any mu and V, through the residual R = A V - V diag(mu)
+        A = _REFERENCE_HEADS[name]()
+        eig = np.linalg.eig
+
+        def perturbed(a):
+            mu, V = eig(a)
+            return mu + 0.05, V + 0.01
+
+        monkeypatch.setattr(np.linalg, "eig", perturbed)
+        lams = np.asarray(ap_grid_points())
+        smax = np.linalg.svd(A, compute_uv=False)[0]
+        floor = montecarlo._head_gain_floor(A, lams, smax)
+        eye = np.eye(A.shape[0], dtype=complex)
+        assert all(f <= _sigma_min(A - lam * eye) for lam, f in zip(lams, floor))
+        D = max(80, A.shape[0] + 40)
+        assert repr(ap_gain_profile(A, D=D)) == repr(_reference_profile(A, D))
+
+    def test_the_floor_is_below_every_computed_head_gain(self):
+        tokens = ("c0", "1", "1.5", "2", "3", "4")
+        heads = [make() for make in _REFERENCE_HEADS.values()]
+        for k in range(48):
+            rng = np.random.default_rng(1000 + k)
+            dim = int(rng.integers(1, 41))
+            scale = 10.0 ** rng.uniform(-2.0, 2.0)
+            heads.append(scale * sample_contraction(dim, space_from_token(tokens[k % 6]), rng))
+        lams = np.asarray(ap_grid_points())
+        positive = 0
+        for A in heads:
+            smax = np.linalg.svd(A, compute_uv=False)[0]
+            floor = montecarlo._head_gain_floor(A, lams, smax)
+            eye = np.eye(A.shape[0], dtype=complex)
+            for lam, f in zip(lams, floor):
+                assert f <= _sigma_min(A - lam * eye), (A.shape, lam)
+            positive += np.count_nonzero(floor > 0.0)
+        # the check has content: most floors are positive
+        assert positive > 0.5 * len(heads) * len(lams)
 
     def test_tail_cache_is_read_only_and_keyed_by_window(self):
         tail = montecarlo._shift_tail_gains(56)
@@ -492,10 +601,12 @@ class TestApGainSkip:
 
     def test_mc_report_is_byte_identical_across_runs_and_threads(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(
-            {"space": "c0", "dim": 24, "samples": 3, "seed": 5,
+        # a c0 and an l3 head: the eigendecomposition takes zgeev on both
+        cfg.write_text(json.dumps([
+            {"space": space, "dim": 24, "samples": 3, "seed": 5,
              "experiment": "ApSpectrumGrid"}
-        ))
+            for space in ("c0", "l3")
+        ]))
         outs = []
         for threads in ("1", "1", "2"):
             out = tmp_path / f"mc_{len(outs)}.json"

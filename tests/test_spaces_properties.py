@@ -132,14 +132,11 @@ def _pairing_by_at(f: SpVector, x: SpVector) -> complex:
 
 
 def _entries_two_pass(items, tail: GeometricTail | None) -> tuple:
-    """``SpVector.make``'s entries: drop zeros, then drop restated tail values."""
-    out: dict[int, complex] = {}
-    for j, v in items:
-        if complex(v) != 0:
-            out[int(j)] = complex(v)
-    if tail is not None:
-        for j in [j for j in out if j >= tail.start and out[j] == tail.value(j)]:
-            del out[j]
+    """``SpVector.make``'s entries: keep each index's last value, then drop
+    zeros and restated tail values."""
+    out = {int(j): complex(v) for j, v in items}
+    for j in [j for j, v in out.items() if v == 0 or (tail is not None and j >= tail.start and v == tail.value(j))]:
+        del out[j]
     return tuple(sorted(out.items()))
 
 
@@ -211,6 +208,23 @@ def test_make_equals_the_two_pass_reference_bitwise(items, tail, restate):
     got = SpVector.make(items, tail)
     want = _entries_two_pass(items, tail)
     assert [(j, _c_bits(v)) for j, v in got.entries] == [(j, _c_bits(v)) for j, v in want]
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(st.integers(0, 8), st.one_of(scalars, st.just(0j))), max_size=12),
+    st.one_of(st.none(), st.builds(GeometricTail, st.integers(0, 6), scalars.filter(lambda c: c != 0), ratios)),
+)
+def test_make_of_pairs_equals_make_of_their_dict(items, tail):
+    # a repeated index keeps its last value, a zero included
+    assert _vec_bits(SpVector.make(items, tail)) == _vec_bits(SpVector.make(dict(items), tail))
+
+
+def test_a_later_zero_removes_an_earlier_value():
+    assert SpVector.make([(1, 2.0), (1, 0.0)]).entries == ()
+    assert SpVector.make([(1, 2.0), (1, 3.0)]).entries == ((1, 3.0),)
+    t = GeometricTail(0, 1.0, 0.5)
+    assert SpVector.make([(1, 2.0), (1, 0.0)], t).at(1) == t.value(1)
 
 
 def test_make_names_every_negative_index():
