@@ -444,7 +444,7 @@ def _tail_at_one(dim, D=80):
 
 
 _RADII = np.linspace(0.0, 1.0, 20)
-# grid point 363 has radius 18/19, where the shift tail's gain is about 0.05
+# grid point 363 has radius 18/19, where a 76-dim shift tail's gain is about 2e-3
 _ON_GRID = 363
 
 
@@ -469,6 +469,8 @@ def _head_svd_points(calls, A):
         for lam, X in shifted.items()
         if np.shape(a) == X.shape and np.array_equal(a, X)
     ]
+
+
 _REFERENCE_HEADS = {
     "zero": lambda: np.zeros((1, 1), dtype=complex),
     "identity": lambda: np.eye(3, dtype=complex),
@@ -483,7 +485,7 @@ _REFERENCE_HEADS = {
     "weyl-tight-above": lambda: (1.0 - _tail_at_one(2) - 1e-12) * np.eye(2, dtype=complex),
     # heads whose eigenvector bound is negative somewhere, so the SVD decides
     "jordan": lambda: 0.3 * np.eye(6, dtype=complex) + np.eye(6, k=1),
-    "eigenvalue-on-grid-point": lambda: _eigenvalue_on_grid_point(),
+    "eigenvalue-on-grid-point": _eigenvalue_on_grid_point,
     "non-normal-triangular": lambda: (
         np.diag(np.linspace(-0.3, 0.3, 8)).astype(complex) + 2.0 * np.triu(np.ones((8, 8)), 1)
     ),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lplab.spaces import (
@@ -215,16 +215,11 @@ def test_make_equals_the_two_pass_reference_bitwise(items, tail, restate):
     st.lists(st.tuples(st.integers(0, 8), st.one_of(scalars, st.just(0j))), max_size=12),
     st.one_of(st.none(), st.builds(GeometricTail, st.integers(0, 6), scalars.filter(lambda c: c != 0), ratios)),
 )
+@example([(1, 2.0), (1, 0.0)], None)
+@example([(1, 2.0), (1, 0.0)], GeometricTail(0, 1.0, 0.5))
 def test_make_of_pairs_equals_make_of_their_dict(items, tail):
     # a repeated index keeps its last value, a zero included
     assert _vec_bits(SpVector.make(items, tail)) == _vec_bits(SpVector.make(dict(items), tail))
-
-
-def test_a_later_zero_removes_an_earlier_value():
-    assert SpVector.make([(1, 2.0), (1, 0.0)]).entries == ()
-    assert SpVector.make([(1, 2.0), (1, 3.0)]).entries == ((1, 3.0),)
-    t = GeometricTail(0, 1.0, 0.5)
-    assert SpVector.make([(1, 2.0), (1, 0.0)], t).at(1) == t.value(1)
 
 
 def test_make_names_every_negative_index():
