@@ -43,7 +43,8 @@ __all__ = [
     "check_evenly_distributed",
     "build_B_eta_delta",
     "delta_for_B",
-    "rudin_shapiro",
+    "rudin_shapiro_pair",
+    "golay_defect",
     "shift_poly_gap",
 ]
 
@@ -524,9 +525,10 @@ def delta_for_B(gamma: float, eps: float, M: int, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def rudin_shapiro(k: int) -> np.ndarray:
-    """Coefficient vector (signs +-1) of the k-th flat polynomial P_k of
-    degree 2^k - 1, built by P_{j+1} = P_j + z^{2^j} Q_j, Q_{j+1} = P_j - z^{2^j} Q_j.
+def rudin_shapiro_pair(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient vectors (signs +-1, int64) of the k-th Rudin-Shapiro pair
+    (P_k, Q_k) of degree 2^k - 1, built by P_{j+1} = P_j + z^{2^j} Q_j,
+    Q_{j+1} = P_j - z^{2^j} Q_j from P_0 = Q_0 = 1.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -536,12 +538,31 @@ def rudin_shapiro(k: int) -> np.ndarray:
         newP = np.concatenate([P, Q])
         newQ = np.concatenate([P, -Q])
         P, Q = newP, newQ
-    return P
+    return P, Q
+
+
+def golay_defect(P: np.ndarray, Q: np.ndarray) -> int:
+    """Largest deviation, in exact integer arithmetic, of the summed aperiodic
+    autocorrelations of P and Q from 2(d+1) e_d (shift 0 at index d).
+
+    It is 0 exactly when (P, Q) is a Golay complementary pair, and then
+    |P|^2 + |Q|^2 = 2(d+1) on the unit circle, so sup |P| <= sqrt(2(d+1)).
+    """
+    acf = np.correlate(P, P, "full") + np.correlate(Q, Q, "full")
+    d = len(P) - 1
+    acf[d] -= 2 * (d + 1)
+    return int(np.abs(acf).max())
 
 
 @dataclass(frozen=True)
 class ShiftPolyGap:
-    """Gap data for p(S) e_0 with p the k-th flat polynomial of degree d."""
+    """Gap data for p(S) e_0 with p the k-th flat polynomial of degree d.
+
+    ``golay_defect`` is 0 exactly when (P_k, Q_k) is a Golay pair, which
+    certifies sup |P_k| <= sup_bound.  ``sup_sample`` is a maximum over 4,096
+    FFT samples, a lower bound on the sup, so ``ratio_sample`` is a
+    diagnostic upper bound on the true ratio, not a certificate.
+    """
 
     k: int
     d: int
@@ -551,17 +572,19 @@ class ShiftPolyGap:
     sup_sample: float
     ratio_sample: float
     ratio_floor: float
+    golay_defect: int
     ok: bool
 
 
 def shift_poly_gap(k: int, p: float) -> ShiftPolyGap:
     """Compare ||p_k(S) e_0||_p = (d+1)^{1/p} with the sup of |p_k| on the
     circle: the ratio is certified to stay above (d+1)^{1/p - 1/2} / sqrt(2)
-    because sup |p_k| <= sqrt(2 (d+1)).
+    because sup |p_k| <= sqrt(2 (d+1)), which the Golay identity of
+    (P_k, Q_k) proves exactly; ``ok`` requires that identity.
     """
     if not 1.0 <= p < math.inf:
         raise ValueError("p must lie in [1, infinity)")
-    coeffs = rudin_shapiro(k)
+    coeffs, partner = rudin_shapiro_pair(k)
     d = len(coeffs) - 1
     orbit = float((d + 1) ** (1.0 / p))
     grid = 4096
@@ -570,7 +593,8 @@ def shift_poly_gap(k: int, p: float) -> ShiftPolyGap:
     sup_bound = math.sqrt(2.0 * (d + 1))
     ratio_sample = orbit / sup_sample
     ratio_floor = (d + 1) ** (1.0 / p - 0.5) / math.sqrt(2.0)
-    ok = ratio_sample >= ratio_floor * (1.0 - 1e-12)
+    defect = golay_defect(coeffs, partner)
+    ok = defect == 0 and ratio_sample >= ratio_floor * (1.0 - 1e-12)
     return ShiftPolyGap(
         k=k,
         d=d,
@@ -580,5 +604,6 @@ def shift_poly_gap(k: int, p: float) -> ShiftPolyGap:
         sup_sample=sup_sample,
         ratio_sample=ratio_sample,
         ratio_floor=ratio_floor,
+        golay_defect=defect,
         ok=ok,
     )

@@ -14,12 +14,15 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from lplab import acceptance
+from lplab import acceptance, constructions, operators
 from lplab.acceptance import CRITERIA, DEFAULT_SEED, criterion_norm_engine, run_battery
 from lplab.game import EigenfreeParams, play_game, verify_eigenfree_run
+from lplab.operators import op_norm_batch
 from lplab.reports import max_or_nan
+from lplab.spaces import PNorm
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +74,64 @@ def test_04_localization(battery):
     _check(battery, 4)
 
 
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_04_riesz_thorin_exact_cases(p):
+    """On these 3x5 matrices the bound equals the lp norm: all ones gives
+    3^(1/p) 5^(1/q), one column of ones 3^(1/p), one row of ones 5^(1/q),
+    and a diagonal its largest modulus."""
+    q = p / (p - 1.0)
+    col, row, diag = np.zeros((3, 3, 5), dtype=complex)
+    col[:, 2] = 1.0
+    row[1, :] = 1.0
+    diag[[0, 1, 2], [0, 1, 2]] = [0.5, -2.0j, 1.0]
+    stack = np.array([np.ones((3, 5)), col, row, diag])
+    expect = [3 ** (1 / p) * 5 ** (1 / q), 3 ** (1 / p), 5 ** (1 / q), 2.0]
+    np.testing.assert_allclose(
+        acceptance._riesz_thorin(stack, p), expect, rtol=1e-15
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_04_bound_dominates_fixed_point(seed):
+    """Each coupling block's Riesz-Thorin bound is at least the ascent's
+    value for the same block: an upper bound above a lower bound."""
+    for p in (3.0, 4.0):
+        _, blocks = acceptance._localization_draws(seed, p)
+        bounds = acceptance._riesz_thorin(blocks, p)
+        certs = op_norm_batch(blocks, PNorm.lp(p))
+        assert len(certs) == len(bounds) == 50
+        for bound, cert in zip(bounds, certs):
+            assert bound >= cert.value > 0.0
+
+
+@pytest.mark.parametrize("delta, status", [(3.0, "fail"), (0.5, "pass")])
+def test_04_negative_control(monkeypatch, delta, status):
+    """The bound check cannot fail for a delta that delta_for_B returns (it is
+    at most delta/(3 + delta), about 0.09 at the cap 1/2), so a radius far
+    outside the ball shows that it responds to delta: about 0.30 at 3.0."""
+    monkeypatch.setattr(acceptance, "delta_for_B", lambda *args: delta)
+    sec = acceptance.criterion_localization(DEFAULT_SEED)
+    assert sec.status == status
+    for rec in sec.records:
+        assert rec["delta"] == delta
+        assert rec["max_coupling_upper"] <= delta / (3.0 + delta)
+        assert (rec["max_coupling_upper"] < rec["eps"]) == (status == "pass")
+
+
+def test_04_runs_without_norm_ascent(monkeypatch, battery):
+    """The coupling bounds are closed form: c04 needs neither op_norm nor
+    op_norm_batch (build_B_eta_delta keeps its own binding for A's norm)."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("criterion 4 called a norm ascent")
+
+    monkeypatch.setattr(acceptance, "op_norm", refuse)
+    monkeypatch.setattr(acceptance, "op_norm_batch", refuse)
+    monkeypatch.setattr(operators, "op_norm_batch", refuse)
+    sec = acceptance.criterion_localization(DEFAULT_SEED)
+    assert sec == battery(4)[1]
+
+
 def test_05_circle_spectrum(battery):
     _check(battery, 5)
 
@@ -85,6 +146,27 @@ def test_07_kernel_greedy(battery):
 
 def test_08_flat_polynomials(battery):
     _check(battery, 8)
+    assert all(r["golay_defect"] == 0 for r in battery(8)[1].records)
+
+
+def test_08_flipped_golay_sign_fails(monkeypatch):
+    """One flipped sign in Q_k breaks the Golay identity, and with it c08,
+    though the sampled ratio of P_k alone still clears the floor."""
+    pair = constructions.rudin_shapiro_pair
+
+    def tampered(k):
+        P, Q = pair(k)
+        Q = Q.copy()
+        Q[-1] = -Q[-1]
+        return P, Q
+
+    monkeypatch.setattr(constructions, "rudin_shapiro_pair", tampered)
+    sec = acceptance.criterion_flat_polynomials(DEFAULT_SEED)
+    assert sec.status == "fail"
+    for rec in sec.records:
+        assert rec["golay_defect"] > 0
+        assert rec["ok"] is False
+        assert rec["ratio_sample"] >= rec["floor"]
 
 
 def test_09_game_nonsup(battery):

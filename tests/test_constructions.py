@@ -17,10 +17,11 @@ from lplab.constructions import (
     check_evenly_distributed,
     delta_for_B,
     dq_witness,
+    golay_defect,
     kan_check,
     kernel_vector_greedy,
     norm_lemma_constants,
-    rudin_shapiro,
+    rudin_shapiro_pair,
     shift_poly_gap,
     small_weight_delta,
 )
@@ -338,18 +339,37 @@ class TestDeltaForB:
 
 class TestFlatPolynomials:
     def test_recursion_small_cases(self):
-        np.testing.assert_array_equal(rudin_shapiro(0), [1])
-        np.testing.assert_array_equal(rudin_shapiro(1), [1, 1])
-        np.testing.assert_array_equal(rudin_shapiro(2), [1, 1, 1, -1])
-        np.testing.assert_array_equal(
-            rudin_shapiro(3), [1, 1, 1, -1, 1, 1, -1, 1]
-        )
+        cases = {
+            0: ([1], [1]),
+            1: ([1, 1], [1, -1]),
+            2: ([1, 1, 1, -1], [1, 1, -1, 1]),
+            3: ([1, 1, 1, -1, 1, 1, -1, 1], [1, 1, 1, -1, -1, -1, 1, -1]),
+        }
+        for k, (P, Q) in cases.items():
+            got = rudin_shapiro_pair(k)
+            np.testing.assert_array_equal(got[0], P)
+            np.testing.assert_array_equal(got[1], Q)
 
     def test_signs_and_length(self):
         for k in range(8):
-            c = rudin_shapiro(k)
-            assert len(c) == 2**k
-            assert set(np.unique(np.abs(c))) == {1}
+            for c in rudin_shapiro_pair(k):
+                assert len(c) == 2**k
+                assert set(np.unique(np.abs(c))) == {1}
+
+    def test_golay_pair(self):
+        for k in range(11):
+            P, Q = rudin_shapiro_pair(k)
+            assert P.dtype == Q.dtype == np.int64
+            assert golay_defect(P, Q) == 0
+
+    def test_any_flipped_sign_breaks_golay(self):
+        for k in range(1, 7):
+            P, Q = rudin_shapiro_pair(k)
+            for i in range(len(Q)):
+                Pf, Qf = P.copy(), Q.copy()
+                Pf[i], Qf[i] = -P[i], -Q[i]
+                assert golay_defect(Pf, Q) > 0, (k, i)
+                assert golay_defect(P, Qf) > 0, (k, i)
 
     def test_gap_record(self):
         for k in (3, 6, 9):
@@ -359,6 +379,7 @@ class TestFlatPolynomials:
             assert rec.orbit_norm == pytest.approx(float(d + 1), abs=TOL_EXACT)
             assert rec.sup_sample <= rec.sup_bound + 1e-9
             assert rec.ratio_sample >= rec.ratio_floor
+            assert rec.golay_defect == 0
             assert rec.ok
 
     def test_gap_grows_for_l1(self):

@@ -68,9 +68,9 @@ def test_upper_triangular_oracle_frozen():
 
 
 def test_rudin_shapiro_k2_coefficients():
-    from lplab.constructions import rudin_shapiro
+    from lplab.constructions import rudin_shapiro_pair
 
-    np.testing.assert_array_equal(rudin_shapiro(2), np.array([1, 1, 1, -1]))
+    np.testing.assert_array_equal(rudin_shapiro_pair(2)[0], np.array([1, 1, 1, -1]))
 
 
 def test_lambda_sets_against_partial_sums():
