@@ -1,10 +1,11 @@
 """Release acceptance battery: twelve in-process checks plus CLI determinism.
 
 Each criterion function runs a fixed, seeded experiment and returns a report
-Section whose records carry the measured quantities and per-check ``ok``
-flags at the stated tolerances.  ``run_battery`` stitches them into one
-Report; wall-clock budgets are asserted by the test suite and printed by the
-CLI, never stored in the report, so two runs with the same seed emit
+Section whose records are ``reports.check`` records: the measured quantity,
+its bound at the stated tolerance, and the evidence the number gives.
+``run_battery`` stitches them into one Report; wall-clock budgets are
+asserted by the test suite and printed by the CLI, never stored in the
+report, so two runs with the same seed emit
 byte-identical artifacts.  The thirteenth check — byte-identical reports from
 two identical command-line invocations — exercises the battery from the
 outside and lives in the test suite and CLI docs.
@@ -60,9 +61,9 @@ from .operators import (
     op_norm_oracle_batch,
     truncate,
 )
-from .reports import Report, Section, make_report, make_section, max_or_nan
+from .reports import Report, Section, check, make_report, make_section, max_or_nan
 from .spaces import IndexDomain, PNorm, SpVector, norm
-from .spectral import OmegaWeights, point_spectrum_SAomega
+from .spectral import OmegaWeights
 
 __all__ = [
     "CRITERIA",
@@ -131,15 +132,9 @@ def criterion_norm_engine(seed: int = DEFAULT_SEED) -> Section:
             if isinstance(cert, Exception):
                 raise cert
             worst = max_or_nan(worst, abs(cert.value - oracle[i]))
-        records.append(
-            {
-                "name": f"agreement[{pn.label()}]",
-                "samples": 200,
-                "max_diff": worst,
-                "tol": tol,
-                "ok": worst <= tol,
-            }
-        )
+        # elsewhere the oracle, and off p = 2 op_norm, is an ascent's lower bound
+        evidence = "exact" if exact else "consistency"
+        records.append(check(f"agreement[{pn.label()}]", worst, evidence, "<=", tol, samples=200))
     return make_section("norm_engine", records)
 
 
@@ -162,14 +157,7 @@ def criterion_kan_inequality(seed: int = DEFAULT_SEED) -> Section:
                 v = complex(rng.standard_normal(), rng.standard_normal())
                 if not kan_check(u, v, p):
                     violations += 1
-            records.append(
-                {
-                    "name": f"{branch}[p={p}]",
-                    "samples": 1000,
-                    "violations": violations,
-                    "ok": violations == 0,
-                }
-            )
+            records.append(check(f"{branch}[p={p}]", violations, "exact", "==", 0, samples=1000))
     return make_section("kan_inequality", records)
 
 
@@ -200,24 +188,11 @@ def criterion_doubled_operator(seed: int = DEFAULT_SEED) -> Section:
         if not passed:
             evenly_failures += 1
     records = [
-        {
-            "name": "op_norm_unit",
-            "configs": 50,
-            "max_dev": worst_norm,
-            "tol": 1e-6,
-            "ok": worst_norm <= 1e-6,
-        },
-        {
-            "name": "u0_gain_unit",
-            "max_dev": worst_gain,
-            "tol": 1e-9,
-            "ok": worst_gain <= 1e-9,
-        },
-        {
-            "name": "evenly_distributed",
-            "failures": evenly_failures,
-            "ok": evenly_failures == 0,
-        },
+        # off p = 2 op_norm is an ascent's lower bound, so its distance from 1
+        # is no certificate
+        check("op_norm_unit", worst_norm, "consistency", "<=", 1e-6, configs=50),
+        check("u0_gain_unit", worst_gain, "exact", "<=", 1e-9),
+        check("evenly_distributed", evenly_failures, "exact", "==", 0),
     ]
     return make_section("doubled_operator", records)
 
@@ -270,7 +245,8 @@ def criterion_localization(seed: int = DEFAULT_SEED) -> Section:
     ``max_coupling_upper`` is the largest Riesz-Thorin bound
     ||C||_1^(1/p) ||C||_inf^(1/q) over the coupling blocks C: an upper bound
     on each block's lp norm, exact up to the rounding of two sums and two
-    powers, so ``ok`` certifies every coupling below eps without an ascent.
+    powers, so its check certifies every coupling below eps without an
+    ascent.
     The check cannot fail for a delta that ``delta_for_B`` returns: B lives
     on 6 coordinates, so each block is a scaled corner of R and its bound is
     at most delta/(3 + delta) <= 1/7 at delta_for_B's cap delta = 1/2 (it
@@ -280,16 +256,18 @@ def criterion_localization(seed: int = DEFAULT_SEED) -> Section:
     for p in (3.0, 4.0):
         delta, blocks = _localization_draws(seed, p)
         worst = float(np.max(_riesz_thorin(blocks, p)))
+        records.append(check(f"delta_positive[p={p}]", delta, "exact", ">", 0.0))
         records.append(
-            {
-                "name": f"coupling[p={p}]",
-                "samples": _LOC_SAMPLES,
-                "delta": delta,
-                "eps": _LOC_EPS,
-                "window": _LOC_W,
-                "max_coupling_upper": worst,
-                "ok": 0.0 < delta and worst < _LOC_EPS,
-            }
+            check(
+                f"coupling[p={p}]",
+                worst,
+                "upper",
+                "<",
+                _LOC_EPS,
+                samples=_LOC_SAMPLES,
+                delta=delta,
+                window=_LOC_W,
+            )
         )
     return make_section("localization", records)
 
@@ -299,8 +277,16 @@ def criterion_localization(seed: int = DEFAULT_SEED) -> Section:
 
 
 def criterion_circle_spectrum(seed: int = DEFAULT_SEED) -> Section:
-    """No point spectrum on the closed-disk grid; truncation norms obey the
-    small-inside-weights bound."""
+    """No point spectrum in the closed unit disk; truncation norms obey the
+    small-inside-weights bound.
+
+    The point spectrum is decided in closed form.  An eigenvector's left
+    tail is continued by y_j = omega_j y_(j+2N+1) / lambda, whose terms grow
+    by left/|lambda| per step, and lambda = 0 forces the block part to
+    vanish; so for |lambda| <= left no eigenvector lies in lp (the ratio
+    test that ``spectral.lambda_sets`` applies).  With left >= 1 that covers
+    the closed unit disk.
+    """
     rng = np.random.default_rng(seed)
     p, N, eps = 2.5, 1, 0.3
     pn = PNorm.lp(p)
@@ -317,31 +303,20 @@ def criterion_circle_spectrum(seed: int = DEFAULT_SEED) -> Section:
     inside = {k: 0.9 * delta for k in range(-(3 * N + 1), N + 1)}
     omega = OmegaWeights(table=inside, left=1.0, right=1.0)
     S = build_S_A_omega(A, omega)
-
-    hits = 0
-    for r in np.arange(1, 11) / 10.0:
-        for t in np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False):
-            lam = complex(r * np.exp(1j * t))
-            if point_spectrum_SAomega(A, omega, lam) is not None:
-                hits += 1
     bound = max((na**p + eps**p) ** (1.0 / p), 1.0)
     Wd = materialize(S, -100, 100, -100, 100)
     val = op_norm(StructuredOperator.from_dense(Wd), pn).value
     records = [
-        {
-            "name": "no_point_spectrum_on_grid",
-            "grid_points": 200,
-            "hits": hits,
-            "ok": hits == 0,
-        },
-        {
-            "name": "truncation_norm_bound",
-            "size": 200,
-            "value": val,
-            "bound": bound,
-            "tol": 1e-8,
-            "ok": val <= bound + 1e-8,
-        },
+        check(
+            "no_point_spectrum_in_unit_disk",
+            omega.left,
+            "exact",
+            ">=",
+            1.0,
+            reason="ratio test: the left series diverges where |lambda| <= left weight",
+        ),
+        # val is a fixed-point ascent's value, a lower bound on the norm
+        check("truncation_norm_bound", val, "consistency", "<=", bound, slack=1e-8, size=200),
     ]
     return make_section("circle_spectrum", records)
 
@@ -382,22 +357,10 @@ def criterion_coisometry(seed: int = DEFAULT_SEED) -> Section:
                 sup = max(abs(v) for _, v in xstar.entries)
                 worst_dual = max_or_nan(worst_dual, abs(dual_sup_norm(T, xstar) - sup))
         records.append(
-            {
-                "name": f"{variant}_norm_exact",
-                "operators": 20,
-                "max_dev": worst_norm,
-                "tol": 1e-12,
-                "ok": worst_norm <= 1e-12,
-            }
+            check(f"{variant}_norm_exact", worst_norm, "exact", "<=", 1e-12, operators=20)
         )
         records.append(
-            {
-                "name": f"{variant}_dual_preservation",
-                "duals": 100,
-                "max_dev": worst_dual,
-                "tol": 1e-12,
-                "ok": worst_dual <= 1e-12,
-            }
+            check(f"{variant}_dual_preservation", worst_dual, "exact", "<=", 1e-12, duals=100)
         )
     return make_section("coisometry", records)
 
@@ -430,20 +393,11 @@ def criterion_kernel_greedy(seed: int = DEFAULT_SEED) -> Section:
         T = dq_witness(T0, q, alpha, Ns)
         try:
             x, trace = kernel_vector_greedy(T, alpha, Ns, max_l=20)
-            residual = norm(apply(T, x), PNorm.lp(1.0))
-            ok = len(trace) == 20 and residual < alpha[21]
-        except SearchExhausted as exc:
-            residual, ok = math.inf, False
-            trace = []
-        records.append(
-            {
-                "name": f"greedy[seed={s}]",
-                "steps": len(trace),
-                "residual": residual,
-                "bound": alpha[21],
-                "ok": ok,
-            }
-        )
+            steps, residual = len(trace), norm(apply(T, x), PNorm.lp(1.0))
+        except SearchExhausted:
+            steps, residual = 0, math.inf
+        records.append(check(f"greedy_steps[seed={s}]", steps, "exact", "==", 20))
+        records.append(check(f"greedy_residual[seed={s}]", residual, "exact", "<", alpha[21]))
     return make_section("kernel_greedy", records)
 
 
@@ -454,30 +408,29 @@ def criterion_kernel_greedy(seed: int = DEFAULT_SEED) -> Section:
 def criterion_flat_polynomials(seed: int = DEFAULT_SEED) -> Section:
     """Orbit-to-sup gap of the flat sign polynomials, k = 3..10 at p = 1.
 
-    The floor is certified exactly: ``golay_defect`` 0 means (P_k, Q_k) is a
-    Golay pair in integer arithmetic, so sup |P_k| <= sqrt(2(d+1)) and the
-    ratio (d+1)/sup |P_k| is at least the floor.  ``ratio_sample`` divides
-    by the largest of 4,096 FFT samples, so it is a diagnostic upper bound
-    on the ratio, not evidence for the floor.
+    The floor is certified exactly: a ``golay_defect`` of 0 means (P_k, Q_k)
+    is a Golay pair in integer arithmetic, so sup |P_k| <= sqrt(2(d+1)) and
+    the ratio (d+1)/sup |P_k| is at least the floor.  ``ratio_sample``
+    divides by the largest of 4,096 FFT samples, so it is an upper bound on
+    the ratio and its check against the floor is a consistency check only.
     """
     records = []
     for k in range(3, 11):
         rec = shift_poly_gap(k, 1.0)
         d = rec.d
         floor = math.sqrt(d + 1.0) / math.sqrt(2.0)
-        exact = abs(rec.orbit_norm - (d + 1.0)) <= 1e-12 * (d + 1.0)
+        records.append(check(f"golay_defect[k={k}]", rec.golay_defect, "exact", "==", 0, degree=d))
         records.append(
-            {
-                "name": f"gap[k={k}]",
-                "degree": d,
-                "orbit_norm": rec.orbit_norm,
-                "ratio_sample": rec.ratio_sample,
-                "floor": floor,
-                "golay_defect": rec.golay_defect,
-                # rec.ok requires golay_defect == 0
-                "ok": bool(rec.ok and exact and rec.ratio_sample >= floor),
-            }
+            check(
+                f"orbit_norm[k={k}]",
+                rec.orbit_norm,
+                "exact",
+                "==",
+                d + 1.0,
+                slack=1e-12 * (d + 1.0),
+            )
         )
+        records.append(check(f"ratio_sample[k={k}]", rec.ratio_sample, "consistency", ">=", floor))
     return make_section("flat_polynomials", records)
 
 
@@ -486,10 +439,18 @@ def criterion_flat_polynomials(seed: int = DEFAULT_SEED) -> Section:
 
 
 def _game_subsections(rep: dict) -> list[dict]:
-    out = []
-    for sec in rep["sections"]:
-        out.append({"name": sec["name"], "status": sec["status"], "ok": sec["status"] == "pass"})
-    return out
+    """One record per verification section: the count of its failed checks."""
+    return [
+        check(
+            sec["name"],
+            sum(1 for r in sec["records"] if r.get("ok") is False),
+            "exact",
+            "==",
+            0,
+            status=sec["status"],
+        )
+        for sec in rep["sections"]
+    ]
 
 
 def criterion_game_nonsup(seed: int = DEFAULT_SEED) -> Section:
@@ -498,7 +459,7 @@ def criterion_game_nonsup(seed: int = DEFAULT_SEED) -> Section:
     run = play_game("nonsup", rounds=3, seed=seed, adversary="random")
     rep = verify_nonsup_run(run)
     records = _game_subsections(rep)
-    records.append({"name": "overall", "n_max": run.side[-1].L, "ok": rep["ok"]})
+    records.append(check("overall", rep["ok"], "exact", "==", True, n_max=run.side[-1].L))
     return make_section("game_nonsup", records)
 
 
@@ -521,14 +482,17 @@ def criterion_game_eigenfree(seed: int = DEFAULT_SEED) -> Section:
     screen = next(s for s in rep["sections"] if s["name"] == "eigen_screen")
     counts = next(r for r in screen["records"] if "counts" in r)["counts"]
     records.append(
-        {
-            "name": "screen_rejections",
-            "counts": counts,
-            "window": 128,
-            "ok": counts.get("violation", 0) == 0,
-        }
+        check(
+            "screen_rejections",
+            counts.get("violation", 0),
+            "exact",
+            "==",
+            0,
+            counts=counts,
+            window=128,
+        )
     )
-    records.append({"name": "certified", "ok": bool(rep["certified"])})
+    records.append(check("certified", rep["certified"], "exact", "==", True))
 
     toy_run = play_game(
         "eigenfree",
@@ -538,15 +502,10 @@ def criterion_game_eigenfree(seed: int = DEFAULT_SEED) -> Section:
         adversary="passthrough",
     )
     toy_rep = verify_eigenfree_run(toy_run)
-    records.append(
-        {
-            "name": "toy_pipeline",
-            "rounds": 4,
-            "label": "NON-CERTIFIED",
-            "certified": bool(toy_rep["certified"]),
-            "ok": toy_rep["ok"] and not toy_rep["certified"],
-        }
-    )
+    toy = {"rounds": 4, "label": "NON-CERTIFIED"}
+    records.append(check("toy_pipeline_verified", toy_rep["ok"], "exact", "==", True, **toy))
+    certified = toy_rep["certified"]
+    records.append(check("toy_pipeline_not_certified", certified, "exact", "==", False, **toy))
     return make_section("game_eigenfree", records)
 
 
@@ -580,31 +539,10 @@ def criterion_commutant_witness(seed: int = DEFAULT_SEED) -> Section:
                 worst_eigen = max_or_nan(worst_eigen, resid)
                 worst_pair = max_or_nan(worst_pair, witness_pairing_residual(wit, f))
     records = [
-        {
-            "name": "bezout_residual",
-            "witnesses": 60,
-            "max": worst_bezout,
-            "tol": 1e-8,
-            "ok": worst_bezout < 1e-8,
-        },
-        {
-            "name": "eigen_residual_f_w",
-            "grid_points": len(grid),
-            "max": worst_eigen,
-            "tol": 1e-8,
-            "ok": worst_eigen < 1e-8,
-        },
-        {
-            "name": "pairing_unit",
-            "max": worst_pair,
-            "tol": 1e-8,
-            "ok": worst_pair < 1e-8,
-        },
-        {
-            "name": "krylov_rank_full",
-            "failures": rank_failures,
-            "ok": rank_failures == 0,
-        },
+        check("bezout_residual", worst_bezout, "exact", "<", 1e-8, witnesses=60),
+        check("eigen_residual_f_w", worst_eigen, "exact", "<", 1e-8, grid_points=len(grid)),
+        check("pairing_unit", worst_pair, "exact", "<", 1e-8),
+        check("krylov_rank_full", rank_failures, "exact", "==", 0),
     ]
     return make_section("commutant_witness", records)
 
@@ -648,26 +586,17 @@ def criterion_triangularization(seed: int = DEFAULT_SEED) -> Section:
         ):
             hess_failures += 1
     records = [
-        {
-            "name": "t1_reproduced",
-            "operators": 20,
-            "max_dev": t1_dev,
-            "tol": 1e-12,
-            "ok": t1_dev <= 1e-12,
-        },
-        {
-            "name": "hessenberg_positive_subdiagonal",
-            "operators": 20,
-            "dim": D,
-            "failures": hess_failures,
-            "ok": hess_failures == 0,
-        },
-        {
-            "name": "unitary_factor",
-            "max_dev": unitary_dev,
-            "tol": 1e-10,
-            "ok": unitary_dev <= 1e-10,
-        },
+        check("t1_reproduced", t1_dev, "exact", "<=", 1e-12, operators=20),
+        check(
+            "hessenberg_positive_subdiagonal",
+            hess_failures,
+            "exact",
+            "==",
+            0,
+            operators=20,
+            dim=D,
+        ),
+        check("unitary_factor", unitary_dev, "exact", "<=", 1e-10),
     ]
     return make_section("triangularization", records)
 

@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .reports import max_or_nan, min_or_nan, section_status
+from .reports import check, max_or_nan, min_or_nan, section_status
 from .spectral import eigs_dense
 
 __all__ = [
@@ -437,17 +437,14 @@ class EigenfreeParams:
 
     def validate(self) -> list[dict]:
         """Winning-parameter inequalities, each as a check record."""
-        a0 = self.alpha(0)
-        checks = [
-            ("c_small", self.c, 1.0 / 24.0, self.c < 1.0 / 24.0),
-            ("eta_large", 16.0 * self.c, self.eta, self.eta >= 16.0 * self.c),
-            ("threshold_below_one", self.threshold(), 1.0, self.threshold() < 1.0),
-            ("C_large", 4.0 / self.eta, self.C, self.C > 4.0 / self.eta),
-            ("alpha0_range", a0, 0.5, 0.0 < a0 <= 0.5),
-        ]
+        a0 = float(self.alpha(0))
         return [
-            {"name": n, "lhs": float(l), "rhs": float(r), "ok": bool(ok)}
-            for n, l, r, ok in checks
+            check("c_small", float(self.c), "exact", "<", 1.0 / 24.0),
+            check("eta_large", float(self.eta), "exact", ">=", 16.0 * self.c),
+            check("threshold_below_one", float(self.threshold()), "exact", "<", 1.0),
+            check("C_large", float(self.C), "exact", ">", 4.0 / self.eta),
+            check("alpha0_positive", a0, "exact", ">", 0.0),
+            check("alpha0_at_most_half", a0, "exact", "<=", 0.5),
         ]
 
     def certify_product(self, K: int) -> dict:
@@ -725,13 +722,34 @@ def play_game(
 # ---------------------------------------------------------------------------
 
 
-def _check(name: str, lhs: float, rhs: float, slack: float) -> dict:
-    return {
-        "name": name,
-        "lhs": float(lhs),
-        "rhs": float(rhs),
-        "ok": bool(lhs <= rhs + slack),
-    }
+def _legality_checks(run: GameRun) -> list[dict]:
+    """One record per consecutive pair of moves: is the later one legal?"""
+    out = []
+    for i in range(len(run.moves) - 1):
+        (who, prev), (who_next, nxt) = run.moves[i], run.moves[i + 1]
+        legal = bool(legal_move(prev, nxt))
+        out.append(check(f"move_{i}_{who}_to_{who_next}", legal, "exact", "==", True))
+    return out
+
+
+def _membership_checks(run: GameRun, blk: GameBlock) -> list[dict]:
+    """The limit block lies in every played set and is a c0 contraction."""
+    out = [
+        check(f"member_window_{S.N}", bool(block_ball_member(blk, S)), "exact", "==", True)
+        for _, S in run.moves
+    ]
+    out.append(check("c0_operator_norm", block_norm_c0(blk), "exact", "<=", 1.0, _NORM_TOL))
+    return out
+
+
+def _verification(parts: dict[str, list[dict]], certified: bool) -> dict:
+    """The verification report: one section per part, ok when all pass."""
+    sections = [
+        {"name": name, "status": section_status(recs), "records": recs}
+        for name, recs in parts.items()
+    ]
+    ok = all(s["status"] == "pass" for s in sections)
+    return {"ok": ok, "certified": bool(certified and ok), "sections": sections}
 
 
 def _row_coupling_checks(blk: GameBlock) -> list[dict]:
@@ -748,6 +766,10 @@ def _row_coupling_checks(blk: GameBlock) -> list[dict]:
         for r, v in ents:
             bucket = rows.setdefault(r, {})
             bucket[j] = bucket.get(j, 0.0) + abs(v)
+
+    def at_most(name: str, mass: float, bound: float) -> dict:
+        return check(name, float(mass), "exact", "<=", bound, _EXACT_SLACK)
+
     out: list[dict] = []
     for rd in blk.rounds:
         worst_spoke = 0.0
@@ -764,22 +786,8 @@ def _row_coupling_checks(blk: GameBlock) -> list[dict]:
                 excluded = {r - 1}
                 mass = sum(v for j, v in per_col.items() if j not in excluded)
                 worst_chain = max_or_nan(worst_chain, mass)
-        out.append(
-            _check(
-                f"round{rd.k}_spoke_row_complement",
-                worst_spoke,
-                2.0 * rd.eps_next,
-                _EXACT_SLACK,
-            )
-        )
-        out.append(
-            _check(
-                f"round{rd.k}_chain_row_complement",
-                worst_chain,
-                rd.eps_next,
-                _EXACT_SLACK,
-            )
-        )
+        out.append(at_most(f"round{rd.k}_spoke_row_complement", worst_spoke, 2.0 * rd.eps_next))
+        out.append(at_most(f"round{rd.k}_chain_row_complement", worst_chain, rd.eps_next))
         # spot samples: recompute a few family rows entry-by-entry
         for i in sorted({1, 2, rd.L // 2, rd.L}):
             if not 1 <= i <= rd.L:
@@ -788,14 +796,7 @@ def _row_coupling_checks(blk: GameBlock) -> list[dict]:
             mass = sum(
                 v for j, v in rows.get(r, {}).items() if j not in (rd.k, r)
             )
-            out.append(
-                _check(
-                    f"round{rd.k}_spoke_row_sample_i{i}",
-                    mass,
-                    2.0 * rd.eps_next,
-                    _EXACT_SLACK,
-                )
-            )
+            out.append(at_most(f"round{rd.k}_spoke_row_sample_i{i}", mass, 2.0 * rd.eps_next))
     return out
 
 
@@ -837,25 +838,8 @@ def verify_eigenfree_run(run: GameRun) -> dict:
     blk = run.final_set.A
     parts: dict[str, list[dict]] = {}
 
-    # -- legality ----------------------------------------------------------
-    legal = [
-        {
-            "name": f"move_{i}_{run.moves[i][0]}_to_{run.moves[i + 1][0]}",
-            "ok": bool(legal_move(run.moves[i][1], run.moves[i + 1][1])),
-        }
-        for i in range(len(run.moves) - 1)
-    ]
-    parts["legality"] = legal
-
-    # -- membership and norm ------------------------------------------------
-    member = [
-        {"name": f"member_window_{S.N}", "ok": bool(block_ball_member(blk, S))}
-        for _, S in run.moves
-    ]
-    member.append(
-        _check("c0_operator_norm", block_norm_c0(blk), 1.0, _NORM_TOL)
-    )
-    parts["membership"] = member
+    parts["legality"] = _legality_checks(run)
+    parts["membership"] = _membership_checks(run, blk)
 
     # -- row coupling --------------------------------------------------------
     parts["row_coupling"] = _row_coupling_checks(blk)
@@ -863,15 +847,16 @@ def verify_eigenfree_run(run: GameRun) -> dict:
     # -- parameters ----------------------------------------------------------
     pchecks = params.validate()
     product = params.certify_product(run.rounds_played)
-    pchecks.append(
-        {
-            "name": "round_product_vs_threshold",
-            "lhs": product["threshold"],
-            "rhs": product["partial_product"],
-            "ok": bool(product["partial_product"] >= product["threshold"]),
-        }
-    )
-    pchecks.append({"name": "product_certificate", "ok": True, **product})
+    threshold = product.pop("threshold")
+    # every factor is below 1, so the partial product is an upper bound on
+    # the infinite product: a necessary condition only
+    partial = product["partial_product"]
+    pchecks.append(check("round_product_vs_threshold", partial, "consistency", ">=", threshold))
+    if product["certified_lower_bound"] is None:  # explicit alphas: no bound to check
+        pchecks.append({"name": "product_certificate", "threshold": threshold, **product})
+    else:
+        lower = product.pop("certified_lower_bound")
+        pchecks.append(check("product_certificate", lower, "lower", ">=", threshold, **product))
     parts["parameters"] = pchecks
 
     # -- eigenpair screen ----------------------------------------------------
@@ -926,23 +911,13 @@ def verify_eigenfree_run(run: GameRun) -> dict:
                     "rounds": [rd.k for rd in engaged],
                 }
             )
-    screen = [
-        {
-            "name": "truncation_eigenpairs",
-            "ok": counts["violation"] == 0,
-            "window": D_eff,
-            "counts": counts,
-            "violations": violations,
-        }
+    parts["eigen_screen"] = [
+        check(
+            "truncation_eigenpairs", counts["violation"], "exact", "==", 0,
+            window=D_eff, counts=counts, violations=violations,
+        )
     ]
-    parts["eigen_screen"] = screen
-
-    sections = [
-        {"name": name, "status": section_status(recs), "records": recs}
-        for name, recs in parts.items()
-    ]
-    ok = all(s["status"] == "pass" for s in sections)
-    return {"ok": ok, "certified": bool(run.certified and ok), "sections": sections}
+    return _verification(parts, run.certified)
 
 
 # ---------------------------------------------------------------------------
@@ -1010,7 +985,7 @@ def verify_nonsup_run(run: GameRun, n_direct: int = 100_000) -> dict:
     stacked product of P with the block's start vectors, and each block is
     reduced with whole-array abs and max.  Blocked powers round differently
     from the repeated gemv of a stepwise walk, so the orbit's last bits (and
-    the ``lhs``/``rhs`` fields read from it) depend on B; no check outcome
+    the ``value`` fields read from it) depend on B; no check outcome
     does, as the drift is orders of magnitude inside ``_ORBIT_SLACK``.  The
     ``exact_floor_direct_range`` record carries ``block_seam``: the largest
     ||M v_end - v_next||_inf over the block seams, where v_end is a block's
@@ -1033,30 +1008,23 @@ def verify_nonsup_run(run: GameRun, n_direct: int = 100_000) -> dict:
     n_cap = min(n_max, n_direct)
     parts: dict[str, list[dict]] = {}
 
-    # -- legality + membership ----------------------------------------------
-    legal = [
-        {
-            "name": f"move_{i}",
-            "ok": bool(legal_move(run.moves[i][1], run.moves[i + 1][1])),
-        }
-        for i in range(len(run.moves) - 1)
-    ]
-    member = [
-        {"name": f"member_window_{S.N}", "ok": bool(block_ball_member(blk, S))}
-        for _, S in run.moves
-    ]
-    member.append(_check("c0_operator_norm", block_norm_c0(blk), 1.0, _NORM_TOL))
-    parts["legality"] = legal
-    parts["membership"] = member
+    def exact_check(name: str, value: float, bound: float, **fields) -> dict:
+        """A closed-form quantity bounded above, with the rounding slack."""
+        return check(name, value, "exact", "<=", bound, _EXACT_SLACK, **fields)
+
+    def orbit_check(name: str, value: float, bound: float = 0.0, **fields) -> dict:
+        """An orbit quantity bounded above, with the orbit-iteration slack."""
+        return check(name, float(value), "exact", "<=", bound, _ORBIT_SLACK, **fields)
+
+    parts["legality"] = _legality_checks(run)
+    parts["membership"] = _membership_checks(run, blk)
 
     # -- diagonal-row coupling (exact sparse sums) ---------------------------
     coupling = []
     for rec in side:
         r = rec.N + 1
         mass = float(np.sum(np.abs(M[r, :]))) - float(abs(M[r, r]))
-        coupling.append(
-            _check(f"round{rec.k}_row_complement", mass, rec.eps_next, _EXACT_SLACK)
-        )
+        coupling.append(exact_check(f"round{rec.k}_row_complement", mass, rec.eps_next))
     parts["row_coupling"] = coupling
 
     # -- orbit iteration ------------------------------------------------------
@@ -1136,14 +1104,9 @@ def verify_nonsup_run(run: GameRun, n_direct: int = 100_000) -> dict:
         live[0] = False
         margin = float(np.min(coords[kk][live] - bound[live])) if live.any() else None
         checks.append(
-            {
-                "name": f"round{rec.k}_coordinate_floor",
-                "lhs": -gap,
-                "rhs": 0.0,
-                "ok": bool(gap >= -_ORBIT_SLACK),
-                "checked_n": int(n_cap),
-                "min_gap_n_ge_1": margin,
-            }
+            orbit_check(
+                f"round{rec.k}_coordinate_floor", -gap, checked_n=int(n_cap), min_gap_n_ge_1=margin
+            )
         )
     parts["coordinate_floor"] = checks
 
@@ -1160,35 +1123,12 @@ def verify_nonsup_run(run: GameRun, n_direct: int = 100_000) -> dict:
         worst_decay = float(
             np.max(prefix_peak[kk, 1 : span + 1] - decay, initial=-math.inf)
         )
-        pref.append(
-            {
-                "name": f"round{rec.k}_prefix_spill",
-                "lhs": worst_spill,
-                "rhs": 0.0,
-                "ok": bool(worst_spill <= _ORBIT_SLACK),
-                "checked_n": span,
-            }
-        )
-        pref.append(
-            {
-                "name": f"round{rec.k}_prefix_decay",
-                "lhs": worst_decay,
-                "rhs": 0.0,
-                "ok": bool(worst_decay <= _ORBIT_SLACK),
-                "checked_n": span,
-            }
-        )
+        pref.append(orbit_check(f"round{rec.k}_prefix_spill", worst_spill, checked_n=span))
+        pref.append(orbit_check(f"round{rec.k}_prefix_decay", worst_decay, checked_n=span))
     for kk in range(1, K):
         ckpt = side[kk - 1].L
         if ckpt <= n_cap:
-            pref.append(
-                _check(
-                    f"norm_checkpoint_k{kk}",
-                    full[ckpt],
-                    2.0 ** (-(kk - 1)),
-                    _ORBIT_SLACK,
-                )
-            )
+            pref.append(orbit_check(f"norm_checkpoint_k{kk}", full[ckpt], 2.0 ** (-(kk - 1))))
     parts["prefix_bounds"] = pref
 
     # 8:1 norm-to-coordinate ratio on each round's range
@@ -1201,13 +1141,9 @@ def verify_nonsup_run(run: GameRun, n_direct: int = 100_000) -> dict:
         seg = slice(lo_n, hi_n)
         worst = float(np.max(full[seg] - 8.0 * coords[kk][seg]))
         ratio_checks.append(
-            {
-                "name": f"round{rec.k}_norm_coordinate_ratio",
-                "lhs": worst,
-                "rhs": 0.0,
-                "ok": bool(worst <= _ORBIT_SLACK),
-                "checked_n": [int(lo_n), int(hi_n - 1)],
-            }
+            orbit_check(
+                f"round{rec.k}_norm_coordinate_ratio", worst, checked_n=[int(lo_n), int(hi_n - 1)]
+            )
         )
     parts["norm_coordinate_ratio"] = ratio_checks
 
@@ -1215,81 +1151,53 @@ def verify_nonsup_run(run: GameRun, n_direct: int = 100_000) -> dict:
     floor_checks: list[dict] = []
     a_arr, s_arr = head, rest
     exact_inf = np.where(a_arr + s_arr > 0, s_arr / (a_arr + s_arr), 1.0)
+    seam_info = {
+        "role": "consistency diagnostic, not a drift bound",
+        "block": B,
+        "seams": seams,
+        "max_residual": seam,
+    }
     floor_checks.append(
-        {
-            "name": "exact_floor_direct_range",
-            "lhs": 1.0 / 9.0,
-            "rhs": float(np.min(exact_inf)),
-            "ok": bool(np.min(exact_inf) >= 1.0 / 9.0 - _ORBIT_SLACK),
-            "checked_n": int(n_cap),
-            "block_seam": {
-                "role": "consistency diagnostic, not a drift bound",
-                "block": B,
-                "seams": seams,
-                "max_residual": seam,
-            },
-        }
+        check(
+            "exact_floor_direct_range", float(np.min(exact_inf)), "exact", ">=", 1.0 / 9.0,
+            _ORBIT_SLACK, checked_n=int(n_cap), block_seam=seam_info,
+        )
     )
+    # a grid minimum over lambda is an upper bound on the infimum
     floor_checks.append(
-        {
-            "name": "grid_floor_subsample",
-            "lhs": 1.0 / 9.0,
-            "rhs": worst_grid,
-            # a NaN gap means a grid value could not be compared with its exact one
-            "ok": bool(worst_grid >= 1.0 / 9.0 - _ORBIT_SLACK and not math.isnan(worst_mismatch)),
-            "sampled_n": ts,
-            "grid": _FLOOR_GRID,
-            "max_gap_to_exact": worst_mismatch,
-        }
+        check(
+            "grid_floor_subsample", worst_grid, "consistency", ">=", 1.0 / 9.0, _ORBIT_SLACK,
+            sampled_n=ts, grid=_FLOOR_GRID,
+        )
     )
+    # the gap is a modulus, so this fails only on NaN: a grid value that could
+    # not be compared with its exact one
+    floor_checks.append(check("grid_floor_gap_to_exact", worst_mismatch, "exact", ">=", 0.0))
 
     # analytic certification beyond the direct range
     if n_max > n_cap:
         cert: list[dict] = []
-        covered = True
         for kk, rec in enumerate(side):
             lo_n = side[kk - 1].L if kk > 0 else 0
             if rec.L <= n_cap:
                 continue
-            lhs1 = 2.0 * rec.L * rec.eps_next
-            rhs1 = (rec.eps / 2.0) * (1.0 - rec.eps / 2.0) ** rec.L
-            rhs2 = 2.0 ** (-(rec.k + 2))
-            ckpt_ok = (
-                full[lo_n] <= 2.0 ** (-(rec.k - 1)) + _ORBIT_SLACK
-                if lo_n <= n_cap
-                else True
-            )
-            ok = lhs1 <= rhs1 + _EXACT_SLACK and rhs1 <= rhs2 + _EXACT_SLACK and ckpt_ok
-            covered = covered and ok
-            cert.append(
-                {
-                    "name": f"round{rec.k}_tail_certificate",
-                    "coupling_lhs": lhs1,
-                    "coupling_mid": rhs1,
-                    "coordinate_floor": rhs2,
-                    "norm_checkpoint_ok": bool(ckpt_ok),
-                    "range": [int(max(lo_n, n_cap + 1)), rec.L - 1],
-                    "implied_floor": 1.0 / 9.0,
-                    "ok": bool(ok),
-                }
-            )
+            name, mid = f"round{rec.k}_tail", (rec.eps / 2.0) * (1.0 - rec.eps / 2.0) ** rec.L
+            tail = {"range": [max(lo_n, n_cap + 1), rec.L - 1], "implied_floor": 1.0 / 9.0}
+            cert.append(exact_check(f"{name}_coupling", 2.0 * rec.L * rec.eps_next, mid, **tail))
+            cert.append(exact_check(f"{name}_coordinate_floor", mid, 2.0 ** (-(rec.k + 2)), **tail))
+            if lo_n <= n_cap:
+                ckpt = 2.0 ** (-(rec.k - 1))
+                cert.append(orbit_check(f"{name}_norm_checkpoint", full[lo_n], ckpt, **tail))
+        failed = sum(1 for c in cert if not c["ok"])
         floor_checks.append(
-            {
-                "name": "certified_floor_tail_range",
-                "ok": bool(covered),
-                "n_direct": int(n_cap),
-                "n_max": int(n_max),
-                "certificates": cert,
-            }
+            check(
+                "certified_floor_tail_range", failed, "exact", "==", 0,
+                n_direct=int(n_cap), n_max=int(n_max), certificates=cert,
+            )
         )
     parts["scaled_orbit_floor"] = floor_checks
 
-    sections = [
-        {"name": name, "status": section_status(recs), "records": recs}
-        for name, recs in parts.items()
-    ]
-    ok = all(s["status"] == "pass" for s in sections)
-    return {"ok": ok, "certified": ok, "sections": sections}
+    return _verification(parts, True)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .operators import _row_norms, op_norm_batch
-from .reports import Report, Section, make_report, make_section
+from .reports import Report, Section, check, make_report, make_section
 from .spaces import PNorm
 
 __all__ = [
@@ -189,8 +189,9 @@ def _map_samples(
     The samples are normalised NORMALISE_CHUNK at a time through
     ``op_norm_batch``, which gives each the bits it gets alone; only one
     chunk's matrices are held at once.  An exception, from the
-    normalisation or from fn, becomes that sample's error record with
-    ok=False instead of aborting; results come back in sample-index order.
+    normalisation or from fn, becomes that sample's failed error record (one
+    error, checked against 0) instead of aborting; results come back in
+    sample-index order.
     """
     streams = np.random.SeedSequence(cfg.seed).spawn(max(cfg.samples, 1))
     records: list[dict[str, Any]] = []
@@ -203,13 +204,16 @@ def _map_samples(
                     raise M
                 rec = fn(i, M)
             except Exception as exc:  # propagate per sample, keep the suite alive
-                records.append(
-                    {"sample": i, "error": f"{type(exc).__name__}: {exc}", "ok": False}
-                )
+                records.append(_error_record("sample_error", exc, sample=i))
                 continue
             rec.setdefault("sample", i)
             records.append(rec)
     return records
+
+
+def _error_record(name: str, exc: Exception, **fields: Any) -> dict[str, Any]:
+    """A failed check: one error, counted against none."""
+    return check(name, 1, "exact", "==", 0, error=f"{type(exc).__name__}: {exc}", **fields)
 
 
 def _summary(values: Sequence[float]) -> dict[str, float | None]:
@@ -259,12 +263,15 @@ def exp_orbit_decay(cfg: ExperimentConfig) -> Section:
         monotone = bool(
             np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-9) + 1e-15)
         )
-        return {
-            "final_norm": float(norms[-1]),
-            "half_norm": float(norms[ORBIT_STEPS // 2]),
-            "monotone": monotone,
-            "ok": monotone,
-        }
+        return check(
+            "monotone",
+            monotone,
+            "exact",
+            "==",
+            True,
+            final_norm=float(norms[-1]),
+            half_norm=float(norms[ORBIT_STEPS // 2]),
+        )
 
     records = _map_samples(cfg, one)
     finals = [r["final_norm"] for r in records if "final_norm" in r]
@@ -294,14 +301,10 @@ def exp_eigen_stats(cfg: ExperimentConfig) -> Section:
         moduli = np.abs(np.linalg.eigvals(M))
         rad = float(moduli.max()) if moduli.size else 0.0
         counts, _ = np.histogram(np.clip(moduli, 0.0, 1.0), bins=bins)
-        return {
-            "spectral_radius": rad,
-            "hist": counts,
-            "ok": rad <= 1.0 + 1e-8,
-        }
+        return check("spectral_radius", rad, "exact", "<=", 1.0, slack=1e-8, hist=counts)
 
     records = _map_samples(cfg, one)
-    radii = [r["spectral_radius"] for r in records if "spectral_radius" in r]
+    radii = [r["value"] for r in records if r.get("name") == "spectral_radius"]
     for r in records:
         if "hist" in r:
             hist_total += np.asarray(r["hist"], dtype=int)
@@ -635,14 +638,7 @@ def run_suite(
         except Exception as exc:
             sections.append(
                 make_section(
-                    name,
-                    [
-                        {
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "config": cfg.to_dict(),
-                            "ok": False,
-                        }
-                    ],
+                    name, [_error_record("experiment_error", exc, config=cfg.to_dict())]
                 )
             )
             continue

@@ -33,6 +33,7 @@ from .spaces import (
     SpVector,
     _merge_tails,
     add,
+    _repair_norms,
     dense_norm,
     norm,
     pairing,
@@ -582,9 +583,18 @@ def _row_norms(Z: np.ndarray, p: float) -> np.ndarray:
     The sum runs over the contiguous last axis, which numpy adds up in the
     same order as a lone vector.  The root is taken on Python floats because
     numpy's array ``pow`` can differ from the scalar one in the last bit.
+    Rows whose power sum under- or overflowed are summed again scaled by
+    their largest modulus, as in ``dense_norm``.  Unlike ``dense_norm`` this
+    sits in the fixed-point loop, which already holds
+    ``np.errstate(over="ignore")``; other callers whose rows may overflow
+    hold it too.
     """
     r = 1.0 / p
-    return np.array([s ** r for s in np.sum(np.abs(Z) ** p, axis=-1).tolist()])
+    A = np.abs(Z)
+    sums = np.sum(A**p, axis=-1)
+    out = [s**r for s in sums.tolist()]
+    _repair_norms(A, sums, out, p)
+    return np.array(out)
 
 
 def _matvec_slices(Ms: np.ndarray, Z: np.ndarray, bounds: list[int]) -> np.ndarray:

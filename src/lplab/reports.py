@@ -4,7 +4,8 @@ Every machine-readable artifact the laboratory emits goes through this
 module so that two runs with the same seed produce byte-identical output.
 A report is a small tree: metadata (tool version, seed, config hash,
 timestamp) plus a list of named sections, each carrying structured records
-and a pass/fail/info status.
+and a pass/fail/info status.  Every record that carries ``ok`` is built by
+``check``, which also states what the checked number is evidence of.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ __all__ = [
     "canonical_json",
     "config_hash",
     "build_timestamp",
+    "EVIDENCE",
+    "check",
     "section_status",
     "max_or_nan",
     "min_or_nan",
@@ -45,6 +48,26 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 _STATUSES = ("pass", "fail", "info")
+
+# What a checked value is, relative to the quantity it stands for:
+#   exact        the quantity itself, up to the rounding of its own arithmetic
+#                (counts, integer identities, closed forms, exact norms);
+#   lower/upper  a one-sided bound on the quantity;
+#   bracket      the quantity lies within the record's stated bracket;
+#   consistency  a necessary condition only: passing does not certify the claim.
+EVIDENCE = ("exact", "lower", "upper", "bracket", "consistency")
+
+# ok = value op bound, with the slack on the passing side
+_OPS = {
+    "<=": lambda v, b, s: v <= b + s,
+    "<": lambda v, b, s: v < b + s,
+    ">=": lambda v, b, s: v >= b - s,
+    ">": lambda v, b, s: v > b - s,
+    "==": lambda v, b, s: abs(v - b) <= s,
+}
+# A lower bound on a quantity cannot show that the quantity is small, nor an
+# upper bound that it is large.
+_UNCERTIFIABLE = {"lower": ("<=", "<", "=="), "upper": (">=", ">", "==")}
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +162,56 @@ def min_or_nan(acc: float, *vals: float) -> float:
     return acc
 
 
+def check(
+    name: str,
+    value: Any,
+    evidence: str,
+    op: str,
+    bound: Any,
+    slack: float = 0.0,
+    **fields: Any,
+) -> dict[str, Any]:
+    """One checked number: ``ok`` is ``value op bound``, loosened by ``slack``.
+
+    The record holds ``name``, ``value``, ``op``, ``bound``, ``slack``,
+    ``evidence`` (one of ``EVIDENCE``) and ``ok``, plus ``fields``.  With
+    ``==`` the test is ``|value - bound| <= slack``; otherwise the slack moves
+    the bound toward the passing side.  A NaN value fails.  A comparison the
+    evidence cannot certify (a ``lower`` value against an upper limit, an
+    ``upper`` value against a lower one) raises ``ValueError``.
+    """
+    if evidence not in EVIDENCE:
+        raise ValueError(f"{name}: unknown evidence {evidence!r}")
+    if op not in _OPS:
+        raise ValueError(f"{name}: unknown comparison {op!r}")
+    if op in _UNCERTIFIABLE.get(evidence, ()):
+        raise ValueError(f"{name}: a {evidence} bound cannot certify value {op} bound")
+    if isinstance(value, np.generic):
+        value = value.item()
+    ok = not math.isnan(value) and bool(_OPS[op](value, bound, slack))
+    return {
+        **fields,
+        "name": name,
+        "value": value,
+        "op": op,
+        "bound": bound,
+        "slack": slack,
+        "evidence": evidence,
+        "ok": ok,
+    }
+
+
+def _unlabelled_check(obj: Any) -> bool:
+    """Does obj hold, at any depth, a record with ``ok`` but no evidence?"""
+    if isinstance(obj, Mapping):
+        if "ok" in obj and obj.get("evidence") not in EVIDENCE:
+            return True
+        return any(_unlabelled_check(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return any(_unlabelled_check(v) for v in obj)
+    return False
+
+
 def section_status(records: Sequence[Mapping[str, Any]]) -> str:
     """fail if any record with an "ok" field failed, pass if all passed,
     info when no record carries a check."""
@@ -223,14 +296,26 @@ def make_report(
     config: Any,
     sections: Iterable[Section],
 ) -> Report:
-    """Assemble a report with the standard meta block."""
+    """Assemble a report with the standard meta block.
+
+    A section holding a record with ``ok`` but no ``evidence`` label, at any
+    depth, raises ``ValueError``: build check records with ``check``.
+    """
+    sections = tuple(sections)
+    for sec in sections:
+        for rec in sec.records:
+            if _unlabelled_check(rec):
+                raise ValueError(
+                    f"section {sec.name!r}: record {rec.get('name')!r} has ok "
+                    f"but no evidence label"
+                )
     meta = {
         "tool_version": __version__,
         "seed": seed,
         "config_hash": config_hash(config),
         "timestamp": build_timestamp(),
     }
-    return Report(meta=meta, sections=tuple(sections))
+    return Report(meta=meta, sections=sections)
 
 
 def report_from_dict(data: Mapping[str, Any]) -> Report:

@@ -279,12 +279,43 @@ def norm(x: SpVector, pn: PNorm) -> float:
     return total ** (1.0 / p)
 
 
+_TINY = np.finfo(float).tiny
+
+
+def _repair_norms(
+    vectors: np.ndarray, sums: np.ndarray, out: np.ndarray | list, p: float
+) -> None:
+    """Where the power sum sums[i] of vectors[i] (non-negative entries)
+    underflowed below the normal floats or overflowed, set out[i] to the lp
+    norm summed on vectors[i] / max(vectors[i]).  Every other out[i] keeps
+    its bits, and a vector whose max is 0 or not finite keeps its 0, inf or
+    NaN."""
+    # the common case, nothing to repair, costs two reductions
+    lo = np.minimum.reduce(sums, initial=np.inf)
+    if lo >= _TINY and np.maximum.reduce(sums, initial=0.0) < np.inf:
+        return
+    for i in np.flatnonzero(~((sums >= _TINY) & (sums < np.inf))):
+        m = float(vectors[i].max())
+        if 0.0 < m < math.inf:
+            out[i] = m * float(np.sum((vectors[i] / m) ** p)) ** (1.0 / p)
+
+
 def dense_norm(z: np.ndarray, pn: PNorm) -> np.floating | np.ndarray:
-    """Norm of a dense vector, or of each column of a matrix (axis 0)."""
+    """Norm of a dense vector, or of each column of a matrix (axis 0).
+
+    |z_j|^p is summed as it stands; where that sum underflows below the
+    normal floats or overflows, the vector is summed again divided by its
+    largest modulus, so tiny and huge finite vectors get their norm, not 0
+    or inf.
+    """
     a = np.abs(z)
     if pn.is_c0:
         return a.max(axis=0)
-    return np.sum(a**pn.p, axis=0) ** (1.0 / pn.p)
+    with np.errstate(over="ignore"):
+        sums = np.sum(a**pn.p, axis=0)
+    out = np.atleast_1d(sums ** (1.0 / pn.p))
+    _repair_norms(np.atleast_2d(a.T), np.atleast_1d(sums), out, pn.p)
+    return out if a.ndim > 1 else out[0]
 
 
 def pairing(f: SpVector, x: SpVector) -> complex:

@@ -8,6 +8,7 @@ compares report bytes.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -19,10 +20,15 @@ import pytest
 
 from lplab import acceptance, constructions, operators
 from lplab.acceptance import CRITERIA, DEFAULT_SEED, criterion_norm_engine, run_battery
+from lplab import cli
+from lplab.cli import cli_main
 from lplab.game import EigenfreeParams, play_game, verify_eigenfree_run
-from lplab.operators import op_norm_batch
-from lplab.reports import max_or_nan
-from lplab.spaces import PNorm
+from lplab.constructions import build_S_A_omega
+from lplab.operators import apply, materialize, op_norm_batch
+from lplab.montecarlo import ExperimentKind
+from lplab.reports import EVIDENCE, max_or_nan
+from lplab.spaces import PNorm, norm
+from lplab.spectral import point_spectrum_SAomega
 
 
 @pytest.fixture(scope="module")
@@ -112,10 +118,12 @@ def test_04_negative_control(monkeypatch, delta, status):
     monkeypatch.setattr(acceptance, "delta_for_B", lambda *args: delta)
     sec = acceptance.criterion_localization(DEFAULT_SEED)
     assert sec.status == status
-    for rec in sec.records:
+    couplings = [r for r in sec.records if r["name"].startswith("coupling")]
+    assert len(couplings) == 2
+    for rec in couplings:
         assert rec["delta"] == delta
-        assert rec["max_coupling_upper"] <= delta / (3.0 + delta)
-        assert (rec["max_coupling_upper"] < rec["eps"]) == (status == "pass")
+        assert rec["value"] <= delta / (3.0 + delta)
+        assert (rec["value"] < rec["bound"]) == (status == "pass")
 
 
 def test_04_runs_without_norm_ascent(monkeypatch, battery):
@@ -136,6 +144,38 @@ def test_05_circle_spectrum(battery):
     _check(battery, 5)
 
 
+def test_05_left_weight_below_the_disk_fails(monkeypatch):
+    """At left weight 0.5 the ratio test no longer rules out the eigenvalues
+    0.5 < |lambda| <= 1, so the record fails; lambda = 0.6 then carries an
+    eigenvector, which S itself (operators.apply, not the recurrence that
+    built it) maps to 0.6 times itself."""
+    real = acceptance.OmegaWeights
+    monkeypatch.setattr(
+        acceptance, "OmegaWeights", lambda table, left, right: real(table, left=0.5, right=right)
+    )
+    built = {}
+
+    def capture(A, omega):
+        built.update(A=A, omega=omega)
+        return build_S_A_omega(A, omega)
+
+    monkeypatch.setattr(acceptance, "build_S_A_omega", capture)
+    # a small truncation keeps the (unchanged) norm record cheap
+    monkeypatch.setattr(acceptance, "materialize", lambda S, *_: materialize(S, -10, 10, -10, 10))
+    sec = acceptance.criterion_circle_spectrum(DEFAULT_SEED)
+    rec = next(r for r in sec.records if r["name"] == "no_point_spectrum_in_unit_disk")
+    assert (rec["value"], rec["bound"], rec["ok"]) == (0.5, 1.0, False)
+    assert sec.status == "fail"
+
+    A, omega = built["A"], built["omega"]
+    pair = point_spectrum_SAomega(A, omega, 0.6, window=600)
+    assert pair is not None
+    x, pn = pair.vector, PNorm.lp(2.5)
+    image = apply(build_S_A_omega(A, omega), x)
+    assert norm(image + x.scale(-0.6), pn) / norm(x, pn) < 1e-15
+    assert point_spectrum_SAomega(A, real(omega.table, left=1.0, right=1.0), 0.6) is None
+
+
 def test_06_coisometry(battery):
     _check(battery, 6)
 
@@ -146,7 +186,8 @@ def test_07_kernel_greedy(battery):
 
 def test_08_flat_polynomials(battery):
     _check(battery, 8)
-    assert all(r["golay_defect"] == 0 for r in battery(8)[1].records)
+    golay = [r for r in battery(8)[1].records if r["name"].startswith("golay_defect")]
+    assert len(golay) == 8 and all(r["value"] == 0 for r in golay)
 
 
 def test_08_flipped_golay_sign_fails(monkeypatch):
@@ -163,10 +204,12 @@ def test_08_flipped_golay_sign_fails(monkeypatch):
     monkeypatch.setattr(constructions, "rudin_shapiro_pair", tampered)
     sec = acceptance.criterion_flat_polynomials(DEFAULT_SEED)
     assert sec.status == "fail"
-    for rec in sec.records:
-        assert rec["golay_defect"] > 0
-        assert rec["ok"] is False
-        assert rec["ratio_sample"] >= rec["floor"]
+    recs = {r["name"]: r for r in sec.records}
+    for k in range(3, 11):
+        assert recs[f"golay_defect[k={k}]"]["value"] > 0
+        assert recs[f"golay_defect[k={k}]"]["ok"] is False
+        ratio = recs[f"ratio_sample[k={k}]"]
+        assert ratio["value"] >= ratio["bound"] and ratio["ok"] is True
 
 
 def test_09_game_nonsup(battery):
@@ -200,9 +243,56 @@ def test_11_nan_bezout_residual_fails(monkeypatch):
     monkeypatch.setattr(acceptance, "bezout_residual", lambda wit: float("nan"))
     sec = acceptance.criterion_commutant_witness(DEFAULT_SEED)
     rec = next(r for r in sec.records if r["name"] == "bezout_residual")
-    assert rec["max"] == "nan"  # records hold non-finite floats as strings
+    assert rec["value"] == "nan"  # records hold non-finite floats as strings
     assert rec["ok"] is False
     assert sec.status == "fail"
+
+
+def _ok_records(tree):
+    """Every record that carries ok, at any depth of a report tree."""
+    if isinstance(tree, dict):
+        inner = [r for v in tree.values() for r in _ok_records(v)]
+        return [tree] + inner if "ok" in tree else inner
+    if isinstance(tree, list):
+        return [r for v in tree for r in _ok_records(v)]
+    return []
+
+
+def test_every_check_record_carries_evidence(battery, tmp_path):
+    """The twelve criteria, both game strategies, one mc config per kind
+    (plus one that errors), norm, spectrum and every construct kind: each
+    record with ok is a check record with an evidence label."""
+    trees = [battery(num)[1].to_dict() for num, _, _ in CRITERIA]
+    matrix = tmp_path / "m.json"
+    matrix.write_text("[[0.5, 0.25], [0.1, [0.2, 0.3]]]")
+    mc = tmp_path / "mc.json"
+    configs = [
+        {"space": "c0" if kind is ExperimentKind.AP_SPECTRUM_GRID else "3",
+         "dim": 6, "samples": 3, "seed": 5, "experiment": kind.value}
+        for kind in ExperimentKind
+    ]
+    # IsometryDefect refuses p = 2, which gives an experiment_error record
+    configs.append({**configs[0], "space": "2", "experiment": "IsometryDefect"})
+    mc.write_text(json.dumps(configs))
+    commands = [
+        ["game", "--strategy", "nonsup", "--seed", "7"],
+        ["game", "--strategy", "eigenfree", "--seed", "7"],
+        ["mc", "--config", str(mc)],
+        ["norm", "--matrix", str(matrix), "--p", "3"],
+        ["spectrum", "--matrix", str(matrix)],
+    ] + [
+        ["construct", "--kind", kind, "--seed", "7"]
+        for kind in cli._CONSTRUCT_KINDS
+    ]
+    for i, argv in enumerate(commands):
+        out = tmp_path / f"report{i}.json"
+        assert cli_main(argv + ["--out", str(out)]) in (0, 1), argv
+        trees.append(json.loads(out.read_text()))
+    checks = [rec for tree in trees for rec in _ok_records(tree)]
+    assert len(checks) > 150
+    unlabelled = [rec for rec in checks if rec.get("evidence") not in EVIDENCE]
+    assert not unlabelled
+    assert {"exact", "lower", "upper", "consistency"} <= {rec["evidence"] for rec in checks}
 
 
 def test_running_worst_carries_nan():

@@ -139,7 +139,7 @@ class TestSpectrumCommand:
         assert cli_main(["spectrum", "--matrix", matrix_file, "--out", str(out)]) == 0
         rep = report_from_dict(json.loads(out.read_text(encoding="utf-8")))
         sec = rep.section("spectrum")
-        eigen = [r for r in sec.records if "residual" in r]
+        eigen = [r for r in sec.records if r.get("name") == "eigenpair_residual"]
         assert len(eigen) == 2
         assert all(r["ok"] for r in eigen)
         radius = [r for r in sec.records if r.get("name") == "spectral_radius"][0]

@@ -386,7 +386,7 @@ class TestVerifyEigenfree:
         section = next(s for s in rep["sections"] if s["name"] == "row_coupling")
         assert section["status"] == "pass"
         for c in section["records"]:
-            assert c["lhs"] <= c["rhs"] + EXACT_TOL
+            assert c["value"] <= c["bound"] + EXACT_TOL
 
 
 class TestNanIsCarried:
@@ -400,7 +400,7 @@ class TestNanIsCarried:
         blk = block_from_columns(rd.N_next, {1: {row: math.nan}}, rounds=(rd,))
         checks = {c["name"]: c for c in game_mod._row_coupling_checks(blk)}
         rec = checks[f"round0_{kind}_row_complement"]
-        assert math.isnan(rec["lhs"])
+        assert math.isnan(rec["value"])
         assert rec["ok"] is False
 
     def test_nan_spoke_term_reaches_the_extended_residual(self):
@@ -435,9 +435,10 @@ class TestNanIsCarried:
         monkeypatch.setattr(game_mod, "scaled_orbit_floor", poisoned)
         rep = verify_nonsup_run(run, n_direct=50)
         section = next(s for s in rep["sections"] if s["name"] == "scaled_orbit_floor")
-        rec = next(c for c in section["records"] if c["name"] == "grid_floor_subsample")
+        name = "grid_floor_subsample" if field == "grid" else "grid_floor_gap_to_exact"
+        rec = next(c for c in section["records"] if c["name"] == name)
         assert len(calls) > 3
-        assert math.isnan(rec["rhs"] if field == "grid" else rec["max_gap_to_exact"])
+        assert math.isnan(rec["value"])
         assert rec["ok"] is False
         assert section["status"] == "fail"
 
@@ -492,6 +493,7 @@ class TestVerifyNonsup:
         }
         floor = next(s for s in rep["sections"] if s["name"] == "scaled_orbit_floor")
         sub = next(c for c in floor["records"] if c["name"] == "grid_floor_subsample")
+        gap = next(c for c in floor["records"] if c["name"] == "grid_floor_gap_to_exact")
         direct = next(c for c in floor["records"] if c["name"] == "exact_floor_direct_range")
         blk = run.final_set.A
         dim = blk.N + 1
@@ -532,13 +534,13 @@ class TestVerifyNonsup:
 
         def agrees(rec, walked, verdict):
             # the value within the drift bound, the verdict exactly
-            assert abs(rec["lhs"] - walked) <= ORBIT_DRIFT_TOL, (rec["name"], rec["lhs"], walked)
+            assert abs(rec["value"] - walked) <= ORBIT_DRIFT_TOL, (rec["name"], walked)
             assert rec["ok"] is bool(verdict(walked)), rec["name"]
 
-        assert abs(sub["rhs"] - worst_grid) <= ORBIT_DRIFT_TOL
-        assert abs(sub["max_gap_to_exact"] - worst_gap) <= ORBIT_DRIFT_TOL
+        assert abs(sub["value"] - worst_grid) <= ORBIT_DRIFT_TOL
+        assert abs(gap["value"] - worst_gap) <= ORBIT_DRIFT_TOL
         assert sub["ok"] is (worst_grid >= 1.0 / 9.0 - ORBIT_SLACK)
-        assert abs(direct["rhs"] - worst_exact) <= ORBIT_DRIFT_TOL
+        assert abs(direct["value"] - worst_exact) <= ORBIT_DRIFT_TOL
         assert direct["ok"] is (worst_exact >= 1.0 / 9.0 - ORBIT_SLACK)
         checkpoints = [kk for kk in range(1, len(run.side)) if run.side[kk - 1].L <= n_direct]
         assert checkpoints
@@ -645,7 +647,7 @@ class TestVerifyNonsup:
             c for c in floor["records"] if c["name"] == "exact_floor_direct_range"
         )
         assert direct["ok"]
-        assert direct["rhs"] >= 1.0 / 9.0 - 1e-12
+        assert direct["value"] >= 1.0 / 9.0 - 1e-12
 
     def test_tail_certificates_on_truncated_direct_range(self):
         run = play_game("nonsup", 2, seed=2, adversary="passthrough")
@@ -658,14 +660,14 @@ class TestVerifyNonsup:
         assert tail["certificates"]
 
     def test_coordinate_floor_reports_its_margin_past_step_zero(self):
-        # at n = 0 the coordinate equals the bound, so lhs is -0.0 on a pass;
+        # at n = 0 the coordinate equals the bound, so the value is -0.0 on a pass;
         # the margin over n >= 1 is where the check shows its room
         run = play_game("nonsup", 3, seed=7, adversary="random")
         rep = verify_nonsup_run(run, n_direct=600)
         section = next(s for s in rep["sections"] if s["name"] == "coordinate_floor")
         first = section["records"][0]
         assert first["name"] == "round0_coordinate_floor" and first["ok"]
-        assert first["lhs"] == 0.0
+        assert first["value"] == 0.0
         assert first["min_gap_n_ge_1"] > 1e-3
         assert all(c["min_gap_n_ge_1"] >= -ORBIT_SLACK for c in section["records"])
 

@@ -27,7 +27,7 @@ from lplab.montecarlo import (
 )
 from lplab.operators import StructuredOperator, op_norm
 from lplab import montecarlo
-from lplab.reports import canonical_json, exit_code
+from lplab.reports import canonical_json, check, exit_code
 from lplab.spaces import PNorm, dense_norm
 
 NORM_SLACK = 1e-9
@@ -125,11 +125,15 @@ class TestChunkedNormalisation:
             alone = self._one_at_a_time(monkeypatch, cfg)
         assert canonical_json(batched) == alone
         records = batched.sections[0].records
-        assert records[2] == {
-            "sample": 2,
-            "error": "ValueError: fixed-point ascent at p = 3.0 gave a non-finite value nan",
-            "ok": False,
-        }
+        assert records[2] == check(
+            "sample_error",
+            1,
+            "exact",
+            "==",
+            0,
+            sample=2,
+            error="ValueError: fixed-point ascent at p = 3.0 gave a non-finite value nan",
+        )
         for k in range(cfg.samples):
             if k != 2:
                 assert canonical_json(records[k]) == canonical_json(clean[k]), k
@@ -152,11 +156,15 @@ class TestChunkedNormalisation:
         monkeypatch.setattr(montecarlo, "_gaussian", poisoned)
         records = run_suite([cfg]).sections[0].records
         label = "l1" if token == "1.0" else "c0"
-        assert records[1] == {
-            "sample": 1,
-            "error": f"ValueError: the exact {label} norm needs finite entries",
-            "ok": False,
-        }
+        assert records[1] == check(
+            "sample_error",
+            1,
+            "exact",
+            "==",
+            0,
+            sample=1,
+            error=f"ValueError: the exact {label} norm needs finite entries",
+        )
         for k in (0, 2, 3, 4):
             assert canonical_json(records[k]) == canonical_json(clean[k]), k
         assert records[-1]["errors"] == 1
@@ -188,9 +196,9 @@ class TestOrbitDecay:
 
     def test_per_sample_monotone(self):
         sec = exp_orbit_decay(_cfg(ExperimentKind.ORBIT_DECAY, samples=3))
-        body = [r for r in sec.records if "monotone" in r]
+        body = [r for r in sec.records if r.get("name") == "monotone"]
         assert len(body) == 3
-        assert all(r["monotone"] for r in body)
+        assert all(r["value"] is True and r["ok"] for r in body)
 
     def test_illustrative_label(self):
         sec = exp_orbit_decay(_cfg(ExperimentKind.ORBIT_DECAY, samples=1))
@@ -209,12 +217,15 @@ class TestOrbitDecay:
                 norms.append(dense_norm(v, cfg.space))
             norms = np.array(norms)
             monotone = bool(np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-9) + 1e-15))
-            return {
-                "final_norm": float(norms[-1]),
-                "half_norm": float(norms[montecarlo.ORBIT_STEPS // 2]),
-                "monotone": monotone,
-                "ok": monotone,
-            }
+            return check(
+                "monotone",
+                monotone,
+                "exact",
+                "==",
+                True,
+                final_norm=float(norms[-1]),
+                half_norm=float(norms[montecarlo.ORBIT_STEPS // 2]),
+            )
 
         want = montecarlo._map_samples(cfg, per_step)
         got = list(exp_orbit_decay(cfg).records[:-1])
@@ -660,11 +671,15 @@ class TestNonFiniteHead:
 
         monkeypatch.setattr(montecarlo, "_contractions", poisoned)
         sec = run_suite([cfg]).sections[0]
-        assert sec.records[2] == {
-            "sample": 2,
-            "error": "ValueError: the head A must have finite entries",
-            "ok": False,
-        }
+        assert sec.records[2] == check(
+            "sample_error",
+            1,
+            "exact",
+            "==",
+            0,
+            sample=2,
+            error="ValueError: the head A must have finite entries",
+        )
         for k in (0, 1, 3, 4):
             assert canonical_json(sec.records[k]) == canonical_json(clean[k]), k
         assert sec.records[-1]["errors"] == 1

@@ -430,7 +430,8 @@ class TestFixedPointBatch:
         assert _bits(got) == _bits(want)
 
     def test_monotonicity_error_as_in_the_loop(self):
-        M = np.array([[1e300, 2.0], [0.0, 1.0]])
+        # the duality map |z|^(p-1) of this matrix's images overflows at p = 7
+        M = np.array([[7e29 + 8e29j, 1e-27], [-0.01, 1e57 + 5e57j]])
         with np.errstate(all="ignore"):
             with pytest.raises(AssertionError, match="monotonicity"):
                 _restarts_one_by_one(M, 7.0)
@@ -512,11 +513,12 @@ class TestOpNormBatch:
 
     @pytest.mark.parametrize("p", [3.0, 7.0])
     def test_a_failing_member_fails_alone(self, p):
-        # a matrix that loses monotonicity at p = 7 and one with an inf entry
-        # sit between ordinary ones; each failure is that member's own error
+        # a matrix that loses monotonicity at p = 7 (its duality map
+        # |z|^(p-1) overflows) and one with an inf entry sit between ordinary
+        # ones; each failure is that member's own error
         rng = np.random.default_rng(409)
         Ms = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
-        Ms[1] = [[1e300, 2.0], [0.0, 1.0]]
+        Ms[1] = [[7e29 + 8e29j, 1e-27], [-0.01, 1e57 + 5e57j]]
         Ms[3, 0, 1] = np.inf
         pn = PNorm.lp(p)
         with np.errstate(all="ignore"):

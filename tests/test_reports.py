@@ -8,11 +8,13 @@ import pytest
 
 from lplab.reports import (
     EXIT_CHECK_FAILED,
+    EVIDENCE,
     EXIT_OK,
     Report,
     Section,
     build_timestamp,
     canonical_json,
+    check,
     config_hash,
     exit_code,
     jsonable,
@@ -104,7 +106,7 @@ class TestSection:
 
 class TestReport:
     def _report(self, ok: bool) -> Report:
-        sec = make_section("checks", [{"ok": ok, "name": "c"}])
+        sec = make_section("checks", [check("c", 1.0 if ok else 2.0, "exact", "<=", 1.0)])
         return make_report(seed=7, config={"k": 1}, sections=[sec])
 
     def test_meta_fields(self):
@@ -158,3 +160,81 @@ def test_running_min_and_max_carry_nan():
     for a, b in ((0.0, -0.0), (-0.0, 0.0), (2.0, 2.0)):
         assert math.copysign(1.0, min_or_nan(a, b)) == math.copysign(1.0, min(a, b))
         assert math.copysign(1.0, max_or_nan(a, b)) == math.copysign(1.0, max(a, b))
+
+
+class TestCheck:
+    def test_record_shape(self):
+        rec = check("x", 0.5, "exact", "<=", 1.0, slack=1e-9, samples=3)
+        assert rec == {
+            "name": "x",
+            "value": 0.5,
+            "op": "<=",
+            "bound": 1.0,
+            "slack": 1e-9,
+            "evidence": "exact",
+            "ok": True,
+            "samples": 3,
+        }
+
+    @pytest.mark.parametrize(
+        "op, value, ok",
+        [
+            ("<=", 1.0 + 1e-9, True),
+            ("<=", 1.0 + 2e-9, False),
+            ("<", 1.0 + 5e-10, True),
+            (">=", 1.0 - 1e-9, True),
+            (">=", 1.0 - 2e-9, False),
+            (">", 1.0 - 5e-10, True),
+            ("==", 1.0 - 1e-9, True),
+            ("==", 1.0 + 2e-9, False),
+        ],
+    )
+    def test_slack_loosens_toward_the_passing_side(self, op, value, ok):
+        assert check("x", value, "exact", op, 1.0, slack=1e-9)["ok"] is ok
+
+    @pytest.mark.parametrize("evidence", EVIDENCE)
+    def test_nan_value_fails(self, evidence):
+        ops = {"lower": [">="], "upper": ["<="]}.get(evidence, ["<=", "<", ">=", ">", "=="])
+        for op in ops:
+            assert check("x", math.nan, evidence, op, 1.0, slack=1.0)["ok"] is False
+            assert check("x", np.float64("nan"), evidence, op, 1.0)["ok"] is False
+
+    @pytest.mark.parametrize(
+        "evidence, op",
+        [("lower", "<="), ("lower", "<"), ("lower", "=="),
+         ("upper", ">="), ("upper", ">"), ("upper", "==")],
+    )
+    def test_refuses_what_a_one_sided_bound_cannot_certify(self, evidence, op):
+        with pytest.raises(ValueError, match="cannot certify"):
+            check("x", 0.5, evidence, op, 1.0)
+
+    @pytest.mark.parametrize("evidence, op", [("lower", ">="), ("upper", "<")])
+    def test_accepts_the_certifying_direction(self, evidence, op):
+        assert check("x", 0.5, evidence, op, 0.25 if op == ">=" else 1.0)["ok"]
+
+    def test_unknown_evidence_or_op_refused(self):
+        with pytest.raises(ValueError, match="evidence"):
+            check("x", 0.5, "roughly", "<=", 1.0)
+        with pytest.raises(ValueError, match="comparison"):
+            check("x", 0.5, "exact", "!=", 1.0)
+
+    def test_numpy_scalars_become_python_numbers(self):
+        rec = check("n", np.int64(3), "exact", "==", 3)
+        assert type(rec["value"]) is int and rec["ok"]
+
+
+class TestEvidenceGuard:
+    def test_make_report_refuses_an_unlabelled_check(self):
+        sec = make_section("checks", [{"name": "c", "ok": True}])
+        with pytest.raises(ValueError, match="'c' has ok but no evidence"):
+            make_report(seed=None, config={}, sections=[sec])
+
+    def test_make_report_refuses_a_nested_unlabelled_check(self):
+        inner = {"name": "inner", "ok": True}
+        sec = make_section("checks", [check("outer", 0, "exact", "==", 0, parts=[inner])])
+        with pytest.raises(ValueError, match="no evidence"):
+            make_report(seed=None, config={}, sections=[sec])
+
+    def test_make_section_alone_does_not_refuse(self):
+        # sections built outside a report keep their records as given
+        assert make_section("s", [{"ok": True}]).status == "pass"

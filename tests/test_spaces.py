@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lplab.montecarlo import space_from_token
+from lplab.operators import _row_norms
 from lplab.spaces import (
     GeometricTail,
     PNorm,
@@ -76,6 +77,37 @@ class TestNorm:
             x = SpVector.make({j: X[j, k] for j in range(5)})
             assert cols[k] == pytest.approx(norm(x, pn), rel=1e-14)
             assert dense_norm(X[:, k], pn) == pytest.approx(cols[k], rel=1e-14)
+
+
+class TestScaledNorms:
+    """Power sums that under- or overflow are summed again scaled by the
+    largest modulus.  pyproject turns the overflow RuntimeWarning into an
+    error, so these also show that dense_norm raises none; _row_norms runs
+    under the fixed-point loop's np.errstate(over="ignore"), as here."""
+
+    @pytest.mark.parametrize(
+        "entry, n, p", [(1.7e-85, 24, 4.0), (1e100, 5, 4.0), (1e-200, 2, 2.0), (1e300, 3, 1.5)]
+    )
+    def test_tiny_and_huge_vectors_get_their_norm(self, entry, n, p):
+        want = entry * n ** (1.0 / p)
+        z = np.full(n, entry) * np.exp(1j * np.arange(n))
+        assert dense_norm(z, PNorm.lp(p)) == pytest.approx(want, rel=1e-14, abs=0.0)
+        Z = np.stack([z, z[::-1], np.zeros(n), np.full(n, 0.5)])
+        with np.errstate(over="ignore"):
+            rows = _row_norms(Z, p)
+        assert rows[:2] == pytest.approx([want, want], rel=1e-14, abs=0.0)
+        assert rows[2] == 0.0 and rows[3] == 0.5 * n ** (1.0 / p)
+        np.testing.assert_array_equal(dense_norm(Z.T, PNorm.lp(p)), rows)
+
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    def test_nan_inf_and_zero_vectors_keep_their_norm(self, p):
+        Z = np.array([[np.nan, 1e-200], [0.0, 0.0], [np.inf, 1e-200], [np.inf, np.nan]])
+        with np.errstate(over="ignore"):
+            rows = _row_norms(Z, p)
+        assert math.isnan(rows[0]) and rows[1] == 0.0 and rows[2] == np.inf
+        assert math.isnan(rows[3])
+        for z, v in zip(Z, rows):
+            assert np.float64(dense_norm(z, PNorm.lp(p))).tobytes() == np.float64(v).tobytes()
 
 
 class TestLabel:

@@ -3,8 +3,9 @@
 The battery is checked at one seed by ``lplab verify-all``; a check that
 holds at seed 7 can still fail at others.  This script runs each chosen
 criterion in process, one ``run_battery(seed, numbers=[n])`` call per
-(criterion, seed), prints one line per failing pair with the names of its
-failing records (or the exception it raised), and exits 1 if any failed::
+(criterion, seed), prints one line per failing record as
+``name value op bound (evidence)`` (or the exception the pair raised), and
+exits 1 if any pair failed::
 
     PYTHONPATH=src python3 tools/seed_sweep.py --criteria 4 8 --seeds 1 100
 """
@@ -17,19 +18,29 @@ import sys
 from lplab.acceptance import CRITERIA, run_battery
 
 
-def sweep(criteria: list[int], first: int, last: int) -> list[tuple[int, int, str]]:
-    """Return (criterion, seed, what failed) for every failing pair."""
+def sweep(criteria: list[int], first: int, last: int) -> list[tuple[int, int, list[str]]]:
+    """Return (criterion, seed, what failed) for every failing pair: one line
+    per failing record, or the exception that the pair raised."""
     failures = []
     for num in criteria:
         for seed in range(first, last + 1):
             try:
                 (sec,) = run_battery(seed, numbers=[num]).sections
             except Exception as exc:  # a crash is a failure of that pair
-                failures.append((num, seed, f"{type(exc).__name__}: {exc}"))
+                failures.append((num, seed, [f"{type(exc).__name__}: {exc}"]))
                 continue
             if sec.status != "pass":
-                bad = [r.get("name", "?") for r in sec.records if r.get("ok") is False]
-                failures.append((num, seed, ", ".join(bad) or sec.status))
+                failures.append(
+                    (
+                        num,
+                        seed,
+                        [
+                            f"{r['name']} {r['value']} {r['op']} {r['bound']} ({r['evidence']})"
+                            for r in sec.records
+                            if r["ok"] is False
+                        ],
+                    )
+                )
     return failures
 
 
@@ -57,8 +68,9 @@ def main(argv: list[str] | None = None) -> int:
     if unknown or first > last:
         ap.error(f"unknown criteria {unknown}" if unknown else "FIRST exceeds LAST")
     failures = sweep(args.criteria, first, last)
-    for num, seed, what in failures:
-        print(f"FAIL criterion {num:02d} seed {seed}: {what}")
+    for num, seed, lines in failures:
+        for line in lines:
+            print(f"FAIL criterion {num:02d} seed {seed}: {line}")
     runs = len(args.criteria) * (last - first + 1)
     print(
         f"criteria {args.criteria}, seeds {first}-{last}: "
