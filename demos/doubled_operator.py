@@ -2,8 +2,11 @@
 
 Starting from a small strict contraction A, the doubled construction produces
 an operator B of norm exactly one together with a distinguished unit vector
-u0 on which B acts isometrically.  The "evenly distributed" check then yields
-a gap gamma, which converts into a ball radius delta: every contraction
+u0 on which B acts isometrically.  B's norming vectors are exactly
+(c1 z, c2 z) with z norming A, so the "evenly distributed" check tests on A
+alone that u0 is B's only norming direction (at p = 3, by agreeing polished
+restarts of A's ascent; at p = 2 the SVD gap of A decides it).  It yields the
+gap gamma = min |B u0|, which converts into a ball radius delta: every contraction
 within delta of B is close to block-diagonal on a window, quantified by the
 coupling norm bracketed at the end: the fixed-point ascent gives a lower
 bound and the Riesz-Thorin interpolation bound an upper one.
@@ -36,8 +39,8 @@ print(f"certified norm   : {op_norm(rec.op, pn).value:.15f}")
 print(f"gain on u0       : {norm(apply(rec.op, rec.u0), pn):.15f}")
 print()
 
-passed, gamma, x1 = check_evenly_distributed(rec.op, pn)
-print(f"evenly distributed: {passed}, gamma = {gamma:.6f}")
+passed, gamma, _, steps = check_evenly_distributed(rec)
+print(f"evenly distributed: {passed}, gamma = {gamma:.6f} ({steps} polish steps)")
 
 M, eps = 8, 0.25
 delta = delta_for_B(gamma, eps, M, p)

@@ -76,6 +76,91 @@ def test_03_doubled_operator(battery):
     _check(battery, 3)
 
 
+@pytest.mark.parametrize(
+    "p, head, name",
+    [
+        # sigma_1 = sigma_2: no unique norming direction
+        (2.0, 0.3 * np.eye(2), "evenly_distributed[p=2]"),
+        (3.0, 0.3 * np.eye(2), "evenly_distributed[p!=2]"),
+        # the same at p = 2, though every image A z is evenly distributed
+        (2.0, [[0.2, 0.2], [0.2, -0.2]], "evenly_distributed[p=2]"),
+        # A z has a zero coordinate
+        (2.0, [[0.3, 0.1], [0.0, 0.0]], "evenly_distributed[p=2]"),
+        (3.0, [[0.3, 0.1], [0.0, 0.0]], "evenly_distributed[p!=2]"),
+    ],
+)
+def test_03_negative_control(monkeypatch, p, head, name):
+    """Each head fails the evenly_distributed record of its p, and only it."""
+    head = np.asarray(head, dtype=complex)
+    monkeypatch.setattr(acceptance, "_doubled_draws", lambda seed: [(p, head)])
+    sec = acceptance.criterion_doubled_operator(DEFAULT_SEED)
+    assert sec.status == "fail"
+    for rec in sec.records:
+        assert rec["ok"] == (rec["name"] != name), rec
+        if rec["name"].startswith("evenly_distributed"):
+            assert rec["configs"] == int(rec["name"] == name)
+
+
+@pytest.mark.parametrize(
+    "seed, index", [(3, 28), (37, 5), (90, 42), (1712826200, 41)]
+)
+def test_03_slow_heads_pass(seed, index):
+    """The configurations whose ascent on B stopped with restarts 1.0e-6 to
+    5.7e-6 apart (two at p = 1.5, two at p = 2 with sigma_2/sigma_1 up to
+    0.986) are decided from their heads."""
+    p, A = acceptance._doubled_draws(seed)[index]
+    rec = constructions.build_B_eta_delta(A, len(A) - 1, eta=0.5, p=p)
+    passed, gamma, _, _ = constructions.check_evenly_distributed(rec)
+    assert passed
+    assert gamma > 0.0
+
+
+def _ascent_on_B(rec):
+    """The verdict and gamma of a direct ascent on the doubled operator: its
+    near-maximal restarts must agree within 1e-6, and gamma is the smallest
+    image coordinate of the best one."""
+    B = rec.op.block
+    runs = operators.fixed_point_restarts(B, rec.p)
+    best_v, best_x, _ = max(runs, key=lambda r: r[0])
+    agree = True
+    for v, x, _ in runs:
+        if v >= best_v * (1.0 - 1e-9):
+            olap = np.vdot(best_x, x)
+            agree &= np.abs(x - olap / abs(olap) * best_x).max() <= 1e-6
+    img = np.abs(B @ best_x)
+    return agree and img.min() > constructions._EVEN_TOL * max(1.0, img.max()), img.min()
+
+
+def test_03_matches_ascent_on_B():
+    for p, A in acceptance._doubled_draws(DEFAULT_SEED):
+        rec = constructions.build_B_eta_delta(A, len(A) - 1, eta=0.5, p=p)
+        passed, gamma, _, _ = constructions.check_evenly_distributed(rec)
+        ref_passed, ref_gamma = _ascent_on_B(rec)
+        assert passed == ref_passed
+        assert gamma == pytest.approx(ref_gamma, rel=1e-6)
+
+
+def test_03_one_ascent_on_B_per_config(monkeypatch):
+    """Only op_norm_unit runs the fixed point on the 2(N+1)-dimensional B,
+    once per p != 2 configuration; the head A gets one ascent from
+    build_B_eta_delta and one from check_evenly_distributed."""
+    shapes = []
+    original = operators.fixed_point_restarts
+
+    def spy(M, p):
+        shapes.append(len(M))
+        return original(M, p)
+
+    monkeypatch.setattr(operators, "fixed_point_restarts", spy)
+    monkeypatch.setattr(constructions, "fixed_point_restarts", spy)
+    acceptance.criterion_doubled_operator(DEFAULT_SEED)
+    expected = []
+    for p, A in acceptance._doubled_draws(DEFAULT_SEED):
+        if p != 2.0:
+            expected += [len(A), 2 * len(A), len(A)]
+    assert shapes == expected
+
+
 def test_04_localization(battery):
     _check(battery, 4)
 

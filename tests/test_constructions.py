@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from lplab import constructions
 from lplab.constructions import (
     EpsSeq,
     ExposednessUndetermined,
@@ -272,35 +275,36 @@ class TestEvenlyDistributed:
         A = rng.normal(size=(N + 1, N + 1)) + 1j * rng.normal(size=(N + 1, N + 1))
         A = A / (np.abs(A).sum() )
         rec = build_B_eta_delta(A, N, eta=0.5, p=p)
-        passed, gamma, x1 = check_evenly_distributed(rec.op, PNorm.lp(p))
+        passed, gamma, u0, steps = check_evenly_distributed(rec)
         assert passed
         assert gamma > 0.0
+        assert u0 is rec.u0
+        assert 1 <= steps < constructions._POLISH_MAX
 
     def test_zero_row_fails(self):
-        M = np.array([[0.7, 0.1], [0.0, 0.0]], dtype=complex)
-        B = StructuredOperator(
-            block=M, row_offset=0, col_offset=0, rules=(), domain=IndexDomain.NATURALS
-        )
-        passed, gamma, _ = check_evenly_distributed(B, PNorm.lp(3.0))
+        # A z has a zero coordinate, so B u0 has two
+        A = np.array([[0.7, 0.1], [0.0, 0.0]], dtype=complex)
+        rec = build_B_eta_delta(A, 1, eta=0.5, p=3.0)
+        passed, gamma, _, _ = check_evenly_distributed(rec)
         assert not passed
         assert gamma == pytest.approx(0.0, abs=TOL_EXACT)
 
     def test_tied_directions_raise(self):
-        M = np.diag([0.9, 0.9]).astype(complex)
-        B = StructuredOperator(
-            block=M, row_offset=0, col_offset=0, rules=(), domain=IndexDomain.NATURALS
-        )
+        # every unit vector norms 0.9 I, so the restarts stay where they start
+        A = np.diag([0.9, 0.9]).astype(complex)
+        rec = build_B_eta_delta(A, 1, eta=0.5, p=3.0)
         with pytest.raises(ExposednessUndetermined):
-            check_evenly_distributed(B, PNorm.lp(3.0))
+            check_evenly_distributed(rec)
 
     def test_non_finite_block_raises(self):
-        # the ascent's best value is NaN; without the finiteness check the
-        # call returned (False, nan, x1)
-        M = np.ones((3, 3), dtype=complex)
-        M[1, 2] = np.inf
-        B = StructuredOperator.from_dense(M)
+        # the head ascent's best value is NaN; without the finiteness check
+        # the call returned (False, nan, x1)
+        rec = build_B_eta_delta(np.eye(3, dtype=complex) / 4.0, 2, eta=0.5, p=3.0)
+        block = rec.op.block.copy()
+        block[1, 2] = np.inf
+        rec = replace(rec, op=StructuredOperator.from_dense(block))
         with pytest.raises(ValueError, match="non-finite value"):
-            check_evenly_distributed(B, PNorm.lp(3.0))
+            check_evenly_distributed(rec)
 
 
 class TestBEtaDelta:
