@@ -34,7 +34,6 @@ from .constructions import (
     SearchExhausted,
     build_B_eta_delta,
     build_coisometry_l1,
-    build_S_A_omega,
     build_T1_coisometry_l1,
     check_evenly_distributed,
     delta_for_B,
@@ -42,7 +41,7 @@ from .constructions import (
     kan_check,
     kernel_vector_greedy,
     shift_poly_gap,
-    small_weight_delta,
+    small_weight_operator,
 )
 from .game import (
     EigenfreeParams,
@@ -62,8 +61,7 @@ from .operators import (
     truncate,
 )
 from .reports import Report, Section, check, make_report, make_section, max_or_nan
-from .spaces import IndexDomain, PNorm, SpVector, norm
-from .spectral import OmegaWeights
+from .spaces import PNorm, SpVector, norm
 
 __all__ = [
     "CRITERIA",
@@ -280,6 +278,8 @@ def criterion_localization(seed: int = DEFAULT_SEED) -> Section:
     on 6 coordinates, so each block is a scaled corner of R and its bound is
     at most delta/(3 + delta) <= 1/7 at delta_for_B's cap delta = 1/2 (it
     reads about 0.09 there).  Only a delta far outside the ball fails it.
+    The reported delta rests on gamma from the ascent's unpolished witness
+    u0, so it carries about 7 significant digits; delta > 0 does not need more.
     """
     records = []
     for p in (3.0, 4.0):
@@ -317,24 +317,10 @@ def criterion_circle_spectrum(seed: int = DEFAULT_SEED) -> Section:
     the closed unit disk.
     """
     rng = np.random.default_rng(seed)
-    p, N, eps = 2.5, 1, 0.3
-    pn = PNorm.lp(p)
-    A = _crandn(rng, 3, 3)
-    base = StructuredOperator(
-        block=A, row_offset=-N, col_offset=-N, rules=(), domain=IndexDomain.INTEGERS
-    )
-    A = A * (0.8 / op_norm(base, pn).value)
-    base = StructuredOperator(
-        block=A, row_offset=-N, col_offset=-N, rules=(), domain=IndexDomain.INTEGERS
-    )
-    na = op_norm(base, pn).value
-    delta = small_weight_delta(p, na, eps)
-    inside = {k: 0.9 * delta for k in range(-(3 * N + 1), N + 1)}
-    omega = OmegaWeights(table=inside, left=1.0, right=1.0)
-    S = build_S_A_omega(A, omega)
-    bound = max((na**p + eps**p) ** (1.0 / p), 1.0)
+    p, eps = 2.5, 0.3
+    S, omega, _, bound = small_weight_operator(_crandn(rng, 3, 3), p, eps)
     Wd = materialize(S, -100, 100, -100, 100)
-    val = op_norm(StructuredOperator.from_dense(Wd), pn).value
+    val = op_norm(StructuredOperator.from_dense(Wd), PNorm.lp(p)).value
     records = [
         check(
             "no_point_spectrum_in_unit_disk",

@@ -29,9 +29,8 @@ from .constructions import (
     EpsSeq,
     build_B_eta_delta,
     build_coisometry_l1,
-    build_S_A_omega,
     build_T1_coisometry_l1,
-    small_weight_delta,
+    small_weight_operator,
 )
 from .game import (
     EigenfreeParams,
@@ -52,8 +51,8 @@ from .reports import (
     make_report,
     make_section,
 )
-from .spaces import IndexDomain, PNorm
-from .spectral import OmegaWeights, eigs_dense
+from .spaces import PNorm
+from .spectral import eigs_dense
 
 __all__ = ["cli_main"]
 
@@ -183,28 +182,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         records.append(_window_record(T, 3 * (N + 1)))
     elif args.kind == "s-a-omega":
         pval = float(p) if p not in (None, "c0") else 2.5
-        pn = PNorm.lp(pval)
         side = 2 * N + 1
         A = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-        base = StructuredOperator(
-            block=A, row_offset=-N, col_offset=-N, rules=(), domain=IndexDomain.INTEGERS
-        )
-        A = A * (0.8 / op_norm(base, pn).value)
-        base = StructuredOperator(
-            block=A, row_offset=-N, col_offset=-N, rules=(), domain=IndexDomain.INTEGERS
-        )
-        na = op_norm(base, pn).value
-        eps = 0.3
-        delta = small_weight_delta(pval, na, eps)
-        omega = OmegaWeights(
-            table={k: 0.9 * delta for k in range(-(3 * N + 1), N + 1)},
-            left=1.0,
-            right=1.0,
-        )
-        S = build_S_A_omega(A, omega)
-        bound = max((na**pval + eps**pval) ** (1.0 / pval), 1.0)
+        S, _, na, bound = small_weight_operator(A, pval, 0.3)
         Wd = materialize(S, -40, 40, -40, 40)
-        cert = op_norm(StructuredOperator.from_dense(Wd), pn)
+        cert = op_norm(StructuredOperator.from_dense(Wd), PNorm.lp(pval))
         records.append(
             check(
                 "norm_bound",

@@ -17,12 +17,11 @@ from .operators import (
     ColumnRule,
     RuleEntry,
     StructuredOperator,
-    _best_run,
-    _J,
-    _row_norms,
     apply,
+    best_run,
     fixed_point_restarts,
     op_norm,
+    polish_restarts,
 )
 from .spaces import IndexDomain, PNorm, SpVector, norm
 from .spectral import OmegaWeights
@@ -37,6 +36,7 @@ __all__ = [
     "norm_lemma_constants",
     "small_weight_delta",
     "build_S_A_omega",
+    "small_weight_operator",
     "build_coisometry_l1",
     "build_T1_coisometry_l1",
     "dq_witness",
@@ -52,14 +52,11 @@ __all__ = [
 
 
 # check_evenly_distributed: a coordinate of the image B u0 of the record's
-# norming vector below _EVEN_TOL times the largest one (or 1) counts as zero;
-# _GAP_MARGIN is the relative SVD gap that decides the head at p = 2, and
-# _POLISH_STEP the direction step that ends the polish of its restarts
-# elsewhere (at most _POLISH_MAX steps; the derivations are in the docstring)
+# norming vector below _EVEN_TOL times the largest one (or 1) counts as zero,
+# and _GAP_MARGIN is the relative SVD gap that decides the head at p = 2 (the
+# derivation is in the docstring)
 _EVEN_TOL = 1e-10
 _GAP_MARGIN = 1e-9
-_POLISH_STEP = 1e-13
-_POLISH_MAX = 10_000
 
 
 class SearchExhausted(RuntimeError):
@@ -171,6 +168,24 @@ def build_S_A_omega(A: np.ndarray, omega: OmegaWeights) -> StructuredOperator:
         rules=(right, left),
         domain=IndexDomain.INTEGERS,
     )
+
+
+def small_weight_operator(
+    A: np.ndarray, p: float, eps: float
+) -> tuple[StructuredOperator, OmegaWeights, float, float]:
+    """S_{A, omega} around a drawn (2N+1) x (2N+1) head A scaled to lp norm
+    0.8, with omega 0.9 ``small_weight_delta`` at -(3N+1)..N and 1 outside.
+    Returns (S, omega, ||A||, bound), bound = max((||A||^p + eps^p)^(1/p), 1)
+    the norm lemma's bound on ||S||."""
+    pn = PNorm.lp(p)
+    N = (A.shape[0] - 1) // 2
+    A = A * (0.8 / op_norm(StructuredOperator.from_dense(A), pn).value)
+    na = op_norm(StructuredOperator.from_dense(A), pn).value
+    delta = small_weight_delta(p, na, eps)
+    inside = {k: 0.9 * delta for k in range(-(3 * N + 1), N + 1)}
+    omega = OmegaWeights(table=inside, left=1.0, right=1.0)
+    bound = max((na**p + eps**p) ** (1.0 / p), 1.0)
+    return build_S_A_omega(A, omega), omega, na, bound
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +419,8 @@ def kan_check(u: complex, v: complex, p: float) -> bool:
 @dataclass(frozen=True)
 class BEtaDelta:
     """Doubled operator [[A, dA], [hA, hdA]] on lp with tuned delta and its
-    norming vector u0; closed_form_norm restates the factored norm value."""
+    norming vector u0; closed_form_norm restates the factored norm value.
+    head_runs holds every outcome of A's fixed-point ascent (none at p = 2)."""
 
     op: StructuredOperator
     u0: SpVector
@@ -414,6 +430,7 @@ class BEtaDelta:
     norm_a: float
     gain_u0: float
     p: float
+    head_runs: tuple[tuple[float, np.ndarray, float], ...]
 
 
 def build_B_eta_delta(A: np.ndarray, N: int, eta: float, p: float) -> BEtaDelta:
@@ -432,11 +449,14 @@ def build_B_eta_delta(A: np.ndarray, N: int, eta: float, p: float) -> BEtaDelta:
         raise ValueError("A must be (N+1) x (N+1)")
     pn = PNorm.lp(p)
     q = p / (p - 1.0)
-    base = StructuredOperator(
-        block=A.copy(), row_offset=0, col_offset=0, rules=(), domain=IndexDomain.NATURALS
-    )
-    cert = op_norm(base, pn)
-    norm_a = cert.value
+    if p == 2.0:
+        cert = op_norm(StructuredOperator.from_dense(A), pn)  # the SVD
+        norm_a, x0, runs = cert.value, cert.witness, ()
+    else:
+        # A's one ascent; check_evenly_distributed polishes the kept outcomes
+        runs = tuple(fixed_point_restarts(A, p))
+        norm_a, x, _ = best_run(runs, p)
+        x0 = SpVector.make(dict(enumerate(x)))
     head = (1.0 + eta**p) ** (1.0 / p) * norm_a
     if head >= 1.0:
         raise ValueError("(1 + eta^p)^(1/p) ||A|| must stay below one")
@@ -452,9 +472,6 @@ def build_B_eta_delta(A: np.ndarray, N: int, eta: float, p: float) -> BEtaDelta:
         block=block, row_offset=0, col_offset=0, rules=(), domain=IndexDomain.NATURALS
     )
 
-    if cert.witness is None:
-        raise RuntimeError("norm certificate lacks a witness")
-    x0 = cert.witness
     scale = (1.0 + delta**q) ** (1.0 / p)
     u0_entries = [(j, v / scale) for j, v in x0.entries]
     u0_entries += [(j + m, delta ** (q - 1.0) * v / scale) for j, v in x0.entries]
@@ -470,24 +487,8 @@ def build_B_eta_delta(A: np.ndarray, N: int, eta: float, p: float) -> BEtaDelta:
         norm_a=norm_a,
         gain_u0=gain,
         p=p,
+        head_runs=runs,
     )
-
-
-def _polish(A: np.ndarray, X: np.ndarray, p: float) -> tuple[np.ndarray, int]:
-    """Continue the fixed-point ascent x -> J_q(A^T J_p(A x)), normalised, on
-    every row of X until no coordinate of any row moves by _POLISH_STEP or
-    more (or _POLISH_MAX steps); returns the rows and the steps taken.  A
-    non-finite row stops the loop and stays non-finite."""
-    q = p / (p - 1.0)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for steps in range(1, _POLISH_MAX + 1):
-            Y = _J(_J(X @ A.T, p) @ A, q)
-            Y /= _row_norms(Y, p)[:, None]
-            moved = np.abs(Y - X).max()
-            X = Y
-            if not moved >= _POLISH_STEP:
-                break
-    return X, steps
 
 
 def check_evenly_distributed(rec: BEtaDelta) -> tuple[bool, float, SpVector, int]:
@@ -511,12 +512,13 @@ def check_evenly_distributed(rec: BEtaDelta) -> tuple[bool, float, SpVector, int
       sigma_1 > sigma_2 for any c(n) below 2e6, far above LAPACK's growth at
       these sizes.  A smaller computed gap is undecided.
     - other p, as a consistency check: the restarts of A's fixed-point
-      ascent whose value lies within 1e-9 of the best are continued by the
-      same map until their direction step is below _POLISH_STEP, then must
-      agree within 1e-6 after a common phase.  The value step the ascent
-      stops on shrinks like the square of the direction error, so unpolished
-      restarts can stop 1e-6 apart near a slow, unique maximiser.  Agreeing
-      restarts are necessary for a unique maximiser, not a proof of one.
+      ascent that the record keeps and whose value lies within 1e-9 of the
+      best are continued by the same map until their direction step is below
+      1e-13 (``polish_restarts``), then must agree within 1e-6 after a
+      common phase.  The value step the ascent stops on shrinks like the
+      square of the direction error, so unpolished restarts can stop 1e-6
+      apart near a slow, unique maximiser.  Agreeing restarts are necessary
+      for a unique maximiser, not a proof of one.
 
     Returns (passed, gamma, u0, steps): gamma = min |B u0|, passed says
     gamma exceeds _EVEN_TOL times max(1, max |B u0|), and steps is the
@@ -527,17 +529,16 @@ def check_evenly_distributed(rec: BEtaDelta) -> tuple[bool, float, SpVector, int
     B = rec.op.block
     m = B.shape[0] // 2
     A = B[:m, :m]
+    # np.linalg.svd does not check its input, and head_runs are A's as built
+    if not np.isfinite(A).all():
+        raise ValueError("the head of B has a non-finite value")
     if rec.p == 2.0:
-        # asarray_chkfinite: np.linalg.svd does not check its input
-        s = np.append(np.linalg.svd(np.asarray_chkfinite(A), compute_uv=False), 0.0)
+        s = np.append(np.linalg.svd(A, compute_uv=False), 0.0)
         if not s[0] - s[1] > _GAP_MARGIN * s[0]:
             raise ExposednessUndetermined("sigma_1 of the head is not separated from sigma_2")
         steps = 0
     else:
-        runs = fixed_point_restarts(A, rec.p)
-        best_v, best_x, _ = _best_run(runs, rec.p)
-        near = [best_x] + [x for v, x, _ in runs if v >= best_v * (1.0 - 1e-9)]
-        X, steps = _polish(A, np.array(near), rec.p)
+        X, steps = polish_restarts(A, rec.head_runs, rec.p)
         for x in X[1:]:
             olap = np.vdot(X[0], x)
             theta = olap / abs(olap) if abs(olap) > 0 else 1.0

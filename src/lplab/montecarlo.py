@@ -19,9 +19,9 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .operators import _row_norms, op_norm_batch
+from .operators import op_norm_batch
 from .reports import Report, Section, check, make_report, make_section
-from .spaces import PNorm
+from .spaces import PNorm, row_norms
 
 __all__ = [
     "ExperimentKind",
@@ -50,7 +50,8 @@ _SCALE_PAD = 1e-9
 # Samples normalised together: enough rows to share the fixed-point ascent's
 # per-step cost, few enough that memory stays that of one chunk.
 NORMALISE_CHUNK = 8
-# ApSpectrumGrid's polar grid on the closed unit disk: radii x angles points
+# ApSpectrumGrid's polar grid on the closed unit disk: the origin and
+# (radii - 1) x angles points
 AP_GRID_RADII = 20
 AP_GRID_ANGLES = 20
 
@@ -255,11 +256,7 @@ def exp_orbit_decay(cfg: ExperimentConfig) -> Section:
         for n in range(ORBIT_STEPS):
             v = M @ v
             orbit[n + 1] = v
-        # each row's norm, bit for bit dense_norm of that row
-        if cfg.space.is_c0:
-            norms = np.abs(orbit).max(axis=1)
-        else:
-            norms = _row_norms(orbit, cfg.space.p)
+        norms = row_norms(orbit, cfg.space)
         monotone = bool(
             np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-9) + 1e-15)
         )
@@ -372,12 +369,10 @@ def exp_isometry_defect(cfg: ExperimentConfig) -> Section:
 
 
 def ap_grid_points() -> list[complex]:
-    """AP_GRID_RADII x AP_GRID_ANGLES polar grid on the closed unit disk."""
+    """The origin, then AP_GRID_ANGLES points on each positive grid radius."""
     radii = np.linspace(0.0, 1.0, AP_GRID_RADII)
     angles = np.linspace(0.0, 2.0 * np.pi, AP_GRID_ANGLES, endpoint=False)
-    return [
-        complex(r * np.exp(1j * t)) for r in radii for t in angles
-    ]
+    return [0j] + [complex(r * np.exp(1j * t)) for r in radii[1:] for t in angles]
 
 
 # Relative slack of the head certificates in ap_gain_profile (see there).
@@ -503,8 +498,8 @@ def ap_gain_profile(A: np.ndarray, D: int = 80) -> dict[str, Any]:
     lams = ap_grid_points()
     grid = np.asarray(lams)
     moduli = np.abs(grid)
-    # ap_grid_points is radius-major: point idx lies on radius idx // AP_GRID_ANGLES.
-    tail_at = np.repeat(_shift_tail_gains(D - dim), AP_GRID_ANGLES)
+    # a grid point of modulus r lies on grid radius r (AP_GRID_RADII - 1)
+    tail_at = _shift_tail_gains(D - dim)[np.rint(moduli * (AP_GRID_RADII - 1)).astype(int)]
     smax = np.linalg.svd(A, compute_uv=False)[0]
     floor = _head_gain_floor(A, grid, smax)
     eye = np.eye(dim, dtype=complex)

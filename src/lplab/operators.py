@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,10 +34,10 @@ from .spaces import (
     SpVector,
     _merge_tails,
     add,
-    _repair_norms,
     dense_norm,
     norm,
     pairing,
+    row_norms,
 )
 
 __all__ = [
@@ -54,6 +55,8 @@ __all__ = [
     "op_norm_batch",
     "op_norm_oracle",
     "op_norm_oracle_batch",
+    "best_run",
+    "polish_restarts",
     "dual_sup_norm",
 ]
 
@@ -66,6 +69,9 @@ _COLUMN_MEMO_MAX = 4096
 # complex Gaussian draws from default_rng(_FIXED_POINT_SEED), 32 in all.
 _FIXED_POINT_RESTARTS = 32
 _FIXED_POINT_SEED = 0
+# polish_restarts stops once no coordinate moves by _POLISH_STEP
+_POLISH_STEP = 1e-13
+_POLISH_MAX = 10_000
 # The oracle's 10 random starts per matrix come from default_rng(_ORACLE_SEED).
 _ORACLE_SEED = 0
 
@@ -577,26 +583,6 @@ def _J(z: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _row_norms(Z: np.ndarray, p: float) -> np.ndarray:
-    """The lp norm of each row of Z, bit for bit ``dense_norm`` of that row.
-
-    The sum runs over the contiguous last axis, which numpy adds up in the
-    same order as a lone vector.  The root is taken on Python floats because
-    numpy's array ``pow`` can differ from the scalar one in the last bit.
-    Rows whose power sum under- or overflowed are summed again scaled by
-    their largest modulus, as in ``dense_norm``.  Unlike ``dense_norm`` this
-    sits in the fixed-point loop, which already holds
-    ``np.errstate(over="ignore")``; other callers whose rows may overflow
-    hold it too.
-    """
-    r = 1.0 / p
-    A = np.abs(Z)
-    sums = np.sum(A**p, axis=-1)
-    out = [s**r for s in sums.tolist()]
-    _repair_norms(A, sums, out, p)
-    return np.array(out)
-
-
 def _matvec_slices(Ms: np.ndarray, Z: np.ndarray, bounds: list[int]) -> np.ndarray:
     """``Ms[k] @ z`` for each row z of ``Z[bounds[k]:bounds[k + 1]]``, one gemv per row.
 
@@ -612,6 +598,12 @@ def _matvec_slices(Ms: np.ndarray, Z: np.ndarray, bounds: list[int]) -> np.ndarr
     return out
 
 
+def _ascent_map(Ts: np.ndarray, MX: np.ndarray, bounds: list[int], p: float) -> np.ndarray:
+    """The fixed-point map x -> J_q(M^T J_p(M x)), unnormalised, on every row,
+    from the rows' images MX; ``Ts`` holds the transposed views."""
+    return _J(_matvec_slices(Ts, _J(MX, p), bounds), p / (p - 1.0))
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _fixed_point_batch(
     Ms: np.ndarray, p: float
@@ -621,10 +613,10 @@ def _fixed_point_batch(
     Entry k is matrix k's outcomes, or the ``AssertionError`` its ascent
     raises when a row loses monotonicity; that matrix leaves the batch there
     and the others run on as if it had never been in it.  Overflow and NaN
-    pass silently: a non-finite outcome ends in ``_best_run``'s ``ValueError``.
+    pass silently: a non-finite outcome ends in ``best_run``'s ``ValueError``.
     """
     K, _, n = Ms.shape
-    q = p / (p - 1.0)
+    pn = PNorm.lp(p)
     rng = np.random.default_rng(_FIXED_POINT_SEED)
     starts = [np.eye(n, dtype=complex), np.ones((1, n), dtype=complex)]
     starts += [
@@ -632,7 +624,7 @@ def _fixed_point_batch(
         for _ in range(_FIXED_POINT_RESTARTS - n - 1)
     ]
     X = np.concatenate(starts)
-    nx = _row_norms(X, p)
+    nx = row_norms(X, pn)
     X = X[nx != 0] / nx[nx != 0, None]
     # Row k*R + r is start r of matrix k.  Rows only ever leave, so the active
     # rows of matrix k stay one contiguous slice, act[bounds[k]:bounds[k + 1]].
@@ -644,7 +636,7 @@ def _fixed_point_batch(
     # round differently
     Ts = Ms.transpose(0, 2, 1)
     MX = _matvec_slices(Ms, X, bounds)
-    value = _row_norms(MX, p)
+    value = row_norms(MX, pn)
     res = value.copy()
     out = X.copy()
     act = np.arange(K * R)
@@ -652,8 +644,8 @@ def _fixed_point_batch(
     for _ in range(500):
         if not act.size:
             break
-        Y = _J(_matvec_slices(Ts, _J(MX, p), bounds), q)
-        ny = _row_norms(Y, p)
+        Y = _ascent_map(Ts, MX, bounds, p)
+        ny = row_norms(Y, pn)
         moved = ny != 0  # a row with a zero step stops where it is
         if moved.all():
             X = Y / ny[:, None]
@@ -661,7 +653,7 @@ def _fixed_point_batch(
             act, X = act[moved], Y[moved] / ny[moved, None]
             bounds = np.searchsorted(act, edges).tolist()
         MX = _matvec_slices(Ms, X, bounds)
-        v = _row_norms(MX, p)
+        v = row_norms(MX, pn)
         prev = value[act]
         drop = v < prev - 1e-12 * np.maximum(1.0, prev)
         if drop.any():
@@ -673,7 +665,7 @@ def _fixed_point_batch(
         value[act], res[act], out[act] = v, v - prev, X
         # a row stops once its step is small or NaN.  A NaN step means a
         # non-finite value, which later steps never bring back to a finite
-        # one, so the matrix ends with the same _best_run ValueError at once
+        # one, so the matrix ends with the same best_run ValueError at once
         running = res[act] > 1e-15 * np.maximum(v, 1e-30)
         if not running.all():
             act, X, MX = act[running], X[running], MX[running]
@@ -761,12 +753,36 @@ def _split_model(
     return rect, row_lo, col_lo, tails
 
 
-def _best_run(runs: list[tuple[float, np.ndarray, float]], p: float) -> tuple[float, np.ndarray, float]:
+def best_run(runs: Sequence[tuple[float, np.ndarray, float]], p: float) -> tuple[float, np.ndarray, float]:
     """The ascent's best outcome; a non-finite best value raises ``ValueError``."""
     v, x, res = max(runs, key=lambda t: t[0])
     if not math.isfinite(v):
         raise ValueError(f"fixed-point ascent at p = {p!r} gave a non-finite value {v}")
     return v, x, res
+
+
+def polish_restarts(
+    M: np.ndarray, runs: Sequence[tuple[float, np.ndarray, float]], p: float
+) -> tuple[np.ndarray, int]:
+    """The best of the outcomes ``runs`` of ``fixed_point_restarts(M, p)`` and
+    every one within 1e-9 of its value, as rows (best first), each continued
+    by the ascent's map, normalised, until no coordinate of any row moves by
+    _POLISH_STEP (or _POLISH_MAX steps); returns the rows and the steps.  A
+    non-finite best value raises ``best_run``'s ``ValueError``; a non-finite
+    row stops the loop and stays non-finite."""
+    best_v, best_x, _ = best_run(runs, p)
+    X = np.array([best_x] + [x for v, x, _ in runs if v >= best_v * (1.0 - 1e-9)])
+    Ms, bounds, pn = M[None], [0, len(X)], PNorm.lp(p)
+    Ts = Ms.transpose(0, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for steps in range(1, _POLISH_MAX + 1):
+            Y = _ascent_map(Ts, _matvec_slices(Ms, X, bounds), bounds, p)
+            Y /= row_norms(Y, pn)[:, None]
+            moved = np.abs(Y - X).max()
+            X = Y
+            if not moved >= _POLISH_STEP:
+                break
+    return X, steps
 
 
 def _split_certificate(
@@ -800,7 +816,7 @@ def _op_norm_split(T: StructuredOperator, p: float) -> NormCertificate:
         _, s, vh = np.linalg.svd(np.asarray_chkfinite(rect))
         v_rect, x, res = float(s[0]), np.conj(vh[0]), 0.0
     else:
-        v_rect, x, res = _best_run(fixed_point_restarts(rect, p), p)
+        v_rect, x, res = best_run(fixed_point_restarts(rect, p), p)
     method = "exact" if p == 2.0 else "fixed_point"
     return _split_certificate(v_rect, x, res, col_lo, tails, T.domain, method)
 
@@ -845,7 +861,7 @@ def op_norm_batch(Ms: np.ndarray, pn: PNorm) -> list[NormCertificate | Exception
         try:
             if isinstance(runs, AssertionError):
                 raise runs
-            best = _best_run(runs, pn.p)
+            best = best_run(runs, pn.p)
         except (AssertionError, ValueError) as exc:
             certs.append(exc)
             continue

@@ -23,6 +23,7 @@ __all__ = [
     "SpVector",
     "norm",
     "dense_norm",
+    "row_norms",
     "pairing",
 ]
 
@@ -316,6 +317,24 @@ def dense_norm(z: np.ndarray, pn: PNorm) -> np.floating | np.ndarray:
     out = np.atleast_1d(sums ** (1.0 / pn.p))
     _repair_norms(np.atleast_2d(a.T), np.atleast_1d(sums), out, pn.p)
     return out if a.ndim > 1 else out[0]
+
+
+def row_norms(Z: np.ndarray, pn: PNorm) -> np.ndarray:
+    """The norm of each row of Z, bit for bit ``dense_norm`` of that row.
+
+    On lp numpy sums the contiguous last axis in a lone vector's order, the
+    root is taken on Python floats (numpy's array ``pow`` can differ in the
+    last bit), and sums that under- or overflowed are redone as there.  It
+    holds no ``np.errstate``: a caller whose rows may overflow holds one.
+    """
+    A = np.abs(Z)
+    if pn.is_c0:
+        return A.max(axis=-1)
+    r = 1.0 / pn.p
+    sums = np.sum(A**pn.p, axis=-1)
+    out = [s**r for s in sums.tolist()]
+    _repair_norms(A, sums, out, pn.p)
+    return np.array(out)
 
 
 def pairing(f: SpVector, x: SpVector) -> complex:

@@ -142,8 +142,8 @@ def test_03_matches_ascent_on_B():
 
 def test_03_one_ascent_on_B_per_config(monkeypatch):
     """Only op_norm_unit runs the fixed point on the 2(N+1)-dimensional B,
-    once per p != 2 configuration; the head A gets one ascent from
-    build_B_eta_delta and one from check_evenly_distributed."""
+    once per p != 2 configuration; the head A gets its one ascent from
+    build_B_eta_delta, whose outcomes check_evenly_distributed polishes."""
     shapes = []
     original = operators.fixed_point_restarts
 
@@ -157,7 +157,7 @@ def test_03_one_ascent_on_B_per_config(monkeypatch):
     expected = []
     for p, A in acceptance._doubled_draws(DEFAULT_SEED):
         if p != 2.0:
-            expected += [len(A), 2 * len(A), len(A)]
+            expected += [len(A), 2 * len(A)]
     assert shapes == expected
 
 
@@ -234,9 +234,9 @@ def test_05_left_weight_below_the_disk_fails(monkeypatch):
     0.5 < |lambda| <= 1, so the record fails; lambda = 0.6 then carries an
     eigenvector, which S itself (operators.apply, not the recurrence that
     built it) maps to 0.6 times itself."""
-    real = acceptance.OmegaWeights
+    real = constructions.OmegaWeights
     monkeypatch.setattr(
-        acceptance, "OmegaWeights", lambda table, left, right: real(table, left=0.5, right=right)
+        constructions, "OmegaWeights", lambda table, left, right: real(table, left=0.5, right=right)
     )
     built = {}
 
@@ -244,7 +244,7 @@ def test_05_left_weight_below_the_disk_fails(monkeypatch):
         built.update(A=A, omega=omega)
         return build_S_A_omega(A, omega)
 
-    monkeypatch.setattr(acceptance, "build_S_A_omega", capture)
+    monkeypatch.setattr(constructions, "build_S_A_omega", capture)
     # a small truncation keeps the (unchanged) norm record cheap
     monkeypatch.setattr(acceptance, "materialize", lambda S, *_: materialize(S, -10, 10, -10, 10))
     sec = acceptance.criterion_circle_spectrum(DEFAULT_SEED)

@@ -86,3 +86,17 @@ def test_benchmark_tracer_targets_resolve():
         if attr not in vars(owner)
     ]
     assert not missing, f"tracer targets that no longer resolve: {missing}"
+
+
+# an import from the operators module, with every name it brings in
+OPERATORS_IMPORT = re.compile(r"from\s+(?:\.|lplab\.)operators\s+import\s+(\([^)]*\)|[^\n]*)")
+
+
+@pytest.mark.parametrize("module", ["constructions.py", "montecarlo.py"])
+def test_no_private_operators_import(module):
+    text = (Path(lplab.__file__).parent / module).read_text(encoding="utf-8")
+    imports = OPERATORS_IMPORT.findall(text)
+    assert imports, f"{module} imports nothing from operators"
+    names = [n.strip() for group in imports for n in group.strip("()").split(",")]
+    private = [n for n in names if n.startswith("_")]
+    assert not private, f"{module} imports private operators names: {private}"

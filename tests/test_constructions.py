@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lplab import constructions
+from lplab import constructions, operators
 from lplab.constructions import (
     EpsSeq,
     ExposednessUndetermined,
@@ -279,7 +279,7 @@ class TestEvenlyDistributed:
         assert passed
         assert gamma > 0.0
         assert u0 is rec.u0
-        assert 1 <= steps < constructions._POLISH_MAX
+        assert 1 <= steps < operators._POLISH_MAX
 
     def test_zero_row_fails(self):
         # A z has a zero coordinate, so B u0 has two
@@ -297,8 +297,8 @@ class TestEvenlyDistributed:
             check_evenly_distributed(rec)
 
     def test_non_finite_block_raises(self):
-        # the head ascent's best value is NaN; without the finiteness check
-        # the call returned (False, nan, x1)
+        # the record keeps the restarts of the finite head it was built
+        # from, so the check itself must refuse the non-finite one
         rec = build_B_eta_delta(np.eye(3, dtype=complex) / 4.0, 2, eta=0.5, p=3.0)
         block = rec.op.block.copy()
         block[1, 2] = np.inf

@@ -306,9 +306,10 @@ def _dense_gains(A, D):
 class TestApGrid:
     def test_grid_shape(self):
         pts = ap_grid_points()
-        assert len(pts) == 400
+        # the origin once, then 20 angles on each of 19 positive radii
+        assert len(pts) == len(set(pts)) == 381
         assert max(abs(z) for z in pts) == pytest.approx(1.0, abs=1e-12)
-        assert any(z == 0 for z in pts)
+        assert [z for z in pts if z == 0] == [0j] and pts[0] == 0
 
     def test_matrix_blocks(self):
         A = np.arange(9, dtype=complex).reshape(3, 3)
@@ -386,7 +387,7 @@ class TestApGrid:
         # an identity head pins the gain at lambda = 1 to zero, so the tie
         # moves on to the next boundary point
         ident = ap_gain_profile(np.eye(1, dtype=complex))
-        assert ident["argmax_lambda"] == pts[381]
+        assert ident["argmax_lambda"] == pts[362]
         assert ident["max_gain"] == zero["max_gain"]
 
     def test_head_binding_points(self):
@@ -413,7 +414,7 @@ class TestApGrid:
 
 
 def _reference_profile(A, D):
-    """ap_gain_profile computed in full: all 400 head SVDs, and the tail
+    """ap_gain_profile computed in full: all 381 head SVDs, and the tail
     recomputed on every call."""
     dim = A.shape[0]
     lams = ap_grid_points()
@@ -427,7 +428,8 @@ def _reference_profile(A, D):
     head = np.empty(len(lams))
     for idx, lam in enumerate(lams):
         head[idx] = np.linalg.svd(A - lam * eye, compute_uv=False)[-1]
-    tail_at = np.repeat(tail, 20)
+    # the origin, then 20 points on each positive radius
+    tail_at = np.concatenate([tail[:1], np.repeat(tail[1:], 20)])
     gains = np.minimum(head, tail_at)
     moduli = np.abs(np.asarray(lams))
     interior = moduli <= 0.9 + 1e-12
@@ -455,12 +457,12 @@ def _tail_at_one(dim, D=80):
 
 
 _RADII = np.linspace(0.0, 1.0, 20)
-# grid point 363 has radius 18/19, where a 76-dim shift tail's gain is about 2e-3
-_ON_GRID = 363
+# grid point 344 has radius 18/19, where a 76-dim shift tail's gain is about 2e-3
+_ON_GRID = 344
 
 
 def _eigenvalue_on_grid_point():
-    """A triangular head whose computed eigenvalues include grid point 363
+    """A triangular head whose computed eigenvalues include grid point 344
     exactly, so its gain there is about 0 and binds."""
     A = np.diag([ap_grid_points()[_ON_GRID], 0.2, -0.1j, 0.5]).astype(complex)
     A[0, 1:] = [0.3, -0.2j, 0.1]
@@ -554,7 +556,7 @@ class TestApGainSkip:
             ap_gain_profile(A, D=80)
             head_calls.append(len(_head_svd_points(args, A)))
             tail_calls.append(sum(np.shape(a) == (56, 56) for a in args))
-        # the full grid takes 400 head SVDs per sample, the Weyl bound alone 120-140
+        # the full grid takes 381 head SVDs per sample, the Weyl bound alone 120-140
         assert head_calls == [0] * 8
         assert tail_calls == [20] + [0] * 7
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from lplab.montecarlo import space_from_token
-from lplab.operators import _row_norms
 from lplab.spaces import (
     GeometricTail,
     PNorm,
@@ -16,6 +15,7 @@ from lplab.spaces import (
     dense_norm,
     norm,
     pairing,
+    row_norms,
 )
 
 TOL = 1e-10
@@ -82,7 +82,7 @@ class TestNorm:
 class TestScaledNorms:
     """Power sums that under- or overflow are summed again scaled by the
     largest modulus.  pyproject turns the overflow RuntimeWarning into an
-    error, so these also show that dense_norm raises none; _row_norms runs
+    error, so these also show that dense_norm raises none; row_norms runs
     under the fixed-point loop's np.errstate(over="ignore"), as here."""
 
     @pytest.mark.parametrize(
@@ -94,7 +94,7 @@ class TestScaledNorms:
         assert dense_norm(z, PNorm.lp(p)) == pytest.approx(want, rel=1e-14, abs=0.0)
         Z = np.stack([z, z[::-1], np.zeros(n), np.full(n, 0.5)])
         with np.errstate(over="ignore"):
-            rows = _row_norms(Z, p)
+            rows = row_norms(Z, PNorm.lp(p))
         assert rows[:2] == pytest.approx([want, want], rel=1e-14, abs=0.0)
         assert rows[2] == 0.0 and rows[3] == 0.5 * n ** (1.0 / p)
         np.testing.assert_array_equal(dense_norm(Z.T, PNorm.lp(p)), rows)
@@ -103,7 +103,7 @@ class TestScaledNorms:
     def test_nan_inf_and_zero_vectors_keep_their_norm(self, p):
         Z = np.array([[np.nan, 1e-200], [0.0, 0.0], [np.inf, 1e-200], [np.inf, np.nan]])
         with np.errstate(over="ignore"):
-            rows = _row_norms(Z, p)
+            rows = row_norms(Z, PNorm.lp(p))
         assert math.isnan(rows[0]) and rows[1] == 0.0 and rows[2] == np.inf
         assert math.isnan(rows[3])
         for z, v in zip(Z, rows):
