@@ -35,7 +35,7 @@ run = play_game(
     "eigenfree",
     rounds=4,
     seed=7,
-    params=EigenfreeParams.toy_mode(),
+    params=EigenfreeParams(toy=True),
     adversary="passthrough",
 )
 show("eigen-free, 4 toy rounds (capped geometry):", verify_eigenfree_run(run))

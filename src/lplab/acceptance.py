@@ -54,7 +54,6 @@ from .operators import (
     StructuredOperator,
     apply,
     dual_sup_norm,
-    materialize,
     op_norm,
     op_norm_batch,
     op_norm_oracle_batch,
@@ -312,15 +311,17 @@ def criterion_circle_spectrum(seed: int = DEFAULT_SEED) -> Section:
     The point spectrum is decided in closed form.  An eigenvector's left
     tail is continued by y_j = omega_j y_(j+2N+1) / lambda, whose terms grow
     by left/|lambda| per step, and lambda = 0 forces the block part to
-    vanish; so for |lambda| <= left no eigenvector lies in lp (the ratio
-    test that ``spectral.lambda_sets`` applies).  With left >= 1 that covers
-    the closed unit disk.
+    vanish; so for |lambda| <= left no eigenvector lies in lp (a ratio
+    test).  With left >= 1 that covers the closed unit disk.
+
+    ||S|| comes from ``op_norm`` on S's exact split model.  The weight table
+    reaches 3N + 1 to the left, so neither unit shift tail meets S's block,
+    and the block is the model's rectangle.
     """
     rng = np.random.default_rng(seed)
     p, eps = 2.5, 0.3
     S, omega, _, bound = small_weight_operator(_crandn(rng, 3, 3), p, eps)
-    Wd = materialize(S, -100, 100, -100, 100)
-    val = op_norm(StructuredOperator.from_dense(Wd), PNorm.lp(p)).value
+    val, rect = op_norm(S, PNorm.lp(p)).value, list(S.block.shape)
     records = [
         check(
             "no_point_spectrum_in_unit_disk",
@@ -331,7 +332,7 @@ def criterion_circle_spectrum(seed: int = DEFAULT_SEED) -> Section:
             reason="ratio test: the left series diverges where |lambda| <= left weight",
         ),
         # val is a fixed-point ascent's value, a lower bound on the norm
-        check("truncation_norm_bound", val, "consistency", "<=", bound, slack=1e-8, size=200),
+        check("truncation_norm_bound", val, "consistency", "<=", bound, slack=1e-8, rectangle=rect),
     ]
     return make_section("circle_spectrum", records)
 
@@ -433,7 +434,6 @@ def criterion_flat_polynomials(seed: int = DEFAULT_SEED) -> Section:
     for k in range(3, 11):
         rec = shift_poly_gap(k, 1.0)
         d = rec.d
-        floor = math.sqrt(d + 1.0) / math.sqrt(2.0)
         records.append(check(f"golay_defect[k={k}]", rec.golay_defect, "exact", "==", 0, degree=d))
         records.append(
             check(
@@ -445,7 +445,9 @@ def criterion_flat_polynomials(seed: int = DEFAULT_SEED) -> Section:
                 slack=1e-12 * (d + 1.0),
             )
         )
-        records.append(check(f"ratio_sample[k={k}]", rec.ratio_sample, "consistency", ">=", floor))
+        records.append(
+            check(f"ratio_sample[k={k}]", rec.ratio_sample, "consistency", ">=", rec.ratio_floor)
+        )
     return make_section("flat_polynomials", records)
 
 
@@ -489,7 +491,7 @@ def criterion_game_eigenfree(seed: int = DEFAULT_SEED) -> Section:
         "eigenfree",
         rounds=2,
         seed=seed,
-        params=EigenfreeParams.honest(),
+        params=EigenfreeParams(),
         adversary="passthrough",
     )
     rep = verify_eigenfree_run(run)
@@ -513,7 +515,7 @@ def criterion_game_eigenfree(seed: int = DEFAULT_SEED) -> Section:
         "eigenfree",
         rounds=4,
         seed=seed,
-        params=EigenfreeParams.toy_mode(),
+        params=EigenfreeParams(toy=True),
         adversary="passthrough",
     )
     toy_rep = verify_eigenfree_run(toy_run)

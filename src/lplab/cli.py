@@ -41,7 +41,7 @@ from .game import (
     verify_nonsup_run,
 )
 from .montecarlo import ExperimentConfig, run_suite, space_from_token
-from .operators import NormCertificate, StructuredOperator, materialize, op_norm, truncate
+from .operators import NormCertificate, StructuredOperator, op_norm, truncate
 from .reports import (
     EXIT_OK,
     EXIT_USAGE,
@@ -185,8 +185,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         side = 2 * N + 1
         A = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
         S, _, na, bound = small_weight_operator(A, pval, 0.3)
-        Wd = materialize(S, -40, 40, -40, 40)
-        cert = op_norm(StructuredOperator.from_dense(Wd), PNorm.lp(pval))
+        cert = op_norm(S, PNorm.lp(pval))
         records.append(
             check(
                 "norm_bound",
@@ -278,7 +277,7 @@ def _game_params(args: argparse.Namespace) -> EigenfreeParams:
             return EigenfreeParams(**data)
         except TypeError as exc:
             raise _ConfigError(f"bad game parameters: {exc}") from exc
-    return EigenfreeParams.toy_mode() if args.toy else EigenfreeParams.honest()
+    return EigenfreeParams(toy=args.toy)
 
 
 def _cmd_game(args: argparse.Namespace) -> int:

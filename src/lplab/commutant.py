@@ -154,7 +154,7 @@ def _poly_apply(T: StructuredOperator, coeffs: np.ndarray, v: SpVector) -> SpVec
     """Horner evaluation of ``poly(T) v`` for descending coefficients."""
     acc = SpVector.zero(T.domain)
     for c in np.atleast_1d(coeffs):
-        acc = apply(T, acc).add(v.scale(complex(c)))
+        acc = apply(T, acc) + v.scale(complex(c))
     return acc
 
 
@@ -261,8 +261,8 @@ def build_commutant_witness(
             continue
 
         op = _shift_extended(block, N)
-        x0 = _poly_apply(op, r_coeffs, SpVector.basis(N + 1)).add(
-            _poly_apply(op, s_coeffs, SpVector.basis(0))
+        x0 = _poly_apply(op, r_coeffs, SpVector.basis(N + 1)) + _poly_apply(
+            op, s_coeffs, SpVector.basis(0)
         )
         return CommutantWitness(
             N=N,

@@ -318,7 +318,7 @@ def dq_witness(
     for n in range(last_col + 1):
         if n <= Ns[q]:
             col = apply(T0, SpVector.basis(n))
-            if not col.support_is_finite():
+            if col.tail is not None:
                 raise ValueError("T0 columns must be finitely supported")
         else:
             col = killer_cols.get(n, SpVector.zero())

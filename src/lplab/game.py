@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
@@ -175,19 +175,6 @@ class GameBlock:
     N: int
     cols: tuple[tuple[int, tuple[tuple[int, complex], ...]], ...] = ()
     rounds: tuple[RoundData, ...] = ()
-
-    @staticmethod
-    def zero(N: int = 0) -> "GameBlock":
-        return GameBlock(N=N)
-
-    @staticmethod
-    def from_dense(M: np.ndarray) -> "GameBlock":
-        M = np.asarray(M, dtype=complex)
-        cols: dict[int, dict[int, complex]] = {}
-        rr, cc = np.nonzero(M)
-        for r, c in zip(rr.tolist(), cc.tolist()):
-            cols.setdefault(c, {})[r] = complex(M[r, c])
-        return block_from_columns(max(M.shape) - 1, cols)
 
 
 def block_from_columns(
@@ -414,14 +401,6 @@ class EigenfreeParams:
             object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         if not self.eta > 0.0:
             raise ValueError(f"eta must be positive (C > 4/eta), got {self.eta!r}")
-
-    @staticmethod
-    def honest() -> "EigenfreeParams":
-        return EigenfreeParams()
-
-    @staticmethod
-    def toy_mode() -> "EigenfreeParams":
-        return EigenfreeParams(toy=True)
 
     def alpha(self, k: int) -> float:
         if self.alphas is not None:
@@ -656,7 +635,7 @@ class GameRun:
 
 def opening_position() -> BasicOpenSet:
     """Canonical first move of player I: the whole contraction ball."""
-    return BasicOpenSet(N=0, A=GameBlock.zero(0), eps=1.0)
+    return BasicOpenSet(N=0, A=GameBlock(N=0), eps=1.0)
 
 
 def play_game(
@@ -679,7 +658,7 @@ def play_game(
     if rounds < 1:
         raise ValueError("at least one round must be played")
     if strategy == "eigenfree" and params is None:
-        params = EigenfreeParams.honest()
+        params = EigenfreeParams()
     rng = np.random.default_rng(seed)
     U = opening_position()
     moves: list[tuple[str, BasicOpenSet]] = [("I", U)]
@@ -834,7 +813,7 @@ def verify_eigenfree_run(run: GameRun) -> dict:
     """
     if run.strategy != "eigenfree":
         raise ValueError("run was not produced by the eigen-free strategy")
-    params = run.params if run.params is not None else EigenfreeParams.honest()
+    params = run.params if run.params is not None else EigenfreeParams()
     blk = run.final_set.A
     parts: dict[str, list[dict]] = {}
 
@@ -1216,21 +1195,7 @@ def _block_to_dict(blk: GameBlock) -> dict:
             str(j): {str(r): _complex_to_json(v) for r, v in ents}
             for j, ents in blk.cols
         },
-        "rounds": [
-            {
-                "k": rd.k,
-                "N": rd.N,
-                "eps": rd.eps,
-                "alpha": rd.alpha,
-                "tau": rd.tau,
-                "L": rd.L,
-                "R": rd.R,
-                "N_next": rd.N_next,
-                "eps_next": rd.eps_next,
-                "certified": rd.certified,
-            }
-            for rd in blk.rounds
-        ],
+        "rounds": [asdict(rd) for rd in blk.rounds],
     }
 
 
@@ -1263,15 +1228,5 @@ def game_run_to_dict(run: GameRun) -> dict:
             "toy": p.toy,
         }
     if run.strategy == "nonsup":
-        out["side"] = [
-            {
-                "k": rec.k,
-                "N": rec.N,
-                "eps": rec.eps,
-                "L": rec.L,
-                "N_next": rec.N_next,
-                "eps_next": rec.eps_next,
-            }
-            for rec in run.side
-        ]
+        out["side"] = [asdict(rec) for rec in run.side]
     return out

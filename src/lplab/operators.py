@@ -201,9 +201,6 @@ class StructuredOperator:
     def ncols(self) -> int:
         return self.block.shape[1]
 
-    def has_block_column(self, j: int) -> bool:
-        return self.col_offset <= j < self.col_offset + self.ncols
-
     def column(self, j: int) -> SpVector:
         """T e_j as a finitely supported vector, memoised per operator."""
         memo = self._columns
@@ -216,7 +213,7 @@ class StructuredOperator:
 
     def _build_column(self, j: int) -> SpVector:
         vals: dict[int, complex] = {}
-        if self.has_block_column(j):
+        if self.col_offset <= j < self.col_offset + self.ncols:
             colv = self.block[:, j - self.col_offset]
             for i in np.nonzero(colv)[0]:
                 r = self.row_offset + int(i)
@@ -434,7 +431,7 @@ def _rough_scale(T: StructuredOperator) -> float:
     return max(s, 1e-30)
 
 
-def _require_finite(T: StructuredOperator, space: str) -> None:
+def _require_finite(T: StructuredOperator, what: str) -> None:
     """Raise ``ValueError`` when T's block or a rule weight is not finite.
 
     The exact column and row sums would pass over a NaN (``v > best`` is false
@@ -442,11 +439,11 @@ def _require_finite(T: StructuredOperator, space: str) -> None:
     """
     weights = [w for rule in T.rules for e in rule.entries for w in (e.c, e.rho, e.d)]
     if not (np.isfinite(T.block).all() and np.isfinite(weights).all()):
-        raise ValueError(f"the exact {space} norm needs finite entries")
+        raise ValueError(f"the exact {what} needs finite entries")
 
 
 def _op_norm_l1(T: StructuredOperator) -> NormCertificate:
-    _require_finite(T, "l1")
+    _require_finite(T, "l1 norm")
     scale = _rough_scale(T)
     best, best_j = 0.0, None
     cols: set[int] = set(range(T.col_offset, T.col_offset + T.ncols))
@@ -489,7 +486,7 @@ def _c0_checks(T: StructuredOperator) -> None:
 
 
 def _op_norm_c0(T: StructuredOperator) -> NormCertificate:
-    _require_finite(T, "c0")
+    _require_finite(T, "c0 norm")
     _c0_checks(T)
     scale = _rough_scale(T)
     row_sums: dict[int, float] = {}
@@ -607,10 +604,10 @@ def _ascent_map(Ts: np.ndarray, MX: np.ndarray, bounds: list[int], p: float) -> 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _fixed_point_batch(
     Ms: np.ndarray, p: float
-) -> list[list[tuple[float, np.ndarray, float]] | AssertionError]:
+) -> list[list[tuple[float, np.ndarray, float]] | ValueError]:
     """``fixed_point_restarts`` for every matrix of a stack of one shape.
 
-    Entry k is matrix k's outcomes, or the ``AssertionError`` its ascent
+    Entry k is matrix k's outcomes, or the ``ValueError`` its ascent
     raises when a row loses monotonicity; that matrix leaves the batch there
     and the others run on as if it had never been in it.  Overflow and NaN
     pass silently: a non-finite outcome ends in ``best_run``'s ``ValueError``.
@@ -671,7 +668,7 @@ def _fixed_point_batch(
             act, X, MX = act[running], X[running], MX[running]
             bounds = np.searchsorted(act, edges).tolist()
     return [
-        AssertionError("fixed-point ascent lost monotonicity")
+        ValueError("fixed-point ascent lost monotonicity")
         if k in lost
         else [(float(value[i]), out[i], float(abs(res[i]))) for i in range(k * R, (k + 1) * R)]
         for k in range(K)
@@ -690,7 +687,7 @@ def fixed_point_restarts(M: np.ndarray, p: float) -> list[tuple[float, np.ndarra
     calls and so gives each matrix these same bits.
     """
     runs = _fixed_point_batch(M[None], p)[0]
-    if isinstance(runs, AssertionError):
+    if isinstance(runs, ValueError):
         raise runs
     return runs
 
@@ -859,10 +856,10 @@ def op_norm_batch(Ms: np.ndarray, pn: PNorm) -> list[NormCertificate | Exception
         return certs
     for runs in _fixed_point_batch(Ms, pn.p):
         try:
-            if isinstance(runs, AssertionError):
+            if isinstance(runs, ValueError):
                 raise runs
             best = best_run(runs, pn.p)
-        except (AssertionError, ValueError) as exc:
+        except ValueError as exc:
             certs.append(exc)
             continue
         certs.append(
@@ -1065,10 +1062,14 @@ def dual_sup_norm(T: StructuredOperator, xstar: SpVector) -> float:
 
     Exact: geometric weight families are enumerated to exhaustion and the
     constant parts contribute their limit values (the sup may be attained
-    only in the limit).
+    only in the limit).  A non-finite entry of T or of x* raises
+    ``ValueError``: the sup would pass over a NaN, as the exact norms would.
     """
     if xstar.tail is not None:
         raise ValueError("dual functional must be finitely supported")
+    _require_finite(T, "dual sup")
+    if not np.isfinite([v for _, v in xstar.entries]).all():
+        raise ValueError("the exact dual sup needs a finite functional")
     supp = {j for j, _ in xstar.entries}
     if not supp:
         return 0.0

@@ -151,9 +151,6 @@ class SpVector:
             return self.tail.value(j)
         return 0.0
 
-    def support_is_finite(self) -> bool:
-        return self.tail is None
-
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Dense values on ``[lo, hi)``."""
         out = np.zeros(hi - lo, dtype=complex)
@@ -177,19 +174,8 @@ class SpVector:
             tail = GeometricTail(self.tail.start, a * self.tail.coeff, self.tail.ratio)
         return SpVector.make({j: a * v for j, v in self.entries}, tail, self.domain)
 
-    def add(self, other: "SpVector") -> "SpVector":
-        return add(self, other)
-
     def __add__(self, other: "SpVector") -> "SpVector":
         return add(self, other)
-
-    def __mul__(self, a: complex) -> "SpVector":
-        return self.scale(a)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other: "SpVector") -> "SpVector":
-        return add(self, other.scale(-1.0))
 
 
 def _merge_tails(a: GeometricTail | None, b: GeometricTail | None) -> tuple[GeometricTail | None, list[tuple[int, complex]]]:

@@ -19,10 +19,8 @@ from .spaces import IndexDomain, SpVector
 
 __all__ = [
     "OmegaWeights",
-    "LambdaSets",
     "EigenPair",
     "eigs_dense",
-    "lambda_sets",
     "point_spectrum_SAomega",
 ]
 
@@ -64,14 +62,6 @@ class OmegaWeights:
 
 
 @dataclass(frozen=True)
-class LambdaSets:
-    """Index sets where the two reconstruction series converge."""
-
-    minus: tuple[int, ...]
-    plus: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class EigenPair:
     value: complex
     vector: object  # SpVector or dense ndarray
@@ -96,22 +86,6 @@ def eigs_dense(M: np.ndarray) -> list[EigenPair]:
     return out
 
 
-def lambda_sets(omega: OmegaWeights, lam: complex, N: int) -> LambdaSets:
-    """Convergence sets of the two reconstruction series on [-N, N].
-
-    With eventually constant weights the ratio test decides both series
-    uniformly in the base index: the finite table never affects convergence,
-    and the boundary cases diverge (eventually constant nonzero terms).
-    """
-    full = tuple(range(-N, N + 1))
-    if lam == 0:
-        minus_ok = False
-    else:
-        minus_ok = omega.left < abs(lam)
-    plus_ok = abs(lam) < omega.right  # lam = 0: all terms vanish
-    return LambdaSets(full if minus_ok else (), full if plus_ok else ())
-
-
 def point_spectrum_SAomega(
     A: np.ndarray,
     omega: OmegaWeights,
@@ -132,10 +106,14 @@ def point_spectrum_SAomega(
         raise ValueError("block must be square with odd dimension 2N+1")
     N = (n - 1) // 2
     step = 2 * N + 1
-    ls = lambda_sets(omega, lam, N)
-    if not ls.minus:
+    # With eventually constant weights the ratio test decides both
+    # reconstruction series uniformly in the base index: the finite table
+    # never affects convergence, and the boundary cases diverge (eventually
+    # constant nonzero terms).  The minus series divides by lam, so lam = 0
+    # has none; the plus series multiplies by it, so lam = 0 has all terms 0.
+    if lam == 0 or not omega.left < abs(lam):
         return None
-    if ls.plus:
+    if abs(lam) < omega.right:
         u = np.zeros(n, dtype=complex)
         u[N] = 1.0  # index 0
     else:
@@ -148,32 +126,24 @@ def point_spectrum_SAomega(
         u = np.conj(vh[-1])
     lo, hi = omega.table_span()
     W = max(3 * N + 1, abs(lo) + step, abs(hi) + step, window or 0)
-    # values y_j on [-W - step, W + step]
+    # y[j + offs] is the value y_j, for j in [-W - step, W + step]
     offs = W + step
     y = np.zeros(2 * offs + 1, dtype=complex)
-
-    def setv(j: int, v: complex) -> None:
-        y[j + offs] = v
-
-    def getv(j: int) -> complex:
-        return y[j + offs]
-
-    for k in range(-N, N + 1):
-        setv(k, u[k + N])
+    y[offs - N : offs + N + 1] = u
     r = A @ u - lam * u
     for k in range(-N, N + 1):
-        setv(k + step, -r[k + N] / omega.value(k))
+        y[k + step + offs] = -r[k + N] / omega.value(k)
     for j in range(3 * N + 2, W + step + 1):
-        setv(j, lam * getv(j - step) / omega.value(j - step))
+        y[j + offs] = lam * y[j - step + offs] / omega.value(j - step)
     for j in range(-N - 1, -W - step - 1, -1):
-        setv(j, omega.value(j) * getv(j + step) / lam)
+        y[j + offs] = omega.value(j) * y[j + step + offs] / lam
     # residual of the eigen equation on rows [-W, W]
     res = 0.0
     for k in range(-W, W + 1):
-        val = omega.value(k) * getv(k + step)
+        val = omega.value(k) * y[k + step + offs]
         if -N <= k <= N:
-            val += sum(A[k + N, i + N] * getv(i) for i in range(-N, N + 1))
-        res = max_or_nan(res, abs(val - lam * getv(k)))
+            val += sum(A[k + N, i + N] * y[i + offs] for i in range(-N, N + 1))
+        res = max_or_nan(res, abs(val - lam * y[k + offs]))
     scale = float(np.abs(y).max())
     vec = SpVector.make(
         {j - offs: y[j] for j in range(len(y)) if y[j] != 0},

@@ -24,7 +24,7 @@ from lplab import cli
 from lplab.cli import cli_main
 from lplab.game import EigenfreeParams, play_game, verify_eigenfree_run
 from lplab.constructions import build_S_A_omega
-from lplab.operators import apply, materialize, op_norm_batch
+from lplab.operators import StructuredOperator, apply, op_norm, op_norm_batch
 from lplab.montecarlo import ExperimentKind
 from lplab.reports import EVIDENCE, max_or_nan
 from lplab.spaces import PNorm, norm
@@ -229,6 +229,20 @@ def test_05_circle_spectrum(battery):
     _check(battery, 5)
 
 
+@pytest.mark.parametrize("seed", [1, 2, DEFAULT_SEED])
+def test_05_norm_comes_from_the_split_model(seed):
+    # the record's rectangle is S's block, which neither shift tail meets, and
+    # its value is the ascent on that rectangle with the unit tails beside it
+    sec = acceptance.criterion_circle_spectrum(seed)
+    rec = next(r for r in sec.records if r["name"] == "truncation_norm_bound")
+    rng = np.random.default_rng(seed)
+    S, _, _, _ = constructions.small_weight_operator(acceptance._crandn(rng, 3, 3), 2.5, 0.3)
+    rect, _, _, tails = operators._split_model(S)
+    assert rec["rectangle"] == list(rect.shape) == list(S.block.shape)
+    assert tails == [1.0, 1.0]
+    assert rec["value"] == max(op_norm(StructuredOperator.from_dense(rect), PNorm.lp(2.5)).value, 1.0)
+
+
 def test_05_left_weight_below_the_disk_fails(monkeypatch):
     """At left weight 0.5 the ratio test no longer rules out the eigenvalues
     0.5 < |lambda| <= 1, so the record fails; lambda = 0.6 then carries an
@@ -245,8 +259,6 @@ def test_05_left_weight_below_the_disk_fails(monkeypatch):
         return build_S_A_omega(A, omega)
 
     monkeypatch.setattr(constructions, "build_S_A_omega", capture)
-    # a small truncation keeps the (unchanged) norm record cheap
-    monkeypatch.setattr(acceptance, "materialize", lambda S, *_: materialize(S, -10, 10, -10, 10))
     sec = acceptance.criterion_circle_spectrum(DEFAULT_SEED)
     rec = next(r for r in sec.records if r["name"] == "no_point_spectrum_in_unit_disk")
     assert (rec["value"], rec["bound"], rec["ok"]) == (0.5, 1.0, False)
@@ -310,7 +322,7 @@ def test_10_game_eigenfree(battery):
         "eigenfree",
         rounds=4,
         seed=DEFAULT_SEED,
-        params=EigenfreeParams.toy_mode(),
+        params=EigenfreeParams(toy=True),
         adversary="passthrough",
     )
     rep = verify_eigenfree_run(run)

@@ -76,6 +76,16 @@ class TestUsageErrors:
         assert "all checks passed" not in captured.out
         assert "non-finite" in captured.err
 
+    def test_lost_monotonicity_is_an_error_line(self, tmp_path, capsys):
+        # the duality map of this finite matrix's images overflows at p = 7
+        path = _write(
+            tmp_path / "m.json", [[[7e29, 8e29], 1e-27], [-0.01, [1e57, 5e57]]]
+        )
+        assert cli_main(["norm", "--matrix", path, "--p", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ValueError: fixed-point ascent lost monotonicity\n"
+
     def test_bad_space_token(self, matrix_file):
         assert cli_main(["norm", "--matrix", matrix_file, "--p", "junk"]) == 2
 

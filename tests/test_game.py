@@ -44,6 +44,16 @@ ORBIT_SLACK = game_mod._ORBIT_SLACK
 ORBIT_DRIFT_TOL = 1e-12
 
 
+def _block_from_dense(M: np.ndarray) -> GameBlock:
+    """The GameBlock whose explicit columns are the non-zero columns of M."""
+    M = np.asarray(M, dtype=complex)
+    cols: dict[int, dict[int, complex]] = {}
+    rr, cc = np.nonzero(M)
+    for r, c in zip(rr.tolist(), cc.tolist()):
+        cols.setdefault(c, {})[r] = complex(M[r, c])
+    return block_from_columns(max(M.shape) - 1, cols)
+
+
 def _flatten(obj, path=""):
     """Leaves of a nested report as {path: value}, list items keyed by name."""
     if isinstance(obj, dict):
@@ -79,7 +89,7 @@ def _toy_round(k: int = 0, N: int = 0, eps: float = 0.5, L: int = 4, R: int = 3)
 class TestRoundGeometry:
     def test_honest_round_zero_fixtures(self):
         U0 = opening_position()
-        U1, rd = strategy_eigenfree_respond(U0, 0, EigenfreeParams.honest())
+        U1, rd = strategy_eigenfree_respond(U0, 0, EigenfreeParams())
         assert rd.tau == pytest.approx(0.01, abs=0)
         assert rd.L == 629
         assert rd.R == 439
@@ -89,14 +99,14 @@ class TestRoundGeometry:
 
     def test_net_spacing_below_tau(self):
         _, rd = strategy_eigenfree_respond(
-            opening_position(), 0, EigenfreeParams.honest()
+            opening_position(), 0, EigenfreeParams()
         )
         spacing = 2.0 * math.sin(math.pi / rd.L)
         assert spacing <= rd.tau + EXACT_TOL
 
     def test_escape_growth_strict_and_minimal(self):
         _, rd = strategy_eigenfree_respond(
-            opening_position(), 0, EigenfreeParams.honest()
+            opening_position(), 0, EigenfreeParams()
         )
         lratio = math.log1p(-rd.tau / 2.0) - math.log1p(-rd.tau)
         ltarget = math.log(9.0 / 1.0)
@@ -109,7 +119,7 @@ class TestRoundGeometry:
 
     def test_spoke_column_outside_window_rejected(self):
         with pytest.raises(ValueError):
-            strategy_eigenfree_respond(opening_position(), 1, EigenfreeParams.honest())
+            strategy_eigenfree_respond(opening_position(), 1, EigenfreeParams())
 
 
 class TestGameBlock:
@@ -117,7 +127,7 @@ class TestGameBlock:
         rng = np.random.default_rng(0)
         M = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         M /= np.abs(M).sum(axis=1).max()
-        blk = GameBlock.from_dense(M)
+        blk = _block_from_dense(M)
         assert np.allclose(block_to_dense(blk, 5), M, atol=0)
 
     def test_family_columns_materialize(self):
@@ -166,33 +176,33 @@ class TestLegalMove:
         assert legal_move(U, V)
 
     def test_window_shrink_is_illegal(self):
-        blk = GameBlock.zero(3)
+        blk = GameBlock(N=3)
         U = BasicOpenSet(N=3, A=blk, eps=1.0)
-        V = BasicOpenSet(N=2, A=GameBlock.zero(2), eps=0.1)
+        V = BasicOpenSet(N=2, A=GameBlock(N=2), eps=0.1)
         assert not legal_move(U, V)
 
     def test_large_column_move_is_illegal(self):
-        U = BasicOpenSet(N=1, A=GameBlock.zero(1), eps=0.25)
+        U = BasicOpenSet(N=1, A=GameBlock(N=1), eps=0.25)
         far = block_from_columns(1, {0: {1: 0.9 + 0.0j}})
         V = BasicOpenSet(N=1, A=far, eps=0.01)
         assert not legal_move(U, V)
 
     def test_strategy_responses_are_legal(self):
         U0 = opening_position()
-        U1, _ = strategy_eigenfree_respond(U0, 0, EigenfreeParams.honest())
+        U1, _ = strategy_eigenfree_respond(U0, 0, EigenfreeParams())
         assert legal_move(U0, U1)
         V1, _ = strategy_nonsup_respond(U0, 0, 0)
         assert legal_move(U0, V1)
 
     def test_eigenfree_column_distance_is_half_eps(self):
         U0 = opening_position()
-        U1, _ = strategy_eigenfree_respond(U0, 0, EigenfreeParams.honest())
+        U1, _ = strategy_eigenfree_respond(U0, 0, EigenfreeParams())
         assert _max_col_diff(U1.A, U0.A, U0.N) == pytest.approx(0.5, abs=0)
 
 
 class TestEigenfreeParams:
     def test_honest_parameters_validate(self):
-        checks = EigenfreeParams.honest().validate()
+        checks = EigenfreeParams().validate()
         assert all(c["ok"] for c in checks)
 
     def test_bad_parameters_flagged(self):
@@ -202,7 +212,7 @@ class TestEigenfreeParams:
         assert not names["eta_large"]
 
     def test_product_certificate_honest(self):
-        cert = EigenfreeParams.honest().certify_product(2)
+        cert = EigenfreeParams().certify_product(2)
         assert cert["certified"]
         assert cert["certified_lower_bound"] >= 8.0 / 32.0 + 0.5
         assert cert["partial_product"] > cert["certified_lower_bound"]
@@ -259,7 +269,7 @@ class TestNonsupStrategy:
 
     def test_family_block_rejected(self):
         U1, _ = strategy_eigenfree_respond(
-            opening_position(), 0, EigenfreeParams.honest()
+            opening_position(), 0, EigenfreeParams()
         )
         with pytest.raises(ValueError):
             strategy_nonsup_respond(U1, 1, 0)
@@ -296,7 +306,7 @@ class TestAdversaries:
 class TestPlayAndAssemble:
     def test_toy_play_assembles_dense(self):
         run = play_game(
-            "eigenfree", 4, seed=3, params=EigenfreeParams.toy_mode(), adversary="random"
+            "eigenfree", 4, seed=3, params=EigenfreeParams(toy=True), adversary="random"
         )
         blk = run.final_set.A
         M = block_to_dense(blk, blk.N + 1)
@@ -352,7 +362,7 @@ class TestVerifyEigenfree:
 
     def test_toy_k4_passes_uncertified(self):
         run = play_game(
-            "eigenfree", 4, seed=3, params=EigenfreeParams.toy_mode(), adversary="random"
+            "eigenfree", 4, seed=3, params=EigenfreeParams(toy=True), adversary="random"
         )
         rep = verify_eigenfree_run(run)
         assert rep["ok"]

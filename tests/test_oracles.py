@@ -75,7 +75,7 @@ def test_rudin_shapiro_k2_coefficients():
 
 def test_lambda_sets_against_partial_sums():
     from lplab.constructions import OmegaWeights
-    from lplab.spectral import lambda_sets
+    from lplab.spectral import point_spectrum_SAomega
 
     N = 2
     omega = OmegaWeights(table={-3: 0.01, -2: 0.02, 0: 0.05}, left=0.3, right=1.0)
@@ -84,11 +84,14 @@ def test_lambda_sets_against_partial_sums():
         (0.2, False, True),  # |lam| < 0.3: minus side diverges
         (1.5, True, False),  # |lam| > 1: plus side diverges
     ]:
-        ls = lambda_sets(omega, lam, N)
-        want_minus = tuple(range(-N, N + 1)) if minus_full else ()
-        want_plus = tuple(range(-N, N + 1)) if plus_full else ()
-        assert ls.minus == want_minus
-        assert ls.plus == want_plus
+        # the zero block has no eigenvalue lam, so an eigenpair needs both
+        # series; lam * I has every vector in its kernel, so it needs only
+        # the minus series
+        n = 2 * N + 1
+        zero = point_spectrum_SAomega(np.zeros((n, n)), omega, lam)
+        assert (zero is not None) == (minus_full and plus_full)
+        kernel = point_spectrum_SAomega(lam * np.eye(n), omega, lam)
+        assert (kernel is not None) == minus_full
         # log-space partial-sum cross-check on k = 0: the i-th term of the
         # minus-side series has log |prod omega / lam^i| with asymptotic slope
         # log(left) - log|lam|; summable iff the slope is negative.

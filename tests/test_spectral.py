@@ -1,4 +1,4 @@
-"""Tests for dense eigensolves, convergence sets, and point-spectrum probes."""
+"""Tests for dense eigensolves and point-spectrum probes."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from lplab.spaces import SpVector
 from lplab.spectral import (
     OmegaWeights,
     eigs_dense,
-    lambda_sets,
     point_spectrum_SAomega,
 )
 
@@ -48,25 +47,37 @@ class TestEigsDense:
 
 
 class TestLambdaSets:
+    """The ratio tests that decide both reconstruction series, seen through
+    ``point_spectrum_SAomega``: an eigenpair exists iff the minus series
+    converges and either the plus series converges or lam is an eigenvalue
+    of the block."""
+
     def test_zero_lambda(self):
+        # lam = 0 has no minus series, even for the zero block, whose kernel is
+        # everything
         omega = OmegaWeights(left=0.5, right=0.8)
-        ls = lambda_sets(omega, 0.0, 2)
-        assert ls.minus == ()
-        assert ls.plus == tuple(range(-2, 3))
+        assert point_spectrum_SAomega(np.zeros((5, 5)), omega, 0.0) is None
+        assert point_spectrum_SAomega(np.eye(5), omega, 0.0) is None
 
     def test_interior_annulus(self):
+        # left < |lam| < right: both series converge for any block
         omega = OmegaWeights(table={0: 0.01}, left=0.3, right=1.0)
-        ls = lambda_sets(omega, 0.5, 1)
-        assert ls.minus == (-1, 0, 1)
-        assert ls.plus == (-1, 0, 1)
+        A = np.random.default_rng(4).normal(size=(3, 3))
+        ep = point_spectrum_SAomega(A, omega, 0.5, window=40)
+        assert ep is not None
+        assert ep.residual < TOL_RESIDUAL
+        assert _sweep_residual(A, omega, ep, 1) < 1e-8
 
     def test_table_never_decides(self):
-        # finite tables perturb finitely many factors: convergence unchanged
+        # finite tables perturb finitely many factors: convergence unchanged.
+        # The block has eigenvalues 0.2 and 1.5, so at 1.5 the kernel carries
+        # an eigenvector past the diverging plus series; at 0.2 nothing does.
         big = OmegaWeights(table={-5: 100.0, 7: 1e-6}, left=0.3, right=1.0)
         plain = OmegaWeights(left=0.3, right=1.0)
-        for lam in (0.2, 0.5, 1.5):
-            a, b = lambda_sets(big, lam, 2), lambda_sets(plain, lam, 2)
-            assert a == b
+        A = np.diag([1.5, 0.2, 0.1, 0.4, 0.7])
+        for lam, exists in ((0.2, False), (0.5, True), (1.5, True)):
+            for omega in (big, plain):
+                assert (point_spectrum_SAomega(A, omega, lam) is not None) == exists
 
 
 def _sweep_residual(A, omega, ep, N):
