@@ -138,6 +138,20 @@ def _window_record(T: StructuredOperator, size: int) -> dict[str, Any]:
     return {"window": [[c for c in row] for row in W.tolist()], "size": size}
 
 
+def _construct_p(kind: str, token: str | None) -> float:
+    """The exponent ``construct --kind`` computes on, from ``--p`` or the
+    kind's default; a space the kind cannot serve is a configuration error."""
+    fixed = {"coisometry-l1": 1.0, "t1-coisometry": 1.0, "commutant-witness": 2.0}.get(kind)
+    if token is None:
+        return fixed or {"b-eta-delta": 3.0, "s-a-omega": 2.5}[kind]
+    pn = _space(token)
+    if fixed is not None and pn != PNorm.lp(fixed):
+        raise _ConfigError(f"--kind {kind} runs on l{fixed:g} only, not on {pn.label()}")
+    if pn.is_c0:
+        raise _ConfigError(f"--kind {kind} has no c0 model: give --p as a number >= 1")
+    return pn.p
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -147,9 +161,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(seed)
     N = args.dim
     p = args.p
+    pval = _construct_p(args.kind, p)
     records: list[dict[str, Any]] = []
     if args.kind == "b-eta-delta":
-        pval = float(p) if p not in (None, "c0") else 3.0
         A = rng.standard_normal((N + 1, N + 1)) + 1j * rng.standard_normal((N + 1, N + 1))
         A = A / (np.abs(A).sum() + 1.0)
         rec = build_B_eta_delta(A, N, eta=0.5, p=pval)
@@ -181,7 +195,6 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         )
         records.append(_window_record(T, 3 * (N + 1)))
     elif args.kind == "s-a-omega":
-        pval = float(p) if p not in (None, "c0") else 2.5
         side = 2 * N + 1
         A = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
         S, _, na, bound = small_weight_operator(A, pval, 0.3)

@@ -11,10 +11,9 @@ that drive everything else:
   open unit disk, with ``adjoint(T) f_w = w f_w``;
 * ``pairing(f_w, x0) = 1`` for every ``w``, which exhibits ``x0`` as cyclic.
 
-``eval_f_w_grid`` evaluates the family on a grid of ``w`` in one pass: one
-adjoint per witness, one ``np.polyval`` per polynomial over the whole grid,
-and one image ``adjoint(T) f_w`` per point, returned with ``f_w``.
-``eval_f_w`` is that pass on a grid of one point.
+``f_w_residuals`` checks both over a grid of ``w`` in one array pass per
+witness, the geometric tails summed in closed form; ``eval_f_w`` builds
+``f_w`` as an ``SpVector`` from the same arrays at one point.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .operators import (
     adjoint,
     apply,
 )
-from .spaces import GeometricTail, SpVector, pairing
+from .spaces import GeometricTail, PNorm, SpVector, norm, pairing
 from .spectral import eigs_dense
 
 __all__ = [
@@ -43,7 +42,7 @@ __all__ = [
     "random_t1_contraction",
     "build_commutant_witness",
     "eval_f_w",
-    "eval_f_w_grid",
+    "f_w_residuals",
     "krylov_rank",
     "witness_pairing_residual",
     "bezout_residual",
@@ -283,19 +282,13 @@ def build_commutant_witness(
     )
 
 
-def eval_f_w_grid(
-    wit: CommutantWitness, ws: Sequence[complex], window: int = 64
-) -> list[tuple[SpVector, SpVector]]:
-    """``(f_w, adjoint(T) f_w)`` for every ``w`` in ``ws``, all ``|w| < 1``.
+def _f_w_field(wit: CommutantWitness, ws: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
+    """``(grid, F)``: row ``g`` of ``F`` is ``f_w`` on ``0..N+1`` at ``w = grid[g]``.
 
-    ``f_w`` consists of a head part in coordinates ``0..N`` and the geometric
-    tail ``p(w) w^(j-(N+1))`` from ``N+1`` on.  Removable singularities at
-    ``w = lambda_n`` are evaluated through the expanded polynomial form, so
-    every ``w`` in the open disk is admissible.  ``adjoint(T)`` is built once
-    for the grid, each polynomial of the witness is evaluated once over the
-    whole grid, and each image is computed once: it serves both the caller
-    and the eigen-equation check, whose residual ``adjoint(T) f_w - w f_w``
-    on ``[0, window]`` must stay below 1e-8.
+    ``f_w`` is ``sum_n b_N beta_n reduced_n(w) V[:, n]`` on ``0..N`` and the
+    geometric tail ``p(w) w^(j-(N+1))`` from ``N+1`` on, each polynomial
+    evaluated once over the grid.  The expanded form makes ``w = lambda_n``
+    admissible; non-finite ``w`` and ``|w| >= 1`` raise ``ValueError``.
     """
     ws = [complex(w) for w in ws]
     for w in ws:
@@ -303,47 +296,57 @@ def eval_f_w_grid(
             raise ValueError(f"non-finite w {w!r} rejected")
         if abs(w) >= 1.0:
             raise ValueError("|w| >= 1 rejected: the tail is not summable")
-    N = wit.N
-    adj = adjoint(wit.op)
     grid = np.array(ws, dtype=complex)
-    reduced_at = [np.polyval(poly, grid) for poly in wit.reduced]
-    p_at = np.polyval(wit.p_coeffs, grid)
-    # b_N * beta_n and the column views V[:, n] are the same at every point
-    terms = [(wit.b_N * wit.betas[n], wit.V[:, n], at) for n, at in enumerate(reduced_at)]
-    hi = max(window, N + 2) + 1
-    out = []
-    for g, w in enumerate(ws):
-        head = np.zeros(N + 1, dtype=complex)
-        # Per point, not broadcast over the grid: an array complex multiply
-        # may round differently from this scalar chain.
-        for bb, v, at in terms:
-            head += bb * complex(at[g]) * v
-        pw = complex(p_at[g])
-        ents = {j: head[j] for j in range(N + 1)}
-        tail = None
-        if pw != 0 and w != 0:
-            tail = GeometricTail(N + 1, pw, w)
-        else:
-            ents[N + 1] = pw
-        f_w = SpVector.make(ents, tail)
-
-        image = apply(adj, f_w)
-        residual = float(np.linalg.norm(image.window(0, hi) - w * f_w.window(0, hi)))
-        if not residual < _EIGEN_RESIDUAL_TOL:
-            raise AssertionError(
-                f"eigen-equation residual {residual:.3e} on [0, {hi - 1}]"
-            )
-        out.append((f_w, image))
-    return out
+    cols = wit.b_N * wit.betas * wit.V
+    # one outer product per n, summed in order: a row's bits do not depend on
+    # the grid, where np.sum may reorder a short axis
+    H = sum(np.outer(np.polyval(poly, grid), cols[:, n]) for n, poly in enumerate(wit.reduced))
+    return grid, np.column_stack([H, np.polyval(wit.p_coeffs, grid)])
 
 
-def eval_f_w(wit: CommutantWitness, w: complex, window: int = 64) -> SpVector:
-    """Transpose-eigenvector ``f_w`` of ``wit.op`` for ``|w| < 1``.
+def f_w_residuals(wit: CommutantWitness, ws: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
+    """``||adjoint(T) f_w - w f_w||_2 / ||f_w||_2`` and ``|<f_w, x0> - 1|`` over ``ws``.
 
-    ``eval_f_w_grid`` on the grid of one point, without the image; the same
-    checks apply (finite ``w``, ``|w| < 1``, residual below 1e-8).
+    Both are exact over the whole vector.  ``adjoint(T)`` acts on ``0..N`` as
+    ``F @ block`` and maps the tail of ``f_w`` to the one with coefficient
+    ``p(w) w`` at ``N+1``, so each tail adds ``|c|^2 / (1 - |w|^2)`` to a
+    squared norm.  ``x0`` must be finitely supported, ``w`` as for ``eval_f_w``.
     """
-    return eval_f_w_grid(wit, [w], window)[0][0]
+    if wit.x0.tail is not None:
+        raise ValueError("x0 with a tail rejected: the pairing needs finite support")
+    grid, F = _f_w_field(wit, ws)
+    H, p_at = F[:, :-1], F[:, -1]
+    geo = 1.0 / (1.0 - np.abs(grid) ** 2)
+    head_res = F @ wit.op.block - grid[:, None] * H
+    tail_res = p_at * grid - grid * p_at
+    res = np.sqrt(np.sum(np.abs(head_res) ** 2, axis=1) + np.abs(tail_res) ** 2 * geo)
+    size = np.sqrt(np.sum(np.abs(H) ** 2, axis=1) + np.abs(p_at) ** 2 * geo)
+    js = np.array([j for j, _ in wit.x0.entries])
+    xs = np.array([v for _, v in wit.x0.entries])
+    # f_j(w) is F[:, j] up to N+1, then p(w) w^(j-(N+1)); w^0 = 1 exactly
+    f_at = F[:, np.minimum(js, wit.N + 1)] * grid[:, None] ** np.maximum(js - (wit.N + 1), 0)
+    return res / size, np.abs(f_at @ xs - 1.0)
+
+
+def eval_f_w(wit: CommutantWitness, w: complex) -> SpVector:
+    """Transpose-eigenvector ``f_w`` of ``wit.op``, from ``_f_w_field`` at one
+    point (``ValueError`` unless ``w`` is finite with ``|w| < 1``).
+
+    Raises ``AssertionError`` when ``||adjoint(T) f_w - w f_w||_2``, by the
+    ``SpVector`` engine and relative once ``||f_w||_2 < 1``, is not below 1e-8.
+    """
+    grid, F = _f_w_field(wit, [w])
+    w, pw = complex(grid[0]), complex(F[0, -1])
+    # with a tail, the entry p(w) at N+1 restates it and is not stored
+    tail = GeometricTail(wit.N + 1, pw, w) if pw != 0 and w != 0 else None
+    f_w = SpVector.make(enumerate(F[0]), tail)
+    pn2 = PNorm.lp(2.0)
+    residual = norm(apply(adjoint(wit.op), f_w) + f_w.scale(-w), pn2)
+    size = norm(f_w, pn2)
+    # relative below norm 1, so that a vanishing f_w cannot pass
+    if not residual < _EIGEN_RESIDUAL_TOL * min(1.0, size):
+        raise AssertionError(f"eigen-equation residual {residual:.3e} at ||f_w||_2 {size:.3e}")
+    return f_w
 
 
 def krylov_rank(T: np.ndarray, v: np.ndarray) -> int:

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -343,6 +344,48 @@ def test_11_nan_bezout_residual_fails(monkeypatch):
     assert rec["value"] == "nan"  # records hold non-finite floats as strings
     assert rec["ok"] is False
     assert sec.status == "fail"
+
+
+def _tampered_witnesses(monkeypatch, tamper):
+    """Criterion 11 on witnesses that the build hands over tampered."""
+    build = acceptance.build_commutant_witness
+    monkeypatch.setattr(
+        acceptance, "build_commutant_witness", lambda *a, **k: tamper(build(*a, **k))
+    )
+    sec = acceptance.criterion_commutant_witness(DEFAULT_SEED)
+    return sec, {r["name"]: r for r in sec.records}
+
+
+def _scale_first_column(wit):
+    V = wit.V.copy()
+    V[:, 0] *= 1.0 + 1e-6
+    return replace(wit, V=V)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [lambda wit: replace(wit, b_N=wit.b_N * (1.0 + 1e-6)), _scale_first_column],
+    ids=["b_N", "V"],
+)
+def test_11_tampered_witness_fails_the_field_records(monkeypatch, tamper):
+    """f_w built from a coupling or an eigenvector off by 1e-6 is no longer a
+    transpose-eigenvector, nor paired to 1 with x0: the section fails with
+    records, not an exception, and the untouched records still pass."""
+    sec, recs = _tampered_witnesses(monkeypatch, tamper)
+    assert sec.status == "fail"
+    for name in ("eigen_residual_f_w", "pairing_unit"):
+        assert recs[name]["value"] > 1e-8 and recs[name]["ok"] is False
+    assert recs["bezout_residual"]["ok"] is True
+    assert recs["krylov_rank_full"]["ok"] is True
+
+
+def test_11_nan_betas_fail_the_field_records(monkeypatch):
+    sec, recs = _tampered_witnesses(
+        monkeypatch, lambda wit: replace(wit, betas=np.full_like(wit.betas, np.nan))
+    )
+    assert sec.status == "fail"
+    for name in ("eigen_residual_f_w", "pairing_unit"):
+        assert recs[name]["value"] == "nan" and recs[name]["ok"] is False
 
 
 def _ok_records(tree):

@@ -179,6 +179,35 @@ class TestConstructCommand:
     def test_unknown_kind(self):
         assert cli_main(["construct", "--kind", "mystery"]) == 2
 
+    @pytest.mark.parametrize(
+        "kind, p",
+        [
+            ("s-a-omega", "c0"),
+            ("b-eta-delta", "c0"),
+            ("coisometry-l1", "3"),
+            ("t1-coisometry", "3"),
+            ("commutant-witness", "3"),
+        ],
+    )
+    def test_space_the_kind_cannot_serve(self, kind, p, capsys):
+        """No report that records one space and computes on another."""
+        assert cli_main(["construct", "--kind", kind, "--p", p, "--seed", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "kind, p",
+        [
+            ("b-eta-delta", "3"),
+            ("s-a-omega", "2.5"),
+            ("coisometry-l1", "1"),
+            ("commutant-witness", "2"),
+        ],
+    )
+    def test_space_the_kind_serves(self, kind, p):
+        assert cli_main(["construct", "--kind", kind, "--p", p, "--seed", "7"]) == 0
+
 
 class TestGameCommand:
     def test_nonsup_two_rounds(self, tmp_path, capsys):

@@ -13,14 +13,14 @@ from lplab.commutant import (
     bezout_residual,
     build_commutant_witness,
     eval_f_w,
-    eval_f_w_grid,
+    f_w_residuals,
     gram_schmidt_triangularize,
     krylov_rank,
     random_t1_contraction,
     witness_pairing_residual,
 )
 from lplab.operators import adjoint, apply, truncate
-from lplab.spaces import GeometricTail, PNorm, SpVector, norm
+from lplab.spaces import GeometricTail, PNorm, SpVector, norm, pairing
 
 TOL_ENTRYWISE = 1e-12
 TOL_UNITARY = 1e-10
@@ -207,13 +207,19 @@ class TestEvalFw:
         with pytest.raises(ValueError, match="non-finite"):
             eval_f_w(wit, w)
         with pytest.raises(ValueError, match="non-finite"):
-            eval_f_w_grid(wit, [0.1, w])
+            f_w_residuals(wit, [0.1, w])
 
     def test_nan_residual_fails_the_eigen_check(self):
         wit = build_commutant_witness(_rotation_example_block(), 1)
         broken = replace(wit, betas=np.full_like(wit.betas, np.nan))
         with pytest.raises(AssertionError, match="residual nan"):
             eval_f_w(broken, 0.3)
+
+    def test_vanishing_f_w_fails_the_eigen_check(self):
+        wit = build_commutant_witness(_rotation_example_block(), 1)
+        zero = replace(wit, betas=0 * wit.betas, p_coeffs=0 * wit.p_coeffs)
+        with pytest.raises(AssertionError, match="residual 0.000e.00 at"):
+            eval_f_w(zero, 0.3)
 
     def test_eigen_equation_on_disk_grid(self):
         rng = np.random.default_rng(7)
@@ -222,7 +228,7 @@ class TestEvalFw:
         angles = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
         for r, t in zip(radii, angles):
             w = r * np.exp(1j * t)
-            f = eval_f_w(wit, w, window=80)
+            f = eval_f_w(wit, w)
             image = apply(adjoint(wit.op), f)
             hi = 81
             res = np.linalg.norm(image.window(0, hi) - w * f.window(0, hi))
@@ -243,39 +249,57 @@ CRITERION_GRID = [0.0 + 0.0j] + [
 ]
 
 
-def _f_w_pointwise(wit, w: complex) -> SpVector:
-    """Reference f_w: every polynomial evaluated at the single point w."""
+def _f_w_pointwise(wit, w: complex) -> tuple[np.ndarray, np.ndarray, complex]:
+    """Reference f_w at the single point w, as a scalar chain per term:
+    the head on 0..N, the sum of its terms' moduli, and p(w)."""
     head = np.zeros(wit.N + 1, dtype=complex)
+    scale = np.zeros(wit.N + 1)
     for n, poly in enumerate(wit.reduced):
-        head += wit.b_N * wit.betas[n] * complex(np.polyval(poly, w)) * wit.V[:, n]
-    pw = complex(np.polyval(wit.p_coeffs, w))
-    ents = {j: head[j] for j in range(wit.N + 1)}
-    if pw != 0 and w != 0:
-        return SpVector.make(ents, GeometricTail(wit.N + 1, pw, w))
-    ents[wit.N + 1] = pw
-    return SpVector.make(ents)
+        term = wit.b_N * wit.betas[n] * complex(np.polyval(poly, w)) * wit.V[:, n]
+        head += term
+        scale += np.abs(term)
+    return head, scale, complex(np.polyval(wit.p_coeffs, w))
 
 
 class TestEvalFwGrid:
     @pytest.mark.parametrize("N", [0, 1, 2, 3])
     def test_matches_pointwise_eval_and_image(self, N):
+        """The array pass against apply(adjoint(T), f_w), spaces.norm and
+        pairing, point by point; f_w against the scalar reference."""
         rng = np.random.default_rng(40 + N)
         wit = build_commutant_witness(random_t1_contraction(N + 2, rng), N, seed=N)
         ws = CRITERION_GRID + [0.0] + [complex(lam) for lam in wit.lambdas]
-        got = eval_f_w_grid(wit, ws)
-        assert len(got) == len(ws)
-        adj = adjoint(wit.op)
-        for w, (f, image) in zip(ws, got):
-            want = eval_f_w(wit, w)
-            assert f == want == _f_w_pointwise(wit, w)
-            assert image == apply(adj, want)
+        eigen, pair = f_w_residuals(wit, ws)
+        assert eigen.shape == pair.shape == (len(ws),)
+        adj, pn2 = adjoint(wit.op), PNorm.lp(2.0)
+        eps = np.finfo(float).eps
+        for w, eigen_w, pair_w in zip(ws, eigen, pair):
+            f = eval_f_w(wit, w)
+            head, scale, pw = _f_w_pointwise(wit, w)
+            assert np.all(np.abs(f.window(0, N + 1) - head) <= 8 * eps * scale)
+            p_scale = np.polyval(np.abs(wit.p_coeffs), abs(w))
+            assert abs(f.at(N + 1) - pw) <= 8 * eps * p_scale
+            image = apply(adj, f)
+            residual = image + f.scale(-w)
+            # the image's tail is w f_w's tail, bit for bit
+            assert residual.tail is None
+            assert all(j <= N for j, _ in residual.entries)
+            assert abs(norm(residual, pn2) / norm(f, pn2) - eigen_w) <= 1e-15
+            assert abs(abs(pairing(f, wit.x0) - 1.0) - pair_w) <= 1e-15
 
     def test_any_point_outside_disk_rejected(self):
         wit = build_commutant_witness(_rotation_example_block(), 1)
         for bad in (1.0, -1.2j, 0.8 + 0.6j):
             with pytest.raises(ValueError, match="summable"):
-                eval_f_w_grid(wit, [0.0, 0.5, bad, 0.1j])
+                f_w_residuals(wit, [0.0, 0.5, bad, 0.1j])
 
     def test_empty_grid(self):
         wit = build_commutant_witness(_rotation_example_block(), 1)
-        assert eval_f_w_grid(wit, []) == []
+        eigen, pair = f_w_residuals(wit, [])
+        assert eigen.shape == pair.shape == (0,)
+
+    def test_x0_with_a_tail_rejected(self):
+        wit = build_commutant_witness(_rotation_example_block(), 1)
+        x0 = SpVector.make(wit.x0.entries, GeometricTail(9, 1e-3, 0.5))
+        with pytest.raises(ValueError, match="finite support"):
+            f_w_residuals(replace(wit, x0=x0), [0.3])
