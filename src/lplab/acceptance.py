@@ -496,7 +496,8 @@ def criterion_game_eigenfree(seed: int = DEFAULT_SEED) -> Section:
     rep = verify_eigenfree_run(run)
     records = _game_subsections(rep)
     screen = next(s for s in rep["sections"] if s["name"] == "eigen_screen")
-    counts = next(r for r in screen["records"] if "counts" in r)["counts"]
+    pairs = next(r for r in screen["records"] if r["name"] == "truncation_eigenpairs")
+    counts = pairs["counts"]
     records.append(
         check(
             "screen_rejections",
@@ -505,7 +506,7 @@ def criterion_game_eigenfree(seed: int = DEFAULT_SEED) -> Section:
             "==",
             0,
             counts=counts,
-            window=128,
+            window=pairs["window"],
         )
     )
     records.append(check("certified", rep["certified"], "exact", "==", True))

@@ -160,6 +160,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     seed = _check_seed(args.seed)
     rng = np.random.default_rng(seed)
     N = args.dim
+    if N < 0:
+        raise _ConfigError(f"--dim must be >= 0, not {N}")
     p = args.p
     pval = _construct_p(args.kind, p)
     records: list[dict[str, Any]] = []
@@ -377,7 +379,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 def _cmd_verify_all(args: argparse.Namespace) -> int:
     seed = _check_seed(args.seed)
     numbers = None
-    if args.only:
+    if args.only is not None:
         try:
             numbers = sorted({int(tok) for tok in args.only.split(",")})
         except ValueError as exc:

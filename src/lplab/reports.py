@@ -33,7 +33,6 @@ __all__ = [
     "check",
     "section_status",
     "max_or_nan",
-    "min_or_nan",
     "make_section",
     "make_report",
     "report_from_dict",
@@ -148,16 +147,6 @@ def max_or_nan(acc: float, *vals: float) -> float:
         if math.isnan(acc):
             break
         if math.isnan(v) or v > acc:
-            acc = v
-    return acc
-
-
-def min_or_nan(acc: float, *vals: float) -> float:
-    """``min(acc, *vals)``, except that a NaN among them is the result."""
-    for v in vals:
-        if math.isnan(acc):
-            break
-        if math.isnan(v) or v < acc:
             acc = v
     return acc
 

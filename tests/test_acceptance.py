@@ -19,11 +19,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lplab import acceptance, constructions, operators
+from lplab import acceptance, constructions, game, operators
 from lplab.acceptance import CRITERIA, DEFAULT_SEED, criterion_norm_engine, run_battery
 from lplab import cli
 from lplab.cli import cli_main
-from lplab.game import EigenfreeParams, play_game, verify_eigenfree_run
+from lplab.game import EigenfreeParams, play_game, verify_eigenfree_run, verify_nonsup_run
 from lplab.constructions import build_S_A_omega
 from lplab.operators import StructuredOperator, apply, op_norm, op_norm_batch
 from lplab.montecarlo import ExperimentKind
@@ -312,6 +312,37 @@ def test_08_flipped_golay_sign_fails(monkeypatch):
 
 def test_09_game_nonsup(battery):
     _check(battery, 9, budget=300.0)
+
+
+def _low_floor_start(side, dim):
+    # e_0 + 1e-3 e_{N_0 + 1}: the floor at n = 0 is 1e-3/1.001, below 1/9
+    x = np.zeros(dim, dtype=complex)
+    x[0] = 1.0
+    x[side[0].N + 1] = 1e-3
+    return x
+
+
+def _nan_start(side, dim, start=game._nonsup_vector):
+    x = start(side, dim)
+    x[-1] = math.nan
+    return x
+
+
+@pytest.mark.parametrize("start", [_low_floor_start, _nan_start], ids=["low", "nan"])
+def test_09_bad_start_vector_fails_the_exact_floor(monkeypatch, start):
+    """The exact floor fails, with its section and criterion 9, on a start
+    vector whose floor is below 1/9 or is NaN, and nothing raises."""
+    monkeypatch.setattr(game, "_nonsup_vector", start)
+    rep = verify_nonsup_run(play_game("nonsup", 3, seed=DEFAULT_SEED, adversary="random"))
+    floor = next(s for s in rep["sections"] if s["name"] == "scaled_orbit_floor")
+    rec = next(r for r in floor["records"] if r["name"] == "exact_floor_direct_range")
+    assert rec["ok"] is False
+    assert floor["status"] == "fail"
+    sec = acceptance.criterion_game_nonsup(DEFAULT_SEED)
+    assert sec.status == "fail"
+    recs = {r["name"]: r for r in sec.records}
+    assert recs["scaled_orbit_floor"]["ok"] is False
+    assert recs["overall"]["ok"] is False
 
 
 def test_10_game_eigenfree(battery):

@@ -45,6 +45,14 @@ class TestUsageErrors:
     def test_malformed_only_list(self):
         assert cli_main(["verify-all", "--only", "2,x"]) == 2
 
+    @pytest.mark.parametrize("only", ["", ","])
+    def test_empty_only_list(self, only, capsys):
+        # an empty selection is refused, not read as "all criteria"
+        assert cli_main(["verify-all", "--only", only]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --only takes a comma-separated list of integers\n"
+
     def test_bad_matrix_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -178,6 +186,18 @@ class TestConstructCommand:
 
     def test_unknown_kind(self):
         assert cli_main(["construct", "--kind", "mystery"]) == 2
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["b-eta-delta", "coisometry-l1", "t1-coisometry", "s-a-omega", "commutant-witness"],
+    )
+    def test_negative_dim_is_refused_and_zero_runs(self, kind, capsys):
+        assert cli_main(["construct", "--kind", kind, "--dim", "-1", "--seed", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "--dim" in captured.err
+        assert cli_main(["construct", "--kind", kind, "--dim", "0", "--seed", "7"]) == 0
 
     @pytest.mark.parametrize(
         "kind, p",
