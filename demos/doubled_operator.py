@@ -21,8 +21,8 @@ from lplab.constructions import (
     check_evenly_distributed,
     delta_for_B,
 )
-from lplab.operators import StructuredOperator, apply, op_norm, truncate
-from lplab.spaces import PNorm, norm
+from lplab.operators import StructuredOperator, op_norm, truncate
+from lplab.spaces import PNorm
 
 p = 3.0
 pn = PNorm.lp(p)
@@ -36,10 +36,10 @@ rec = build_B_eta_delta(A, N, eta=0.5, p=p)
 print(f"head contraction: {N + 1} x {N + 1}, eta = {rec.eta}, p = {p}")
 print(f"closed-form norm : {rec.closed_form_norm:.15f}")
 print(f"certified norm   : {op_norm(rec.op, pn).value:.15f}")
-print(f"gain on u0       : {norm(apply(rec.op, rec.u0), pn):.15f}")
+print(f"gain on u0       : {rec.gain_u0:.15f}")
 print()
 
-passed, gamma, _, steps = check_evenly_distributed(rec)
+passed, gamma, steps = check_evenly_distributed(rec)
 print(f"evenly distributed: {passed}, gamma = {gamma:.6f} ({steps} polish steps)")
 
 M, eps = 8, 0.25

@@ -222,9 +222,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
                 "<",
                 1e-8,
                 lambdas=list(wit.lambdas),
-                **{"pairing_at_0.3": witness_pairing_residual(wit, eval_f_w(wit, 0.3))},
             )
         )
+        pair = witness_pairing_residual(wit, eval_f_w(wit, 0.3))
+        records.append(check("pairing_at_0.3", pair, "exact", "<", 1e-8))
     report = make_report(
         seed=seed,
         config={"cmd": "construct", "kind": args.kind, "dim": N, "p": p, "seed": seed},

@@ -11,9 +11,10 @@ that drive everything else:
   open unit disk, with ``adjoint(T) f_w = w f_w``;
 * ``pairing(f_w, x0) = 1`` for every ``w``, which exhibits ``x0`` as cyclic.
 
-``f_w_residuals`` checks both over a grid of ``w`` in one array pass per
-witness, the geometric tails summed in closed form; ``eval_f_w`` builds
-``f_w`` as an ``SpVector`` from the same arrays at one point.
+``x0`` is an array on coordinates ``0..2N+1``.  ``f_w_residuals`` checks
+both over a grid of ``w`` in one array pass per witness, the geometric tails
+summed in closed form; ``eval_f_w`` builds ``f_w`` as an ``SpVector`` from
+the same arrays at one point.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .operators import (
     StructuredOperator,
     adjoint,
     apply,
+    truncate,
 )
 from .spaces import GeometricTail, PNorm, SpVector, norm, pairing
 from .spectral import eigs_dense
@@ -132,7 +134,8 @@ class CommutantWitness:
     columns of ``V`` are eigenvalues and eigenvectors of the transposed head
     square; ``betas`` expands ``e_N`` in that eigenbasis.  Polynomial
     coefficient arrays are in descending powers, with ``r*p + s*q = 1``;
-    ``reduced[n]`` holds prod_{k != n}(w - lambda_k).
+    ``reduced[n]`` holds prod_{k != n}(w - lambda_k); ``x0`` holds
+    ``r(T) e_{N+1} + s(T) e_0`` on coordinates ``0..2N+1``.
     """
 
     N: int
@@ -145,16 +148,8 @@ class CommutantWitness:
     r_coeffs: np.ndarray
     s_coeffs: np.ndarray
     reduced: tuple[np.ndarray, ...]
-    x0: SpVector
+    x0: np.ndarray
     op: StructuredOperator
-
-
-def _poly_apply(T: StructuredOperator, coeffs: np.ndarray, v: SpVector) -> SpVector:
-    """Horner evaluation of ``poly(T) v`` for descending coefficients."""
-    acc = SpVector.zero(T.domain)
-    for c in np.atleast_1d(coeffs):
-        acc = apply(T, acc) + v.scale(complex(c))
-    return acc
 
 
 def _shift_extended(block: np.ndarray, N: int) -> StructuredOperator:
@@ -260,9 +255,16 @@ def build_commutant_witness(
             continue
 
         op = _shift_extended(block, N)
-        x0 = _poly_apply(op, r_coeffs, SpVector.basis(N + 1)) + _poly_apply(
-            op, s_coeffs, SpVector.basis(0)
-        )
+        # T maps coordinates 0..m into 0..max(m, N) + 1 and deg r, deg s <= N,
+        # so Horner on this window of T is exact
+        Tw = truncate(op, 2 * N + 2)
+        x0 = np.zeros(2 * N + 2, dtype=complex)
+        for coeffs, j in ((r_coeffs, N + 1), (s_coeffs, 0)):
+            acc = np.zeros_like(x0)
+            for c in np.atleast_1d(coeffs):
+                acc = Tw @ acc
+                acc[j] += c
+            x0 += acc
         return CommutantWitness(
             N=N,
             b_N=b_N,
@@ -310,10 +312,8 @@ def f_w_residuals(wit: CommutantWitness, ws: Sequence[complex]) -> tuple[np.ndar
     Both are exact over the whole vector.  ``adjoint(T)`` acts on ``0..N`` as
     ``F @ block`` and maps the tail of ``f_w`` to the one with coefficient
     ``p(w) w`` at ``N+1``, so each tail adds ``|c|^2 / (1 - |w|^2)`` to a
-    squared norm.  ``x0`` must be finitely supported, ``w`` as for ``eval_f_w``.
+    squared norm.  ``w`` as for ``eval_f_w``.
     """
-    if wit.x0.tail is not None:
-        raise ValueError("x0 with a tail rejected: the pairing needs finite support")
     grid, F = _f_w_field(wit, ws)
     H, p_at = F[:, :-1], F[:, -1]
     geo = 1.0 / (1.0 - np.abs(grid) ** 2)
@@ -321,11 +321,10 @@ def f_w_residuals(wit: CommutantWitness, ws: Sequence[complex]) -> tuple[np.ndar
     tail_res = p_at * grid - grid * p_at
     res = np.sqrt(np.sum(np.abs(head_res) ** 2, axis=1) + np.abs(tail_res) ** 2 * geo)
     size = np.sqrt(np.sum(np.abs(H) ** 2, axis=1) + np.abs(p_at) ** 2 * geo)
-    js = np.array([j for j, _ in wit.x0.entries])
-    xs = np.array([v for _, v in wit.x0.entries])
+    js = np.arange(len(wit.x0))
     # f_j(w) is F[:, j] up to N+1, then p(w) w^(j-(N+1)); w^0 = 1 exactly
     f_at = F[:, np.minimum(js, wit.N + 1)] * grid[:, None] ** np.maximum(js - (wit.N + 1), 0)
-    return res / size, np.abs(f_at @ xs - 1.0)
+    return res / size, np.abs(f_at @ wit.x0 - 1.0)
 
 
 def eval_f_w(wit: CommutantWitness, w: complex) -> SpVector:
@@ -363,7 +362,7 @@ def krylov_rank(T: np.ndarray, v: np.ndarray) -> int:
 
 def witness_pairing_residual(wit: CommutantWitness, f_w: SpVector) -> float:
     """|pairing(f_w, x0) - 1| for ``f_w = eval_f_w(wit, w)``."""
-    return abs(pairing(f_w, wit.x0) - 1.0)
+    return abs(pairing(f_w, SpVector.make(enumerate(wit.x0))) - 1.0)
 
 
 def bezout_residual(wit: CommutantWitness) -> float:

@@ -17,13 +17,13 @@ from .operators import (
     ColumnRule,
     RuleEntry,
     StructuredOperator,
-    apply,
     best_run,
     fixed_point_restarts,
+    materialize,
     op_norm,
     polish_restarts,
 )
-from .spaces import IndexDomain, PNorm, SpVector, norm
+from .spaces import IndexDomain, PNorm, dense_norm
 from .spectral import OmegaWeights
 
 __all__ = [
@@ -265,6 +265,12 @@ def _check_alpha_nseq(alpha: tuple[float, ...], Ns: tuple[int, ...]) -> None:
         raise ValueError("Nseq must be strictly increasing")
 
 
+def _require_plain(T: StructuredOperator) -> None:
+    """The kernel-vector game reads T as its block on columns and rows from 0."""
+    if T.rules or T.row_offset or T.col_offset:
+        raise ValueError("operator must be a block at offset 0 without rules")
+
+
 def dq_witness(
     T0: StructuredOperator,
     q: int,
@@ -279,56 +285,39 @@ def dq_witness(
     fresh column is planted at Ns[q + 1 + position] that exactly cancels that
     image; all remaining far columns are zeroed.  With ``return_plan`` the
     mapping from each triggering tuple to its cancelling index is returned
-    alongside the operator.
+    alongside the operator.  T0 must be a block at offset 0 without rules
+    (``ValueError`` otherwise).
     """
     if q > 16:
         raise ValueError("tuple enumeration is exponential in q; q > 16 refused")
+    _require_plain(T0)
     alpha = tuple(float(a) for a in alpha)
     Ns = tuple(int(n) for n in Ns)
     _check_alpha_nseq(alpha, Ns)
     if len(alpha) < q + 3:
         raise ValueError("alpha must provide at least q+3 terms")
 
+    head = materialize(T0, 0, T0.nrows, 0, Ns[q] + 1)
     pn = PNorm.lp(1.0)
     triggering: list[tuple[int, ...]] = []
-    images: list[SpVector] = []
+    images: list[np.ndarray] = []
     for size in range(1, q + 2):
         for tau in itertools.combinations(range(q + 1), size):
-            trial = SpVector.zero()
-            for j, idx in enumerate(tau):
-                trial = trial + SpVector.basis(Ns[idx]).scale(alpha[j])
-            img = apply(T0, trial)
-            if norm(img, pn) <= alpha[size] + 1e-12:
+            # summed over tau's columns in index order, as apply sums T0 x
+            img = sum(a * head[:, Ns[idx]] for a, idx in zip(alpha, tau))
+            if dense_norm(img, pn) <= alpha[size] + 1e-12:
                 triggering.append(tau)
                 images.append(img)
     s = len(triggering)
     if len(Ns) <= q + s:
         raise ValueError("Ns must extend past q by the number of triggering tuples")
 
+    block = np.zeros((T0.nrows, (Ns[q + s] if s else Ns[q]) + 1), dtype=complex)
+    block[:, : Ns[q] + 1] = head
     plan: dict[tuple[int, ...], int] = {}
-    killer_cols: dict[int, SpVector] = {}
     for k, (tau, img) in enumerate(zip(triggering, images)):
-        idx = q + 1 + k
-        plan[tau] = idx
-        killer_cols[Ns[idx]] = img.scale(-1.0 / alpha[len(tau)])
-
-    last_col = Ns[q + s] if s else Ns[q]
-    cols: list[SpVector] = []
-    max_row = 0
-    for n in range(last_col + 1):
-        if n <= Ns[q]:
-            col = apply(T0, SpVector.basis(n))
-            if col.tail is not None:
-                raise ValueError("T0 columns must be finitely supported")
-        else:
-            col = killer_cols.get(n, SpVector.zero())
-        cols.append(col)
-        for j, _ in col.entries:
-            max_row = max(max_row, j)
-    block = np.zeros((max_row + 1, last_col + 1), dtype=complex)
-    for n, col in enumerate(cols):
-        for j, v in col.entries:
-            block[j, n] = v
+        plan[tau] = q + 1 + k
+        block[:, Ns[q + 1 + k]] = (-1.0 / alpha[len(tau)]) * img
     T = StructuredOperator(
         block=block, row_offset=0, col_offset=0, rules=(), domain=IndexDomain.NATURALS
     )
@@ -342,42 +331,46 @@ def kernel_vector_greedy(
     alpha: Sequence[float],
     Ns: Sequence[int],
     max_l: int,
-) -> tuple[SpVector, list[dict]]:
+) -> tuple[np.ndarray, list[dict]]:
     """Greedy growth of x = sum_{j<=l} alpha_j e_{Ns[i_j]} with i_0 = 0.
 
     At step l (1 <= l <= max_l) the search scans i > i_{l-1} up to the end
     of Ns for the first index with ||T(x + alpha_l e_{Ns[i]})||_1 <
     alpha_{l+1}.  Raises :class:`SearchExhausted` reporting the failing step.
-    Returns the final vector and a per-step trace (index chosen, candidates
-    tested, image norm).
+    Returns the final vector on coordinates 0..Ns[-1] and a per-step trace
+    (index chosen, candidates tested, image norm).  T must be a block at
+    offset 0 without rules (``ValueError`` otherwise).
     """
-    pn = PNorm.lp(1.0)
+    _require_plain(T)
     alpha = tuple(float(a) for a in alpha)
     Ns = tuple(int(n) for n in Ns)
     _check_alpha_nseq(alpha, Ns)
     if len(alpha) < max_l + 2:
         raise ValueError("alpha must provide max_l + 2 terms")
     cap = len(Ns) - 1
-    x = SpVector.basis(Ns[0]).scale(alpha[0])
+    cols = materialize(T, 0, T.nrows, 0, Ns[-1] + 1)[:, list(Ns)]  # T e_{Ns[i]}
+    x = np.zeros(Ns[-1] + 1, dtype=complex)
+    x[Ns[0]] = alpha[0]
+    img = alpha[0] * cols[:, 0]
     chosen = [0]
     trace: list[dict] = []
     for l in range(1, max_l + 1):
-        found: tuple[int, SpVector, float, int] | None = None
-        tested = 0
-        for i in range(chosen[-1] + 1, cap + 1):
-            tested += 1
-            cand = x + SpVector.basis(Ns[i]).scale(alpha[l])
-            v = norm(apply(T, cand), pn)
-            if v < alpha[l + 1]:
-                found = (i, cand, v, tested)
-                break
-        if found is None:
+        lo = chosen[-1] + 1
+        # the l1 norm of every candidate's image at once; each column sums
+        # down its rows in order, as spaces.norm sums T x
+        norms = np.abs(img[:, None] + alpha[l] * cols[:, lo:]).sum(axis=0)
+        hits = np.flatnonzero(norms < alpha[l + 1])
+        if not hits.size:
             raise SearchExhausted(
                 f"step {l}: no admissible index in ({chosen[-1]}, {cap}]"
             )
-        i, x, v, tested = found
+        i = lo + int(hits[0])
+        img = img + alpha[l] * cols[:, i]
+        x[Ns[i]] = alpha[l]
         chosen.append(i)
-        trace.append({"step": l, "index": i, "tested": tested, "image_norm": v})
+        trace.append(
+            {"step": l, "index": i, "tested": int(hits[0]) + 1, "image_norm": float(norms[hits[0]])}
+        )
     return x, trace
 
 
@@ -419,11 +412,12 @@ def kan_check(u: complex, v: complex, p: float) -> bool:
 @dataclass(frozen=True)
 class BEtaDelta:
     """Doubled operator [[A, dA], [hA, hdA]] on lp with tuned delta and its
-    norming vector u0; closed_form_norm restates the factored norm value.
-    head_runs holds every outcome of A's fixed-point ascent (none at p = 2)."""
+    norming vector u0 on coordinates 0..2N+1; closed_form_norm restates the
+    factored norm value.  head_runs holds every outcome of A's fixed-point
+    ascent (none at p = 2)."""
 
     op: StructuredOperator
-    u0: SpVector
+    u0: np.ndarray
     delta: float
     eta: float
     closed_form_norm: float
@@ -450,13 +444,13 @@ def build_B_eta_delta(A: np.ndarray, N: int, eta: float, p: float) -> BEtaDelta:
     pn = PNorm.lp(p)
     q = p / (p - 1.0)
     if p == 2.0:
-        cert = op_norm(StructuredOperator.from_dense(A), pn)  # the SVD
-        norm_a, x0, runs = cert.value, cert.witness, ()
+        # op_norm's SVD; np.linalg.svd does not check its input
+        _, sv, vh = np.linalg.svd(np.asarray_chkfinite(A))
+        norm_a, x0, runs = float(sv[0]), np.conj(vh[0]), ()
     else:
         # A's one ascent; check_evenly_distributed polishes the kept outcomes
         runs = tuple(fixed_point_restarts(A, p))
-        norm_a, x, _ = best_run(runs, p)
-        x0 = SpVector.make(dict(enumerate(x)))
+        norm_a, x0, _ = best_run(runs, p)
     head = (1.0 + eta**p) ** (1.0 / p) * norm_a
     if head >= 1.0:
         raise ValueError("(1 + eta^p)^(1/p) ||A|| must stay below one")
@@ -473,11 +467,11 @@ def build_B_eta_delta(A: np.ndarray, N: int, eta: float, p: float) -> BEtaDelta:
     )
 
     scale = (1.0 + delta**q) ** (1.0 / p)
-    u0_entries = [(j, v / scale) for j, v in x0.entries]
-    u0_entries += [(j + m, delta ** (q - 1.0) * v / scale) for j, v in x0.entries]
-    u0 = SpVector.make(u0_entries)
+    # real and imaginary parts divided apart: numpy's complex / real
+    # multiplies by the reciprocal, which rounds differently
+    u0 = (np.concatenate([x0, delta ** (q - 1.0) * x0]).view(float) / scale).view(complex)
     closed = (1.0 + eta**p) ** (1.0 / p) * (1.0 + delta**q) ** (1.0 / q) * norm_a
-    gain = norm(apply(B, u0), pn)
+    gain = float(dense_norm(block @ u0, pn))
     return BEtaDelta(
         op=B,
         u0=u0,
@@ -491,7 +485,7 @@ def build_B_eta_delta(A: np.ndarray, N: int, eta: float, p: float) -> BEtaDelta:
     )
 
 
-def check_evenly_distributed(rec: BEtaDelta) -> tuple[bool, float, SpVector, int]:
+def check_evenly_distributed(rec: BEtaDelta) -> tuple[bool, float, int]:
     """Decide whether B = rec.op has a unique norming direction (up to phase)
     and an evenly distributed image, from the head A = B[:m, :m] alone.
 
@@ -520,7 +514,7 @@ def check_evenly_distributed(rec: BEtaDelta) -> tuple[bool, float, SpVector, int
       apart near a slow, unique maximiser.  Agreeing restarts are necessary
       for a unique maximiser, not a proof of one.
 
-    Returns (passed, gamma, u0, steps): gamma = min |B u0|, passed says
+    Returns (passed, gamma, steps): gamma = min |B u0|, passed says
     gamma exceeds _EVEN_TOL times max(1, max |B u0|), and steps is the
     number of polish steps (0 at p = 2).  Distinct norming directions raise
     :class:`ExposednessUndetermined`; a non-finite head raises
@@ -546,10 +540,10 @@ def check_evenly_distributed(rec: BEtaDelta) -> tuple[bool, float, SpVector, int
                 raise ExposednessUndetermined(
                     "near-maximal restarts found far-apart directions"
                 )
-    img = np.abs(B @ rec.u0.window(0, 2 * m))
+    img = np.abs(B @ rec.u0)
     gamma = float(img.min())
     passed = gamma > _EVEN_TOL * max(1.0, float(img.max()))
-    return passed, gamma, rec.u0, steps
+    return passed, gamma, steps
 
 
 def delta_for_B(gamma: float, eps: float, M: int, p: float) -> float:

@@ -139,10 +139,6 @@ class SpVector:
     def basis(j: int, domain: IndexDomain = IndexDomain.NATURALS) -> "SpVector":
         return SpVector.make({j: 1.0}, domain=domain)
 
-    @staticmethod
-    def zero(domain: IndexDomain = IndexDomain.NATURALS) -> "SpVector":
-        return SpVector.make({}, domain=domain)
-
     def at(self, j: int) -> complex:
         for i, v in self.entries:
             if i == j:
@@ -168,7 +164,7 @@ class SpVector:
     def scale(self, a: complex) -> "SpVector":
         a = complex(a)
         if a == 0:
-            return SpVector.zero(self.domain)
+            return SpVector(domain=self.domain)
         tail = None
         if self.tail is not None:
             tail = GeometricTail(self.tail.start, a * self.tail.coeff, self.tail.ratio)

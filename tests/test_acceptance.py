@@ -111,7 +111,7 @@ def test_03_slow_heads_pass(seed, index):
     0.986) are decided from their heads."""
     p, A = acceptance._doubled_draws(seed)[index]
     rec = constructions.build_B_eta_delta(A, len(A) - 1, eta=0.5, p=p)
-    passed, gamma, _, _ = constructions.check_evenly_distributed(rec)
+    passed, gamma, _ = constructions.check_evenly_distributed(rec)
     assert passed
     assert gamma > 0.0
 
@@ -135,7 +135,7 @@ def _ascent_on_B(rec):
 def test_03_matches_ascent_on_B():
     for p, A in acceptance._doubled_draws(DEFAULT_SEED):
         rec = constructions.build_B_eta_delta(A, len(A) - 1, eta=0.5, p=p)
-        passed, gamma, _, _ = constructions.check_evenly_distributed(rec)
+        passed, gamma, _ = constructions.check_evenly_distributed(rec)
         ref_passed, ref_gamma = _ascent_on_B(rec)
         assert passed == ref_passed
         assert gamma == pytest.approx(ref_gamma, rel=1e-6)
@@ -282,6 +282,19 @@ def test_07_kernel_greedy(battery):
     _check(battery, 7)
 
 
+def test_07_unkilled_witness_fails(monkeypatch):
+    """On the base operators themselves no column kills the first image, so
+    every greedy search stops at step 1: each record fails, with no exception."""
+    monkeypatch.setattr(acceptance, "dq_witness", lambda T0, *args, **kwargs: T0)
+    sec = acceptance.criterion_kernel_greedy(DEFAULT_SEED)
+    assert sec.status == "fail"
+    assert len(sec.records) == 20
+    for rec in sec.records:
+        assert rec["ok"] is False
+        want = 0 if rec["name"].startswith("greedy_steps") else "inf"
+        assert rec["value"] == want
+
+
 def test_08_flat_polynomials(battery):
     _check(battery, 8)
     golay = [r for r in battery(8)[1].records if r["name"].startswith("golay_defect")]
@@ -417,6 +430,17 @@ def test_11_nan_betas_fail_the_field_records(monkeypatch):
     assert sec.status == "fail"
     for name in ("eigen_residual_f_w", "pairing_unit"):
         assert recs[name]["value"] == "nan" and recs[name]["ok"] is False
+
+
+def test_11_tampered_x0_fails_the_pairing_record(monkeypatch):
+    """x0 off by a factor 1 + 1e-6 pairs to 1 + 1e-6 with every f_w: only
+    pairing_unit fails, as a record."""
+    sec, recs = _tampered_witnesses(monkeypatch, lambda wit: replace(wit, x0=wit.x0 * (1.0 + 1e-6)))
+    assert sec.status == "fail"
+    assert recs["pairing_unit"]["value"] == pytest.approx(1e-6, rel=1e-3)
+    assert recs["pairing_unit"]["ok"] is False
+    for name in ("bezout_residual", "eigen_residual_f_w", "krylov_rank_full"):
+        assert recs[name]["ok"] is True
 
 
 def _ok_records(tree):

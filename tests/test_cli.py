@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from lplab import cli
 from lplab.cli import cli_main
 from lplab.reports import report_from_dict
 
@@ -186,6 +187,22 @@ class TestConstructCommand:
 
     def test_unknown_kind(self):
         assert cli_main(["construct", "--kind", "mystery"]) == 2
+
+    def test_commutant_witness_checks_the_pairing(self, tmp_path, monkeypatch):
+        """pairing_at_0.3 is a checked record of its own: a residual at the
+        bound fails it, and the command with it."""
+        argv = ["construct", "--kind", "commutant-witness", "--seed", "7", "--out"]
+        out = tmp_path / "w.json"
+        assert cli_main(argv + [str(out)]) == 0
+        bezout, pair = json.loads(out.read_text(encoding="utf-8"))["sections"][0]["records"]
+        assert bezout["name"] == "bezout_residual" and "pairing_at_0.3" not in bezout
+        assert pair["name"] == "pairing_at_0.3"
+        assert (pair["evidence"], pair["op"], pair["bound"], pair["ok"]) == ("exact", "<", 1e-8, True)
+        assert 0.0 <= pair["value"] < 1e-8
+        monkeypatch.setattr(cli, "witness_pairing_residual", lambda wit, f_w: 1e-8)
+        assert cli_main(argv + [str(out)]) == 1
+        _, pair = json.loads(out.read_text(encoding="utf-8"))["sections"][0]["records"]
+        assert pair["ok"] is False
 
     @pytest.mark.parametrize(
         "kind",

@@ -20,7 +20,7 @@ from lplab.commutant import (
     witness_pairing_residual,
 )
 from lplab.operators import adjoint, apply, truncate
-from lplab.spaces import GeometricTail, PNorm, SpVector, norm, pairing
+from lplab.spaces import PNorm, SpVector, norm, pairing
 
 TOL_ENTRYWISE = 1e-12
 TOL_UNITARY = 1e-10
@@ -124,7 +124,24 @@ class TestBuildCommutantWitness:
             wit = build_commutant_witness(random_t1_contraction(N + 2, rng), N)
             D = 3 * (N + 2)
             Td = truncate(wit.op, D)
-            assert krylov_rank(Td, wit.x0.window(0, D)) == D
+            assert krylov_rank(Td, np.pad(wit.x0, (0, D - len(wit.x0)))) == D
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 5])
+    def test_x0_is_horner_on_the_whole_operator(self, N):
+        """Nothing leaves the window 0..2N+1: Horner with the SpVector engine on
+        the whole operator gives x0, with no entry past the window."""
+        rng = np.random.default_rng(60 + N)
+        wit = build_commutant_witness(random_t1_contraction(N + 2, rng), N, seed=N)
+        x = SpVector.make({})
+        for coeffs, j in ((wit.r_coeffs, N + 1), (wit.s_coeffs, 0)):
+            acc = SpVector.make({})
+            for c in coeffs:
+                acc = apply(wit.op, acc) + SpVector.make({j: c})
+            x = x + acc
+        assert x.tail is None and max(j for j, _ in x.entries) <= 2 * N + 1
+        ref = x.window(0, 2 * N + 2)
+        assert wit.x0.shape == ref.shape
+        assert np.abs(wit.x0 - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_seeded_sweep(self):
         for N in (1, 2, 3):
@@ -285,7 +302,8 @@ class TestEvalFwGrid:
             assert residual.tail is None
             assert all(j <= N for j, _ in residual.entries)
             assert abs(norm(residual, pn2) / norm(f, pn2) - eigen_w) <= 1e-15
-            assert abs(abs(pairing(f, wit.x0) - 1.0) - pair_w) <= 1e-15
+            x0 = SpVector.make(enumerate(wit.x0))
+            assert abs(abs(pairing(f, x0) - 1.0) - pair_w) <= 1e-15
 
     def test_any_point_outside_disk_rejected(self):
         wit = build_commutant_witness(_rotation_example_block(), 1)
@@ -297,9 +315,3 @@ class TestEvalFwGrid:
         wit = build_commutant_witness(_rotation_example_block(), 1)
         eigen, pair = f_w_residuals(wit, [])
         assert eigen.shape == pair.shape == (0,)
-
-    def test_x0_with_a_tail_rejected(self):
-        wit = build_commutant_witness(_rotation_example_block(), 1)
-        x0 = SpVector.make(wit.x0.entries, GeometricTail(9, 1e-3, 0.5))
-        with pytest.raises(ValueError, match="finite support"):
-            f_w_residuals(replace(wit, x0=x0), [0.3])

@@ -29,13 +29,15 @@ from lplab.constructions import (
     small_weight_delta,
 )
 from lplab.operators import (
+    ColumnRule,
+    RuleEntry,
     StructuredOperator,
     apply,
     dual_sup_norm,
     materialize,
     op_norm,
 )
-from lplab.spaces import IndexDomain, PNorm, SpVector, norm
+from lplab.spaces import IndexDomain, PNorm, SpVector, dense_norm, norm
 
 TOL_EXACT = 1e-12
 TOL_NORM = 1e-8
@@ -178,10 +180,8 @@ class TestDqWitnessAndGreedy:
             assert (j,) in plan
         pn = PNorm.lp(1)
         for tau, idx in plan.items():
-            trial = SpVector.zero()
-            for j, i in enumerate(tau):
-                trial = trial + SpVector.basis(Ns[i]).scale(alpha[j])
-            killer = trial + SpVector.basis(Ns[idx]).scale(alpha[len(tau)])
+            trial = {Ns[i]: alpha[j] for j, i in enumerate(tau)}
+            killer = SpVector.make(trial | {Ns[idx]: alpha[len(tau)]})
             assert norm(apply(T, killer), pn) < TOL_EXACT
             assert norm(apply(T, SpVector.basis(Ns[idx])), pn) <= 1.0 + TOL_EXACT
 
@@ -215,8 +215,16 @@ class TestDqWitnessAndGreedy:
             x, trace = kernel_vector_greedy(T, alpha, Ns, max_l=20)
             assert len(trace) == 20
             assert trace[0]["index"] == plan[(0,)]
-            assert norm(apply(T, x), PNorm.lp(1)) < alpha[21]
-            assert len(x.entries) == 21
+            assert x.shape == (Ns[-1] + 1,)
+            assert np.count_nonzero(x) == 21
+            # each step's image norm against the SpVector engine on its x
+            for step in trace:
+                chosen = [0] + [t["index"] for t in trace[: step["step"]]]
+                xl = SpVector.make({Ns[i]: alpha[j] for j, i in enumerate(chosen)})
+                want = norm(apply(T, xl), PNorm.lp(1))
+                assert step["image_norm"] == pytest.approx(want, rel=1e-14, abs=0)
+            np.testing.assert_array_equal(x, xl.window(0, Ns[-1] + 1))
+            assert want < alpha[21]
 
     def test_greedy_fails_on_shift_at_step_one(self):
         # forward shift: image norms add up in l1, so step 1 exhausts
@@ -231,6 +239,15 @@ class TestDqWitnessAndGreedy:
         Ns = tuple(range(n))
         with pytest.raises(SearchExhausted, match="step 1"):
             kernel_vector_greedy(T, alpha, Ns, max_l=5)
+
+    def test_operator_with_rules_or_offsets_refused(self):
+        T0, alpha, Ns, q = self._setup()
+        shift = ColumnRule(8, 1, (RuleEntry("affine", 1, 1, 0.0, 1.0, 1.0),))
+        for bad in (replace(T0, rules=(shift,)), replace(T0, row_offset=1), replace(T0, col_offset=2)):
+            with pytest.raises(ValueError, match="offset 0 without rules"):
+                dq_witness(bad, q, alpha, Ns)
+            with pytest.raises(ValueError, match="offset 0 without rules"):
+                kernel_vector_greedy(bad, alpha, Ns, max_l=3)
 
     def test_alpha_convention_enforced(self):
         T0, _, Ns, q = self._setup()
@@ -275,17 +292,16 @@ class TestEvenlyDistributed:
         A = rng.normal(size=(N + 1, N + 1)) + 1j * rng.normal(size=(N + 1, N + 1))
         A = A / (np.abs(A).sum() )
         rec = build_B_eta_delta(A, N, eta=0.5, p=p)
-        passed, gamma, u0, steps = check_evenly_distributed(rec)
+        passed, gamma, steps = check_evenly_distributed(rec)
         assert passed
         assert gamma > 0.0
-        assert u0 is rec.u0
         assert 1 <= steps < operators._POLISH_MAX
 
     def test_zero_row_fails(self):
         # A z has a zero coordinate, so B u0 has two
         A = np.array([[0.7, 0.1], [0.0, 0.0]], dtype=complex)
         rec = build_B_eta_delta(A, 1, eta=0.5, p=3.0)
-        passed, gamma, _, _ = check_evenly_distributed(rec)
+        passed, gamma, _ = check_evenly_distributed(rec)
         assert not passed
         assert gamma == pytest.approx(0.0, abs=TOL_EXACT)
 
@@ -317,8 +333,11 @@ class TestBEtaDelta:
         rec = build_B_eta_delta(A, N, eta=eta, p=p)
         pn = PNorm.lp(p)
         assert rec.closed_form_norm == pytest.approx(1.0, abs=TOL_EXACT)
-        assert norm(rec.u0, pn) == pytest.approx(1.0, abs=1e-10)
+        assert dense_norm(rec.u0, pn) == pytest.approx(1.0, abs=1e-10)
         assert rec.gain_u0 == pytest.approx(1.0, abs=1e-10)
+        # the SpVector engine as the reference for the dense image
+        want = norm(apply(rec.op, SpVector.make(enumerate(rec.u0))), pn)
+        assert rec.gain_u0 == pytest.approx(want, rel=8 * np.finfo(float).eps)
         assert op_norm(rec.op, pn).value == pytest.approx(1.0, abs=1e-6)
 
     def test_requires_room(self):
