@@ -54,7 +54,7 @@ class KrylovDegenerate(Exception):
     """The seed vector is not numerically cyclic at the given scale."""
 
 
-class DegenerateSpectrum(Exception):
+class DegenerateSpectrum(ValueError):
     """No jitter attempt produced usable spectral data for the head block."""
 
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .operators import op_norm_batch
+from .operators import op_norm_stream
 from .reports import Report, Section, check, make_report, make_section
 from .spaces import PNorm, row_norms
 
@@ -47,9 +47,6 @@ ORBIT_STEPS = 200
 DECAY_THRESHOLD = 0.01
 SUPPORT_TOL = 1e-9
 _SCALE_PAD = 1e-9
-# Samples normalised together: enough rows to share the fixed-point ascent's
-# per-step cost, few enough that memory stays that of one chunk.
-NORMALISE_CHUNK = 8
 # ApSpectrumGrid's polar grid on the closed unit disk: the origin and
 # (radii - 1) x angles points
 AP_GRID_RADII = 20
@@ -142,20 +139,31 @@ def _gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
     ) / np.sqrt(2.0)
 
 
-def _contractions(Gs: np.ndarray, pn: PNorm) -> list[np.ndarray | Exception]:
-    """Each G of the stack divided by its ``op_norm`` value times (1 + 1e-9).
+def _contractions(
+    Gs: Iterable[np.ndarray], pn: PNorm
+) -> Iterator[tuple[int, np.ndarray | Exception]]:
+    """``(k, Gs[k] divided by its op_norm value times (1 + 1e-9))`` for each G
+    of an iterable of one shape, yielded as each norm completes.
 
-    A G whose norm computation fails gets its exception in its place.
+    A G whose norm computation fails gets its exception in its place.  The
+    G's are drawn only as ``op_norm_stream`` takes them, and each is let go
+    once it is divided.
     """
-    out: list[np.ndarray | Exception] = []
-    for G, cert in zip(Gs, op_norm_batch(Gs, pn)):
+    held: dict[int, np.ndarray] = {}
+
+    def draw() -> Iterator[np.ndarray]:
+        for k, G in enumerate(Gs):
+            held[k] = G
+            yield G
+
+    for k, cert in op_norm_stream(draw(), pn):
+        G = held.pop(k)
         if isinstance(cert, Exception):
-            out.append(cert)
+            yield k, cert
         elif cert.value <= 0.0:
-            out.append(G)
+            yield k, G
         else:
-            out.append(G / (cert.value * (1.0 + _SCALE_PAD)))
-    return out
+            yield k, G / (cert.value * (1.0 + _SCALE_PAD))
 
 
 def sample_contraction(dim: int, pn: PNorm, rng: np.random.Generator) -> np.ndarray:
@@ -166,10 +174,11 @@ def sample_contraction(dim: int, pn: PNorm, rng: np.random.Generator) -> np.ndar
     result's norm is at most 1.  At other p it is the fixed-point ascent's
     best value, a lower bound on the norm, so ``||M|| <= 1`` is not
     certified there: M is a contraction only as far as the ascent found the
-    maximum.  The experiments normalise their samples the same way,
-    ``NORMALISE_CHUNK`` at a time (see ``_map_samples``).
+    maximum.  The experiments normalise their samples the same way, with
+    every sample of a configuration streamed through one fixed-point pool
+    (see ``_map_samples``), which gives each sample the bits it gets here.
     """
-    M = _contractions(_gaussian(dim, rng)[None], pn)[0]
+    _, M = next(_contractions([_gaussian(dim, rng)], pn))
     if isinstance(M, Exception):
         raise M
     return M
@@ -187,29 +196,27 @@ def _map_samples(
 
     Sample i's Gaussian matrix comes from its own stream, split from the
     configuration's seed, and is normalised as in ``sample_contraction``.
-    The samples are normalised NORMALISE_CHUNK at a time through
-    ``op_norm_batch``, which gives each the bits it gets alone; only one
-    chunk's matrices are held at once.  An exception, from the
-    normalisation or from fn, becomes that sample's failed error record (one
-    error, checked against 0) instead of aborting; results come back in
-    sample-index order.
+    The samples are drawn lazily, in index order, as ``op_norm_stream``'s
+    fixed-point pool has room for them, and fn runs on each as soon as its
+    norm completes; the pool's bound on live rows is the only bound on the
+    matrices held at once.  An exception, from the normalisation or from fn,
+    becomes that sample's failed error record (one error, checked against 0)
+    instead of aborting; results come back in sample-index order.
     """
     streams = np.random.SeedSequence(cfg.seed).spawn(max(cfg.samples, 1))
-    records: list[dict[str, Any]] = []
-    for lo in range(0, cfg.samples, NORMALISE_CHUNK):
-        idx = range(lo, min(lo + NORMALISE_CHUNK, cfg.samples))
-        Gs = np.array([_gaussian(cfg.dim, np.random.default_rng(streams[i])) for i in idx])
-        for i, M in zip(idx, _contractions(Gs, cfg.space)):
-            try:
-                if isinstance(M, Exception):
-                    raise M
-                rec = fn(i, M)
-            except Exception as exc:  # propagate per sample, keep the suite alive
-                records.append(_error_record("sample_error", exc, sample=i))
-                continue
-            rec.setdefault("sample", i)
-            records.append(rec)
-    return records
+    Gs = (_gaussian(cfg.dim, np.random.default_rng(s)) for s in streams[: cfg.samples])
+    records: dict[int, dict[str, Any]] = {}
+    for i, M in _contractions(Gs, cfg.space):
+        try:
+            if isinstance(M, Exception):
+                raise M
+            rec = fn(i, M)
+        except Exception as exc:  # propagate per sample, keep the suite alive
+            records[i] = _error_record("sample_error", exc, sample=i)
+            continue
+        rec.setdefault("sample", i)
+        records[i] = rec
+    return [records[i] for i in range(cfg.samples)]
 
 
 def _error_record(name: str, exc: Exception, **fields: Any) -> dict[str, Any]:

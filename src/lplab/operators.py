@@ -8,10 +8,12 @@ of its entries places the weight ``c * rho**k + d`` at the row ``a*j + b``
 Norm computations are exact where the structure allows closed forms (p = 1
 column sums, c0 row sums, p = 2 via a finite model) and use a monotone
 fixed-point ascent on an exactly norm-equivalent finite model otherwise.
-The ascent's restarts advance together as the rows of one array; each row
+The ascent's restarts advance together as the rows of one pool; each row
 goes through its own gemv and a scalar root, so its bits match a lone restart.
-``op_norm_batch`` runs the restarts of a whole stack of dense matrices as the
-rows of one array in the same way, and gives each matrix its lone bits.
+``op_norm_stream`` admits dense matrices into that pool as their restarts fit
+under a fixed bound on live row entries, and yields each matrix's norm, with
+its lone bits, when its last restart stops; ``op_norm_batch`` is the same for
+a stack, in stack order.
 
 ``op_norm_oracle_batch`` is an independent brute-force check for matrices
 with at most three rows and columns: extreme-point candidates, a sphere grid,
@@ -21,9 +23,11 @@ in the batch together, each start with its own step size and stopping rule.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +37,7 @@ from .spaces import (
     PNorm,
     SpVector,
     _merge_tails,
+    _moduli_row_norms,
     add,
     dense_norm,
     norm,
@@ -53,6 +58,7 @@ __all__ = [
     "materialize",
     "op_norm",
     "op_norm_batch",
+    "op_norm_stream",
     "op_norm_oracle",
     "op_norm_oracle_batch",
     "best_run",
@@ -69,6 +75,11 @@ _COLUMN_MEMO_MAX = 4096
 # complex Gaussian draws from default_rng(_FIXED_POINT_SEED), 32 in all.
 _FIXED_POINT_RESTARTS = 32
 _FIXED_POINT_SEED = 0
+# Steps each restart of the ascent may take.
+_FIXED_POINT_STEPS = 500
+# The live row entries (rows x columns) the ascent's pool may hold: the
+# restarts of eight 24 x 24 matrices.
+_POOL_ENTRIES = 8 * _FIXED_POINT_RESTARTS * 24
 # polish_restarts stops once no coordinate moves by _POLISH_STEP
 _POLISH_STEP = 1e-13
 _POLISH_MAX = 10_000
@@ -554,33 +565,41 @@ def _op_norm_c0(T: StructuredOperator) -> NormCertificate:
     return NormCertificate(value, witness, "exact", 0.0)
 
 
-def _J(z: np.ndarray, p: float) -> np.ndarray:
+def _J(z: np.ndarray, p: float, a: np.ndarray | None = None) -> np.ndarray:
     """conj(z) |z|^(p-2) entrywise, 0 where z is 0 (the duality map's shape).
 
-    The masked copies are updated in place, the same ufunc calls on the same
-    values as ``np.conj(z[nz]) * a[nz] ** (p - 2.0)`` with fewer temporaries.
-    When no coordinate is zero (or NaN) the mask selects everything, so the
-    same calls run on the whole arrays, without the copies and the scatter.
+    ``a``, when given, is |z| already computed; then a and z are both
+    overwritten, and the result is z itself.  The masked copies are updated
+    in place, the same ufunc calls on the same values as
+    ``np.conj(z[nz]) * a[nz] ** (p - 2.0)`` with fewer temporaries.  When no
+    coordinate is zero (or NaN) the mask selects everything, so the same
+    calls run on the whole arrays, without the copies and the scatter.
     """
-    a = np.abs(z)
-    nz = a > 0
-    if nz.all():
+    out = None if a is None else z
+    if a is None:
+        a = np.abs(z)
+    # one reduction tells whether every modulus is positive (a NaN fails it)
+    if np.minimum.reduce(a, axis=None, initial=np.inf) > 0:
         a **= p - 2.0
-        out = np.conjugate(z)
+        out = np.conjugate(z, out=out)
         out *= a
         return out
+    nz = a > 0
     w = a[nz]
     del a
     w **= p - 2.0
     zc = z[nz]
     np.conjugate(zc, out=zc)
     zc *= w
-    out = np.zeros_like(z)
+    if out is None:
+        out = np.zeros_like(z)
+    else:
+        out[~nz] = 0.0
     out[nz] = zc
     return out
 
 
-def _matvec_slices(Ms: np.ndarray, Z: np.ndarray, bounds: list[int]) -> np.ndarray:
+def _matvec_slices(Ms: Sequence[np.ndarray], Z: np.ndarray, bounds: list[int]) -> np.ndarray:
     """``Ms[k] @ z`` for each row z of ``Z[bounds[k]:bounds[k + 1]]``, one gemv per row.
 
     Each matrix's rows sit in one contiguous slice, so each slice goes through
@@ -588,32 +607,35 @@ def _matvec_slices(Ms: np.ndarray, Z: np.ndarray, bounds: list[int]) -> np.ndarr
     written straight into its rows of the result.  ``Z @ M.T`` would be a
     single gemm, which rounds differently from ``M @ z``.
     """
-    out = np.empty((len(Z), Ms.shape[1]), dtype=complex)
+    out = np.empty((len(Z), Ms[0].shape[0], 1), dtype=complex)
+    Z = Z[:, :, None]
     for M, a, b in zip(Ms, bounds, bounds[1:]):
         if a < b:
-            np.matmul(M, Z[a:b, :, None], out=out[a:b, :, None])
-    return out
+            np.matmul(M, Z[a:b], out=out[a:b])
+    return out[:, :, 0]
 
 
-def _ascent_map(Ts: np.ndarray, MX: np.ndarray, bounds: list[int], p: float) -> np.ndarray:
+def _ascent_map(Ts: Sequence[np.ndarray], MX: np.ndarray, bounds: list[int], p: float) -> np.ndarray:
     """The fixed-point map x -> J_q(M^T J_p(M x)), unnormalised, on every row,
     from the rows' images MX; ``Ts`` holds the transposed views."""
     return _J(_matvec_slices(Ts, _J(MX, p), bounds), p / (p - 1.0))
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _fixed_point_batch(
-    Ms: np.ndarray, p: float
-) -> list[list[tuple[float, np.ndarray, float]] | ValueError]:
-    """``fixed_point_restarts`` for every matrix of a stack of one shape.
+def _images(
+    Ms: Sequence[np.ndarray], X: np.ndarray, bounds: list[int], p: float, pn: PNorm
+) -> tuple[np.ndarray, np.ndarray]:
+    """The norm of M x and J_p(M x) for every row x, from one |M x|."""
+    MX = _matvec_slices(Ms, X, bounds)
+    A = np.abs(MX)
+    return _moduli_row_norms(A, pn), _J(MX, p, A)
 
-    Entry k is matrix k's outcomes, or the ``ValueError`` its ascent
-    raises when a row loses monotonicity; that matrix leaves the batch there
-    and the others run on as if it had never been in it.  Overflow and NaN
-    pass silently: a non-finite outcome ends in ``best_run``'s ``ValueError``.
+
+@functools.lru_cache(maxsize=16)
+def _fixed_point_starts(n: int, p: float) -> np.ndarray:
+    """The ascent's non-zero starts on C^n, as read-only rows of lp norm one.
+
+    Kept per (n, p): drawing them costs more than a small matrix's ascent.
     """
-    K, _, n = Ms.shape
-    pn = PNorm.lp(p)
     rng = np.random.default_rng(_FIXED_POINT_SEED)
     starts = [np.eye(n, dtype=complex), np.ones((1, n), dtype=complex)]
     starts += [
@@ -621,72 +643,193 @@ def _fixed_point_batch(
         for _ in range(_FIXED_POINT_RESTARTS - n - 1)
     ]
     X = np.concatenate(starts)
-    nx = row_norms(X, pn)
+    nx = row_norms(X, PNorm.lp(p))
     X = X[nx != 0] / nx[nx != 0, None]
-    # Row k*R + r is start r of matrix k.  Rows only ever leave, so the active
-    # rows of matrix k stay one contiguous slice, act[bounds[k]:bounds[k + 1]].
-    R = len(X)
-    X = np.tile(X, (K, 1))
-    edges = np.arange(K + 1) * R
-    bounds = edges.tolist()
-    # Ts[k] is the view Ms[k].T a lone matrix uses; a contiguous copy would
-    # round differently
-    Ts = Ms.transpose(0, 2, 1)
-    MX = _matvec_slices(Ms, X, bounds)
-    value = row_norms(MX, pn)
-    res = value.copy()
-    out = X.copy()
-    act = np.arange(K * R)
-    lost: set[int] = set()  # matrices whose ascent lost monotonicity
-    for _ in range(500):
-        if not act.size:
-            break
-        Y = _ascent_map(Ts, MX, bounds, p)
-        ny = row_norms(Y, pn)
-        moved = ny != 0  # a row with a zero step stops where it is
-        if moved.all():
-            X = Y / ny[:, None]
-        else:
-            act, X = act[moved], Y[moved] / ny[moved, None]
-            bounds = np.searchsorted(act, edges).tolist()
-        MX = _matvec_slices(Ms, X, bounds)
-        v = row_norms(MX, pn)
-        prev = value[act]
-        drop = v < prev - 1e-12 * np.maximum(1.0, prev)
-        if drop.any():
-            bad = act[drop] // R
-            lost.update(bad.tolist())
-            keep = ~np.isin(act // R, bad)
-            act, X, MX, v, prev = act[keep], X[keep], MX[keep], v[keep], prev[keep]
-            bounds = np.searchsorted(act, edges).tolist()
-        value[act], res[act], out[act] = v, v - prev, X
-        # a row stops once its step is small or NaN.  A NaN step means a
-        # non-finite value, which later steps never bring back to a finite
-        # one, so the matrix ends with the same best_run ValueError at once
-        running = res[act] > 1e-15 * np.maximum(v, 1e-30)
-        if not running.all():
-            act, X, MX = act[running], X[running], MX[running]
-            bounds = np.searchsorted(act, edges).tolist()
-    return [
-        ValueError("fixed-point ascent lost monotonicity")
-        if k in lost
-        else [(float(value[i]), out[i], float(abs(res[i]))) for i in range(k * R, (k + 1) * R)]
-        for k in range(K)
-    ]
+    X.flags.writeable = False
+    return X
 
 
-def fixed_point_restarts(M: np.ndarray, p: float) -> list[tuple[float, np.ndarray, float]]:
+def _store(
+    outs: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]],
+    R: int,
+    ids: np.ndarray,
+    value: np.ndarray,
+    res: np.ndarray,
+    X: np.ndarray,
+) -> None:
+    """Write the outcomes of the leaving pool rows ``ids`` (increasing) into
+    their matrices' ``outs``: value, residual and x per start."""
+    ks = ids // R
+    cuts = [0, *(np.flatnonzero(ks[1:] != ks[:-1]) + 1).tolist(), len(ids)]
+    for a, b in zip(cuts, cuts[1:]):
+        k = int(ks[a])
+        r = ids[a:b] - k * R
+        vals, ress, xs = outs[k]
+        vals[r], ress[r], xs[r] = value[a:b], res[a:b], X[a:b]
+
+
+Runs = list[tuple[float, np.ndarray, float]]
+
+
+def _fixed_point_pool(
+    Ms: Iterable[np.ndarray], p: float
+) -> Iterator[tuple[int, Runs | ValueError]]:
+    """``fixed_point_restarts`` of each matrix of an iterable of one shape,
+    yielded as ``(k, outcomes of Ms[k])`` in the order the matrices finish.
+
+    The restarts of the matrices in flight are the rows of one pool, each
+    matrix's rows one contiguous slice.  The next matrix is drawn from ``Ms``
+    when its restarts fit under _POOL_ENTRIES live row entries (rows x
+    columns), or when the pool is empty, so a matrix too large for the bound
+    runs alone.  Each row takes at most _FIXED_POINT_STEPS steps of its own
+    and leaves as soon as it stops; a matrix is yielded when its last row
+    has left.  A matrix whose ascent loses monotonicity is yielded at once
+    with the ``ValueError`` a lone ascent raises, and the others run on as
+    if it had never been in the pool.  Every row gets its own gemv and a
+    scalar root, so its bits depend neither on when it entered nor on what
+    shares the pool with it.  Overflow and NaN pass silently: a non-finite
+    outcome ends in ``best_run``'s ``ValueError``.
+    """
+    it = iter(Ms)
+    first = next(it, None)
+    if first is None:
+        return
+    it = itertools.chain([first], it)
+    shape = first.shape
+    m, n = shape
+    pn = PNorm.lp(p)
+    starts = _fixed_point_starts(n, p)
+    R = len(starts)
+    if not R:  # C^0 has no non-zero start
+        for k, _ in enumerate(it):
+            yield k, []
+        return
+    # Pool row k*R + r is start r of matrix k.  ``act`` holds the live rows'
+    # ids in increasing order, with their x, J_p(M x), value and residual in
+    # X, JX, val and res; mats, trans, keys and ends describe the matrices in
+    # flight, in the order they entered, and ``edges`` their first ids.
+    mats: list[np.ndarray] = []
+    trans: list[np.ndarray] = []  # the views M.T a lone matrix uses
+    keys: list[int] = []
+    ends: list[int] = []  # the step after which a matrix's rows stop
+    outs: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    lost: set[int] = set()
+    act = np.zeros(0, dtype=np.intp)
+    X = np.zeros((0, n), dtype=complex)
+    JX = np.zeros((0, m), dtype=complex)
+    val = res = np.zeros(0)
+    q = p / (p - 1.0)
+    drawn = step = 0
+    more = True
+    while True:
+        done: list[tuple[int, Runs | ValueError]] = []
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while not done:  # steps until some matrix is done
+                # the next matrix's restarts enter when they fit, or alone
+                # into an empty pool
+                new: list[np.ndarray] = []
+                while more and (
+                    (len(act) + (len(new) + 1) * R) * n <= _POOL_ENTRIES or not (len(act) or new)
+                ):
+                    M = next(it, None)
+                    if M is None:
+                        more = False
+                    elif M.shape != shape:
+                        raise ValueError(f"a matrix of shape {M.shape} in a pool of shape {shape}")
+                    else:
+                        new.append(M)
+                if new:
+                    Xn = np.tile(starts, (len(new), 1))
+                    vn, JXn = _images(new, Xn, list(range(0, len(Xn) + 1, R)), p, pn)
+                    act = np.concatenate([act, np.arange(drawn * R, (drawn + len(new)) * R)])
+                    X, JX = np.concatenate([X, Xn]), np.concatenate([JX, JXn])
+                    val, res = np.concatenate([val, vn]), np.concatenate([res, vn])
+                    del Xn, JXn  # only the pool's copies stay
+                    for M in new:
+                        mats.append(M)
+                        trans.append(M.T)
+                        keys.append(drawn)
+                        ends.append(step + _FIXED_POINT_STEPS)
+                        outs[drawn] = (np.empty(R), np.empty(R), np.empty((R, n), dtype=complex))
+                        drawn += 1
+                    edges = [k * R for k in keys] + [drawn * R]
+                    bounds = np.searchsorted(act, edges).tolist()
+                if not len(act):
+                    break
+                W = _matvec_slices(trans, JX, bounds)
+                del JX  # the step's new arrays need not sit beside it
+                Y = _J(W, q, np.abs(W))
+                ny = row_norms(Y, pn)
+                left = not ny.all()
+                if left:  # a row with a zero step stops where it is
+                    moved = ny != 0
+                    si = np.flatnonzero(~moved)
+                    _store(outs, R, act[si], val[si], res[si], X.take(si, axis=0))
+                    act, Y, ny, val = act[moved], Y[moved], ny[moved], val[moved]
+                    bounds = np.searchsorted(act, edges).tolist()
+                Y /= ny[:, None]
+                X = Y
+                v, JX = _images(mats, X, bounds, p, pn)
+                res = v - val
+                drop = v < val - 1e-12 * np.maximum(1.0, val)
+                val = v
+                step += 1
+                # a row stops once its step is small or NaN, or after its
+                # last step.  A NaN step means a non-finite value, which later
+                # steps never bring back to a finite one, so the matrix ends
+                # with best_run's ValueError at once
+                leave = ~(res > 1e-15 * np.maximum(v, 1e-30))
+                capped = 0
+                while capped < len(ends) and ends[capped] <= step:
+                    capped += 1
+                leave[: bounds[capped]] = True
+                store = leave
+                if drop.any():
+                    bad = np.unique(act[drop] // R)
+                    lost.update(bad.tolist())
+                    gone = np.isin(act // R, bad)
+                    store = leave & ~gone
+                    leave = leave | gone
+                if leave.any():
+                    left = True
+                    si = np.flatnonzero(store)
+                    if len(si):
+                        _store(outs, R, act[si], val[si], res[si], X.take(si, axis=0))
+                    si = np.flatnonzero(~leave)
+                    act, val, res = act[si], val[si], res[si]
+                    X, JX = X.take(si, axis=0), JX.take(si, axis=0)
+                    bounds = np.searchsorted(act, edges).tolist()
+                if left:  # a matrix whose last row has left is done
+                    live = [a < b for a, b in zip(bounds, bounds[1:])]
+                    if not all(live):
+                        for k in itertools.compress(keys, [not a for a in live]):
+                            vals, ress, xs = outs.pop(k)
+                            if k in lost:
+                                done.append((k, ValueError("fixed-point ascent lost monotonicity")))
+                            else:
+                                done.append((k, list(zip(vals.tolist(), xs, np.abs(ress).tolist()))))
+                        mats, trans, keys, ends = (
+                            list(itertools.compress(seq, live)) for seq in (mats, trans, keys, ends)
+                        )
+                        edges = [k * R for k in keys] + [drawn * R]
+                        bounds = np.searchsorted(act, edges).tolist()
+        if not done:
+            return
+        yield from done
+
+
+def fixed_point_restarts(M: np.ndarray, p: float) -> Runs:
     """All restart outcomes of the monotone fixed-point ascent (value, x, residual).
 
     One outcome per non-zero start, in start order.  The starts advance
     together as the rows of one array, and a row leaves as soon as it stops.
     Each row still gets its own gemv (``M @ x`` and ``M.T @ y``, with ``M.T``
     a transposed view) and a scalar root, so every outcome is bit for bit the
-    one its start gives when run alone.  This is the batch of one of
-    ``op_norm_batch``'s ascent, which runs each matrix's rows through the same
-    calls and so gives each matrix these same bits.
+    one its start gives when run alone.  This is the fixed-point pool of
+    ``op_norm_stream`` holding one matrix, which runs each matrix's rows
+    through the same calls and so gives each matrix these same bits.
     """
-    runs = _fixed_point_batch(M[None], p)[0]
+    _, runs = next(_fixed_point_pool([M], p))
     if isinstance(runs, ValueError):
         raise runs
     return runs
@@ -827,45 +970,61 @@ def op_norm(T: StructuredOperator, pn: PNorm) -> NormCertificate:
     return _op_norm_split(T, pn.p)
 
 
-def op_norm_batch(Ms: np.ndarray, pn: PNorm) -> list[NormCertificate | Exception]:
-    """``op_norm`` of each matrix of a stack of dense matrices of one shape.
+def _op_norm_dense(M: np.ndarray, pn: PNorm) -> NormCertificate | ValueError:
+    try:
+        return op_norm(StructuredOperator.from_dense(M), pn)
+    except ValueError as exc:  # non-finite entries: this matrix's failure alone
+        return exc
 
-    Entry k is bit for bit what ``op_norm(StructuredOperator.from_dense(Ms[k]),
-    pn)`` returns, or the exception that call raises: a matrix whose
+
+def op_norm_stream(
+    Ms: Iterable[np.ndarray], pn: PNorm
+) -> Iterator[tuple[int, NormCertificate | Exception]]:
+    """``(k, op_norm of Ms[k])`` for each dense matrix of an iterable of one
+    shape, yielded as each norm completes.
+
+    Each certificate is bit for bit what ``op_norm(StructuredOperator.from_dense(
+    Ms[k]), pn)`` returns, or the exception that call raises: a matrix whose
     ascent loses monotonicity or ends non-finite fails alone, with its own
-    error, and every other entry stays as it is.  An empty stack gives ``[]``.
+    error, and every other entry stays as it is.
 
-    At p = 1, p = 2 and on c0 the matrices go through ``op_norm`` one by one.
-    Otherwise the fixed-point ascents of all matrices advance together: the
-    32 restarts of matrix k are one contiguous slice of the rows, and each row
-    gets its own gemv with ``Ms[k]`` and with the transposed view ``Ms[k].T``,
-    the calls ``fixed_point_restarts`` (the batch of one) makes for a lone
-    matrix.  The cost of the numpy calls per step is shared by the whole
-    stack; memory grows with the stack's rows, never with a copy per row.
+    At p = 1, p = 2, on c0 and for matrices without entries, the matrices are
+    drawn and normed one at a time, in order.  Otherwise they go through the
+    fixed-point pool of ``_fixed_point_pool``: a matrix is drawn from ``Ms``
+    when its restarts fit among the pool's live rows, and it is yielded when
+    its last restart stops.  The cost of the numpy calls per step is shared
+    by the whole pool, and a restart that runs long holds back no matrix
+    after it; the pool's bound, not the length of ``Ms``, sets the memory.
     """
-    Ms = np.asarray(Ms, dtype=complex)
-    if Ms.ndim != 3:
-        raise ValueError(f"op_norm_batch needs a stack of matrices, got shape {Ms.shape}")
-    certs: list[NormCertificate | Exception] = []
-    if pn.is_c0 or pn.p in (1.0, 2.0) or 0 in Ms.shape:
-        for M in Ms:
-            try:
-                certs.append(op_norm(StructuredOperator.from_dense(M), pn))
-            except ValueError as exc:  # non-finite entries: this matrix's failure alone
-                certs.append(exc)
-        return certs
-    for runs in _fixed_point_batch(Ms, pn.p):
+    Ms = iter(Ms)
+    first = next(Ms, None)
+    if first is None:
+        return
+    Ms = (np.asarray(M, dtype=complex) for M in itertools.chain([first], Ms))
+    if pn.is_c0 or pn.p in (1.0, 2.0) or 0 in np.shape(first):
+        for k, M in enumerate(Ms):
+            yield k, _op_norm_dense(M, pn)
+        return
+    for k, runs in _fixed_point_pool(Ms, pn.p):
         try:
             if isinstance(runs, ValueError):
                 raise runs
             best = best_run(runs, pn.p)
         except ValueError as exc:
-            certs.append(exc)
+            yield k, exc
             continue
-        certs.append(
-            _split_certificate(*best, 0, [], IndexDomain.NATURALS, "fixed_point")
-        )
-    return certs
+        yield k, _split_certificate(*best, 0, [], IndexDomain.NATURALS, "fixed_point")
+
+
+def op_norm_batch(Ms: np.ndarray, pn: PNorm) -> list[NormCertificate | Exception]:
+    """``op_norm_stream`` of a stack of dense matrices of one shape, in stack
+    order: entry k is ``op_norm``'s certificate for ``Ms[k]``, or the
+    exception it raises.  An empty stack gives ``[]``."""
+    Ms = np.asarray(Ms, dtype=complex)
+    if Ms.ndim != 3:
+        raise ValueError(f"op_norm_batch needs a stack of matrices, got shape {Ms.shape}")
+    certs = dict(op_norm_stream(Ms, pn))
+    return [certs[k] for k in range(len(Ms))]
 
 
 # ---------------------------------------------------------------------------

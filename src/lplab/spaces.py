@@ -309,11 +309,15 @@ def row_norms(Z: np.ndarray, pn: PNorm) -> np.ndarray:
     last bit), and sums that under- or overflowed are redone as there.  It
     holds no ``np.errstate``: a caller whose rows may overflow holds one.
     """
-    A = np.abs(Z)
+    return _moduli_row_norms(np.abs(Z), pn)
+
+
+def _moduli_row_norms(A: np.ndarray, pn: PNorm) -> np.ndarray:
+    """``row_norms`` of Z from its moduli A = |Z|, which are left as they are."""
     if pn.is_c0:
         return A.max(axis=-1)
     r = 1.0 / pn.p
-    sums = np.sum(A**pn.p, axis=-1)
+    sums = np.add.reduce(A**pn.p, axis=-1)  # np.sum's reduction, without its wrapper
     out = [s**r for s in sums.tolist()]
     _repair_norms(A, sums, out, pn.p)
     return np.array(out)

@@ -69,6 +69,21 @@ def test_01_norm_engine_other_seeds(seed):
     assert all(r["ok"] for r in sec.records), sec.records
 
 
+def test_01_negative_control(monkeypatch, tmp_path):
+    # an engine whose every value is 0.1% low disagrees with the oracle
+    batch = acceptance.op_norm_batch
+
+    def low(Ms, pn):
+        return [replace(c, value=c.value * (1.0 - 1e-3)) for c in batch(Ms, pn)]
+
+    monkeypatch.setattr(acceptance, "op_norm_batch", low)
+    out = tmp_path / "c01.json"
+    assert cli_main(["verify-all", "--only", "1", "--seed", "7", "--out", str(out)]) == 1
+    records = json.loads(out.read_text(encoding="utf-8"))["sections"][0]["records"]
+    ok = {r["name"]: r["ok"] for r in records}
+    assert ok["agreement[l3]"] is False and ok["agreement[l1]"] is False
+
+
 def test_02_kan_inequality(battery):
     _check(battery, 2)
 

@@ -204,6 +204,16 @@ class TestConstructCommand:
         _, pair = json.loads(out.read_text(encoding="utf-8"))["sections"][0]["records"]
         assert pair["ok"] is False
 
+    def test_a_degenerate_spectrum_is_an_error_line(self, capsys):
+        # at dim 12, seed 1 every jitter attempt of the head block fails
+        argv = ["construct", "--kind", "commutant-witness", "--dim", "12", "--seed", "1"]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: DegenerateSpectrum: no usable spectrum after 100 jitter attempts\n"
+        )
+
     @pytest.mark.parametrize(
         "kind",
         ["b-eta-delta", "coisometry-l1", "t1-coisometry", "s-a-omega", "commutant-witness"],

@@ -26,7 +26,7 @@ from lplab.montecarlo import (
     space_to_token,
 )
 from lplab.operators import StructuredOperator, op_norm
-from lplab import montecarlo
+from lplab import montecarlo, operators
 from lplab.reports import canonical_json, check, exit_code
 from lplab.spaces import PNorm, dense_norm
 
@@ -89,12 +89,13 @@ class TestSampleContraction:
 
 
 class TestChunkedNormalisation:
-    """_map_samples draws each sample's G from its own stream, then
-    normalises NORMALISE_CHUNK samples at a time through op_norm_batch."""
+    """_map_samples draws each sample's G from its own stream and streams
+    the configuration's samples through one op_norm_stream pool."""
 
     @staticmethod
     def _one_at_a_time(monkeypatch, cfg):
-        monkeypatch.setattr(montecarlo, "NORMALISE_CHUNK", 1)
+        # a pool with room for one matrix's restarts normalises one sample at a time
+        monkeypatch.setattr(operators, "_POOL_ENTRIES", 1)
         text = canonical_json(run_suite([cfg]))
         monkeypatch.undo()
         return text
@@ -169,18 +170,27 @@ class TestChunkedNormalisation:
             assert canonical_json(records[k]) == canonical_json(clean[k]), k
         assert records[-1]["errors"] == 1
 
-    def test_memory_is_bounded_by_the_chunk(self, monkeypatch):
-        sizes = []
-        batch = montecarlo.op_norm_batch
+    def test_memory_is_bounded_by_the_pool(self, monkeypatch):
+        # a sample is drawn only when the pool has room for its restarts: at
+        # dim 24 the first eight fill it, and the rest wait for rows to leave
+        draw, slices = montecarlo._gaussian, operators._matvec_slices
+        drawn, products = [], []
 
-        def recording(Ms, pn):
-            sizes.append(len(Ms))
-            return batch(Ms, pn)
+        def counted_draw(dim, rng):
+            drawn.append(None)
+            return draw(dim, rng)
 
-        monkeypatch.setattr(montecarlo, "op_norm_batch", recording)
-        run_suite([_cfg(ExperimentKind.DISJOINT_SUPPORT, dim=3, samples=50)])
-        assert sum(sizes) == 50
-        assert max(sizes) <= montecarlo.NORMALISE_CHUNK < 50
+        def counted_slices(Ms, Z, bounds):
+            products.append((len(drawn), len(Z)))
+            return slices(Ms, Z, bounds)
+
+        monkeypatch.setattr(montecarlo, "_gaussian", counted_draw)
+        monkeypatch.setattr(operators, "_matvec_slices", counted_slices)
+        sec = run_suite([_cfg(ExperimentKind.DISJOINT_SUPPORT, dim=24, samples=20)]).sections[0]
+        assert len(drawn) == 20 and len(sec.records) == 21
+        # the first product is the first eight samples' images, a full pool
+        assert products[0] == (8, 8 * 32) and 8 * 32 * 24 == operators._POOL_ENTRIES
+        assert all(rows * 24 <= operators._POOL_ENTRIES for _, rows in products)
 
 
 class TestOrbitDecay:
@@ -660,16 +670,13 @@ class TestNonFiniteHead:
         cfg = _cfg(ExperimentKind.AP_SPECTRUM_GRID, space=PNorm.c0(), dim=6, samples=5)
         clean = run_suite([cfg]).sections[0].records
         contractions = montecarlo._contractions
-        seen = []
 
         def poisoned(Gs, pn):
-            out = contractions(Gs, pn)
-            for k in range(len(out)):
-                if len(seen) + k == 2:  # sample 2
-                    out[k] = out[k].copy()
-                    out[k][1, 2] = bad
-            seen.extend(out)
-            return out
+            for k, M in contractions(Gs, pn):
+                if k == 2:
+                    M = M.copy()
+                    M[1, 2] = bad
+                yield k, M
 
         monkeypatch.setattr(montecarlo, "_contractions", poisoned)
         sec = run_suite([cfg]).sections[0]

@@ -140,6 +140,9 @@ class TestDualityMap:
                 z.flat[::4] = 0.0
             assert (np.abs(z) > 0).all() != zeros  # zeros take the masked path
             assert _J(z, p).tobytes() == _J_masked(z, p).tobytes()
+            # given the moduli, _J writes its result over z
+            w = z.copy()
+            assert _J(w, p, np.abs(z)) is w and w.tobytes() == _J_masked(z, p).tobytes()
 
     def test_nan_coordinates_map_to_zero(self):
         z = np.array([1.0 + 1.0j, np.nan, 2.0])
@@ -552,6 +555,82 @@ class TestOpNormBatch:
         assert isinstance(got[2], ValueError) and "finite" in str(got[2])
         for k in (0, 1, 3):
             assert _cert_bits(got[k]) == _cert_bits(op_norm(StructuredOperator.from_dense(Ms[k]), pn))
+
+
+# Members 100 and 110 of _pool_stack(): the p = 7 matrix whose duality map
+# overflows, and one with rows that run to the 500-step cap at p = 7.
+_LOSES_MONOTONICITY = [[7e29 + 8e29j, 1e-27], [-0.01, 1e57 + 5e57j]]
+_RUNS_TO_THE_CAP = [[1.0, 1e-3], [0.0, 0.995j]]
+
+
+def _pool_stack() -> np.ndarray:
+    """120 2 x 2 matrices, more than the fixed-point pool holds at once."""
+    Ms = _stack(np.random.default_rng(412), 120, (2, 2))
+    Ms[100], Ms[110] = _LOSES_MONOTONICITY, _RUNS_TO_THE_CAP
+    return Ms
+
+
+class TestFixedPointPool:
+    def test_the_stack_overflows_the_pool(self):
+        # members 100 and 110 enter only after the first matrices have left
+        Ms = _pool_stack()
+        assert 100 * 32 * 2 > operators._POOL_ENTRIES
+        with np.errstate(all="ignore"):
+            order = [k for k, _ in operators._fixed_point_pool(Ms, 7.0)]
+        assert sorted(order) == list(range(len(Ms)))
+        assert order.index(100) > 0 and order.index(110) > 0
+
+    def test_late_members_get_their_lone_bits(self, monkeypatch):
+        Ms, pn = _pool_stack(), PNorm.lp(7.0)
+        M = np.array(_RUNS_TO_THE_CAP)
+        monkeypatch.setattr(operators, "_FIXED_POINT_STEPS", operators._FIXED_POINT_STEPS + 1)
+        longer = fixed_point_restarts(M, 7.0)
+        monkeypatch.undo()
+        lone = fixed_point_restarts(M, 7.0)
+        assert _bits(lone) != _bits(longer)  # some row did stop at the cap
+        with np.errstate(all="ignore"):
+            pooled = dict(operators._fixed_point_pool(Ms, 7.0))
+            certs = op_norm_batch(Ms, pn)
+            with pytest.raises(ValueError, match="monotonicity") as lost:
+                op_norm(StructuredOperator.from_dense(Ms[100]), pn)
+        assert _bits(pooled[110]) == _bits(lone)
+        assert _cert_bits(certs[110]) == _cert_bits(op_norm(StructuredOperator.from_dense(M), pn))
+        assert type(pooled[100]) is ValueError and str(pooled[100]) == str(lost.value)
+        assert type(certs[100]) is ValueError and str(certs[100]) == str(lost.value)
+        for k in range(0, 120, 7):
+            assert _bits(pooled[k]) == _bits(fixed_point_restarts(Ms[k], 7.0)), k
+
+    def test_live_row_entries_stay_under_the_bound(self, monkeypatch):
+        slices = operators._matvec_slices
+        entries = []
+
+        def recording(Ms, Z, bounds):
+            entries.append(Z.shape[0] * Z.shape[1])
+            return slices(Ms, Z, bounds)
+
+        monkeypatch.setattr(operators, "_matvec_slices", recording)
+        with np.errstate(all="ignore"):
+            op_norm_batch(_pool_stack(), PNorm.lp(7.0))
+        # the pool fills to within one matrix's restarts of the bound
+        assert operators._POOL_ENTRIES - 32 * 2 < max(entries) <= operators._POOL_ENTRIES
+
+    def test_draws_only_what_fits(self):
+        # a lazy stream is read only as far as the pool has room
+        drawn = []
+
+        def draws():
+            for k, M in enumerate(_pool_stack()):
+                drawn.append(k)
+                yield M
+
+        stream = operators.op_norm_stream(draws(), PNorm.lp(3.0))
+        next(stream)
+        assert len(drawn) < 120
+        assert len(list(stream)) == 119 and len(drawn) == 120
+
+    def test_refuses_a_second_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            list(operators.op_norm_stream([np.eye(2), np.eye(3)], PNorm.lp(3.0)))
 
 
 class TestOracle:
