@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .commutant import (
+    KrylovDegenerate,
     bezout_residual,
     build_commutant_witness,
     f_w_residuals,
@@ -568,7 +569,8 @@ def criterion_commutant_witness(seed: int = DEFAULT_SEED) -> Section:
 
 def criterion_triangularization(seed: int = DEFAULT_SEED) -> Section:
     """Triangular inputs are reproduced entrywise; generic contractions come
-    out in Hessenberg form with positive subdiagonal."""
+    out in Hessenberg form with positive subdiagonal.  A sample for which e_0
+    is not cyclic (``KrylovDegenerate``) counts as a Hessenberg failure."""
     rng = np.random.default_rng(seed)
     t1_dev = 0.0
     for _ in range(20):
@@ -590,7 +592,11 @@ def criterion_triangularization(seed: int = DEFAULT_SEED) -> Section:
         M *= 0.9 / np.linalg.svd(M, compute_uv=False)[0]
         e0 = np.zeros(D)
         e0[0] = 1.0
-        U, R = gram_schmidt_triangularize(M, e0)
+        try:
+            U, R = gram_schmidt_triangularize(M, e0)
+        except KrylovDegenerate:  # e0 not cyclic: no Hessenberg form from it
+            hess_failures += 1
+            continue
         unitary_dev = max_or_nan(
             unitary_dev, float(np.max(np.abs(U @ U.conj().T - np.eye(D))))
         )

@@ -19,6 +19,7 @@ a stack, in stack order.
 with at most three rows and columns: extreme-point candidates, a sphere grid,
 and one normalised gradient ascent that advances every start of every matrix
 in the batch together, each start with its own step size and stopping rule.
+A matrix with one column needs neither: its norm is that of the column.
 """
 
 from __future__ import annotations
@@ -85,6 +86,9 @@ _POLISH_STEP = 1e-13
 _POLISH_MAX = 10_000
 # The oracle's 10 random starts per matrix come from default_rng(_ORACLE_SEED).
 _ORACLE_SEED = 0
+# The oracle's ascent stops a start once its step is below 2^-27, just below
+# sqrt(u) = 2^-26.5 for u = 2^-53 (see _ascend).
+_ASCENT_T_MIN = 2.0**-27
 
 
 # Unused: perfbench/tracer.py wraps this name; SciPy is imported only on a call.
@@ -1031,9 +1035,10 @@ def op_norm_batch(Ms: np.ndarray, pn: PNorm) -> list[NormCertificate | Exception
 # small-dimension oracle
 
 
-def _eval_batch(M: np.ndarray, X: np.ndarray, pn: PNorm) -> np.ndarray:
+def _eval_batch(M: np.ndarray, X: np.ndarray, den: np.ndarray, pn: PNorm) -> np.ndarray:
+    """The gain ||M x||_pn / ||x||_pn at each column x of X, given the column
+    norms ``den`` of X; 0 at a zero column."""
     num = dense_norm(M @ X, pn)
-    den = dense_norm(X, pn)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(den > 0, num / den, 0.0)
     return out
@@ -1101,8 +1106,19 @@ def _ascend(A: np.ndarray, X: np.ndarray, p: float) -> tuple[np.ndarray, np.ndar
 
     Every start keeps its own step t: the trial ``x + t d`` is kept, put back
     on the unit sphere, if the gain rises (t <- 1.5 t), and dropped otherwise
-    (t <- t / 2).  A start stops once t < 1e-15, or after 1000 trials, and
-    leaves the batch.  Returns the final gains and unit vectors.
+    (t <- t / 2).  A start stops once t < ``_ASCENT_T_MIN`` = 2^-27, or after
+    1000 trials, and leaves the batch.  Returns the final gains and unit
+    vectors.
+
+    Why 2^-27: the gain g is smooth on the sphere away from zero coordinates,
+    so at a maximum x* its derivative along the unit direction d vanishes and
+    g(x* + t d) = g(x*) + O(t^2).  Once t^2 is below u = 2^-53, a trial moves
+    the gain by O(u) relative, which is the rounding of the gain itself: the
+    test "the gain rises" is then decided by rounding, not by the ascent.
+    2^-27 is the first power of two below sqrt(u) = 2^-26.5 ~ 1.05e-8.  A
+    start's steps and trials do not depend on the other rows, so stopping at
+    2^-27 ends each start on a prefix of the path it would take with a
+    smaller floor, at a gain no higher than that path's last.
     """
     AH = np.conj(np.swapaxes(A, 1, 2))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -1119,8 +1135,8 @@ def _ascend(A: np.ndarray, X: np.ndarray, p: float) -> tuple[np.ndarray, np.ndar
             np.copyto(X, Xt / Gt[:, None], where=up[:, None])
             np.copyto(D, Dt, where=up[:, None])
             t *= 0.5 + up
-            if t.min() < 1e-15:
-                stop = t < 1e-15
+            if t.min() < _ASCENT_T_MIN:
+                stop = t < _ASCENT_T_MIN
                 best[act[stop]], out[act[stop]] = value[stop], X[stop]
                 keep = ~stop
                 act, A, AH, X, D, t, value = (a[keep] for a in (act, A, AH, X, D, t, value))
@@ -1130,25 +1146,40 @@ def _ascend(A: np.ndarray, X: np.ndarray, p: float) -> tuple[np.ndarray, np.ndar
     return best, out
 
 
-def _oracle_grid(n: int, p: float, nonneg: bool) -> np.ndarray:
-    """Sphere grid: magnitude simplex x phase torus, or the simplex alone."""
+@functools.lru_cache(maxsize=16)
+def _oracle_grid(n: int, p: float, nonneg: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Sphere grid, magnitude simplex x phase torus or the simplex alone, as
+    read-only columns, with their lp norms (read-only too).
+
+    Kept per (n, p, nonneg), as ``_fixed_point_starts`` is: each matrix of a
+    batch, and each lone call, reuses the grid and its norms.
+    """
     if nonneg:
-        return (_simplex_grid(n, 24) ** (1.0 / p)).astype(complex)
-    mags = _simplex_grid(n, 10) ** (1.0 / p)
-    ph = _phase_grid(n, 10)
-    return (mags[:, :, None] * ph[:, None, :]).reshape(n, -1)
+        X = (_simplex_grid(n, 24) ** (1.0 / p)).astype(complex)
+    else:
+        mags = _simplex_grid(n, 10) ** (1.0 / p)
+        ph = _phase_grid(n, 10)
+        X = (mags[:, :, None] * ph[:, None, :]).reshape(n, -1)
+    den = dense_norm(X, PNorm.lp(p))
+    X.flags.writeable = den.flags.writeable = False
+    return X, den
 
 
 def op_norm_oracle_batch(Ms: np.ndarray, pn: PNorm) -> list[NormCertificate]:
     """Brute-force norms of matrices of one shape, at most three rows and columns.
 
     Exact extreme-point candidates (basis vectors; per-row phase-aligned
-    corners) attain the norm at c0 and l1.  Otherwise each matrix adds a
+    corners) attain the norm at c0 and l1.  Off those, a matrix with one
+    column gets its exact norm ||M e_0||_p (witness e_0, residual 0): every
+    unit vector of C^1 is a phase times e_0.  Otherwise each matrix adds a
     sphere grid (magnitude simplex x phase torus, or the simplex alone for a
-    non-negative matrix) and takes its 6 best grid points plus 10 seeded
-    random vectors as starts; all starts of all matrices then run one batched
-    normalised gradient ascent (``_ascend``).  A matrix gets the same bits
-    alone as in any batch.  Independent of the structural norm routes.
+    non-negative matrix; kept per shape and p with its norms) and takes its
+    6 best grid points plus 10 seeded random vectors as starts; all starts of
+    all matrices then run one batched normalised gradient ascent
+    (``_ascend``), which stops each start once its step falls below
+    sqrt(u).  A matrix gets the same bits alone as in any batch.  An empty
+    stack gives ``[]``; a non-finite entry raises ``ValueError``.
+    Independent of the structural norm routes.
     """
     Ms = np.asarray(Ms, dtype=complex)
     if Ms.ndim != 3:
@@ -1156,6 +1187,14 @@ def op_norm_oracle_batch(Ms: np.ndarray, pn: PNorm) -> list[NormCertificate]:
     _, m, n = Ms.shape
     if n > 3 or m > 3:
         raise ValueError("oracle is limited to three rows and columns")
+    if not np.isfinite(Ms).all():
+        raise ValueError("the oracle needs finite entries")
+    if not len(Ms):
+        return []
+    exact = pn.is_c0 or pn.p == 1.0
+    if n == 1 and not exact:
+        e0 = SpVector.basis(0)
+        return [NormCertificate(float(dense_norm(M[:, 0], pn)), e0, "oracle", 0.0) for M in Ms]
 
     def witness(x: np.ndarray) -> SpVector:
         nx = dense_norm(x, pn)
@@ -1167,24 +1206,23 @@ def op_norm_oracle_batch(Ms: np.ndarray, pn: PNorm) -> list[NormCertificate]:
         a = np.abs(M)
         corners = np.where(a > 0, np.conj(M) / np.where(a > 0, a, 1.0), 1.0)
         X_cands.append(np.concatenate([np.eye(n, dtype=complex), corners.T], axis=1))
-    if pn.is_c0 or pn.p == 1.0:
+    if exact:
         out = []
         for M, X in zip(Ms, X_cands):
-            vals = _eval_batch(M, X, pn)
+            vals = _eval_batch(M, X, dense_norm(X, pn), pn)
             i = int(np.argmax(vals))
             out.append(NormCertificate(float(vals[i]), witness(X[:, i]), "oracle", 0.0))
         return out
     p = pn.p
     rng = np.random.default_rng(_ORACLE_SEED)
     randoms = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(10)]
-    grids: dict[bool, np.ndarray] = {}
     starts, owners, grid_best = [], [], []
     for b, (M, X) in enumerate(zip(Ms, X_cands)):
         nonneg = bool(np.all(np.isreal(M)) and np.all(M.real >= 0))
-        if nonneg not in grids:
-            grids[nonneg] = _oracle_grid(n, p, nonneg)
-        X = np.concatenate([X, grids[nonneg]], axis=1)
-        vals = _eval_batch(M, X, pn)
+        grid, grid_den = _oracle_grid(n, p, nonneg)
+        den = np.concatenate([dense_norm(X, pn), grid_den])
+        X = np.concatenate([X, grid], axis=1)
+        vals = _eval_batch(M, X, den, pn)
         order = np.argsort(vals)[::-1]
         own = [X[:, i] for i in order[:6]] + randoms
         starts += own

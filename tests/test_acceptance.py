@@ -519,6 +519,28 @@ def test_12_triangularization(battery):
     _check(battery, 12)
 
 
+def test_12_non_cyclic_start_fails(monkeypatch):
+    """With M[5:, :5] = 0 the span of e_0..e_4 is invariant, so e_0 is not
+    cyclic and its Krylov sequence collapses: each 20 x 20 sample is a
+    Hessenberg failure, and the battery returns a failing record."""
+    crandn = acceptance._crandn
+
+    def reducible(rng, *shape):
+        M = crandn(rng, *shape)
+        if shape == (20, 20):
+            M[5:, :5] = 0
+        return M
+
+    monkeypatch.setattr(acceptance, "_crandn", reducible)
+    report = run_battery(DEFAULT_SEED, numbers=[12])
+    (sec,) = report.sections
+    recs = {rec["name"]: rec for rec in sec.records}
+    assert sec.status == "fail"
+    hess = recs["hessenberg_positive_subdiagonal"]
+    assert hess["ok"] is False and hess["value"] == 20
+    assert recs["t1_reproduced"]["ok"] is True
+
+
 def test_13_determinism(tmp_path):
     """verify-all --seed 7 twice, on one and on two BLAS threads:
     byte-identical reports, exit code 0."""

@@ -633,6 +633,36 @@ class TestFixedPointPool:
             list(operators.op_norm_stream([np.eye(2), np.eye(3)], PNorm.lp(3.0)))
 
 
+def _ascend_to_1e_15(A: np.ndarray, X: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's ascent as it was with a step floor of 1e-15, verbatim: the
+    reference that the 2^-27 floor must stay at or below."""
+    _gain_and_direction = operators._gain_and_direction
+    AH = np.conj(np.swapaxes(A, 1, 2))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value, G, D = _gain_and_direction(A, AH, X, p)
+        X = X / G[:, None]
+        best, out = value.copy(), X.copy()
+        t = np.full(len(X), 0.1)
+        act = np.arange(len(X))
+        for _ in range(1000):
+            Xt = X + t[:, None] * D
+            vt, Gt, Dt = _gain_and_direction(A, AH, Xt, p)
+            up = vt > value
+            np.copyto(value, vt, where=up)
+            np.copyto(X, Xt / Gt[:, None], where=up[:, None])
+            np.copyto(D, Dt, where=up[:, None])
+            t *= 0.5 + up
+            if t.min() < 1e-15:
+                stop = t < 1e-15
+                best[act[stop]], out[act[stop]] = value[stop], X[stop]
+                keep = ~stop
+                act, A, AH, X, D, t, value = (a[keep] for a in (act, A, AH, X, D, t, value))
+                if not act.size:
+                    break
+        best[act], out[act] = value, X
+    return best, out
+
+
 class TestOracle:
     def test_exact_routes(self):
         rng = np.random.default_rng(401)
@@ -698,6 +728,73 @@ class TestOracle:
         M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         for pn in (PNorm.lp(1.5), PNorm.lp(3.0), PNorm.lp(1.0), PNorm.c0()):
             assert op_norm_oracle(M, pn).value > 0.0
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_single_column_is_its_exact_norm(self, monkeypatch, p):
+        # every unit vector of C^1 is a phase times e_0, so the norm is
+        # ||M e_0||_p, with no grid and no ascent
+        def refuse(*args, **kwargs):
+            raise AssertionError("a single column needs no grid and no ascent")
+
+        monkeypatch.setattr(operators, "_ascend", refuse)
+        monkeypatch.setattr(operators, "_oracle_grid", refuse)
+        rng = np.random.default_rng(405)
+        cols = [rng.normal(size=(m, 1)) + 1j * rng.normal(size=(m, 1)) for m in (1, 2, 3)]
+        cols += [np.zeros((2, 1)), np.array([[1e-200], [-3e-200j]]), np.array([[1e200], [2e200j]])]
+        pn = PNorm.lp(p)
+        for col in cols:
+            cert = op_norm_oracle(col, pn)
+            assert cert.value == dense_norm(col[:, 0], pn)
+            # the root's rounded exponent 1/p costs about |ln s| ulps at a
+            # p-th power sum s near 1e-300
+            scale = np.abs(col).max()
+            want = scale * np.sum((np.abs(col) / scale) ** p) ** (1.0 / p) if scale else 0.0
+            assert cert.value == pytest.approx(want, rel=1e-13, abs=0.0)
+            assert cert.method == "oracle" and cert.residual == 0.0
+            assert cert.witness.entries == ((0, 1.0),)
+        tall = [col for col in cols if col.shape == (2, 1)]
+        assert len(tall) == 4
+        batch = op_norm_oracle_batch(np.array(tall), pn)
+        assert [c.value for c in batch] == [op_norm_oracle(col, pn).value for col in tall]
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_the_step_floor_stays_below_the_long_ascent(self, monkeypatch, d, p):
+        # the ascent stops at t < 2^-27, a prefix of the path to t < 1e-15:
+        # never higher, and within 1e-13 relative of it
+        rng = np.random.default_rng([406, d])
+        Ms = rng.normal(size=(20, d, d)) + 1j * rng.normal(size=(20, d, d))
+        pn = PNorm.lp(p)
+        new = [c.value for c in op_norm_oracle_batch(Ms, pn)]
+        monkeypatch.setattr(operators, "_ascend", _ascend_to_1e_15)
+        ref = [c.value for c in op_norm_oracle_batch(Ms, pn)]
+        for got, want in zip(new, ref):
+            assert got <= want
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_the_cached_grid_is_read_only(self):
+        X, den = operators._oracle_grid(3, 3.0, False)
+        assert operators._oracle_grid(3, 3.0, False)[0] is X
+        assert not X.flags.writeable and not den.flags.writeable
+        with pytest.raises(ValueError):
+            X[0, 0] = 2.0
+        np.testing.assert_array_equal(den, dense_norm(X, PNorm.lp(3.0)))
+
+    @pytest.mark.parametrize("pn", [PNorm.lp(3.0), PNorm.lp(1.5), PNorm.lp(1.0), PNorm.c0()])
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (0, 1, 1), (0, 3, 1)])
+    def test_an_empty_stack_gives_no_certificates(self, pn, shape):
+        assert op_norm_oracle_batch(np.zeros(shape), pn) == []
+        assert op_norm_batch(np.zeros(shape), pn) == []
+
+    @pytest.mark.parametrize("pn", [PNorm.lp(3.0), PNorm.lp(1.5), PNorm.lp(1.0), PNorm.c0()])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_a_non_finite_entry_is_refused(self, pn, bad):
+        # the grid and the ascent would turn it into a NaN value labelled
+        # "oracle", with RuntimeWarnings
+        with pytest.raises(ValueError, match="finite"):
+            op_norm_oracle(np.array([[bad, 1.0], [0.0, 1.0]]), pn)
+        with pytest.raises(ValueError, match="finite"):
+            op_norm_oracle_batch(np.array([np.eye(2), [[1.0, 0.0], [bad, 1.0]]]), pn)
 
 
 class TestDualSup:
