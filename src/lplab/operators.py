@@ -41,8 +41,6 @@ from .spaces import (
     _moduli_row_norms,
     add,
     dense_norm,
-    norm,
-    pairing,
     row_norms,
 )
 
@@ -69,9 +67,9 @@ __all__ = [
 
 _DECAY = 1e-17
 _MAX_ENUM = 5_000_000
-# Columns one StructuredOperator keeps; a norm or dual sup may enumerate up to
-# _MAX_ENUM columns, which must not all stay in memory.
+# Columns one StructuredOperator keeps for apply; the exact routes keep none.
 _COLUMN_MEMO_MAX = 4096
+_CHUNK = 4096  # columns the exact routes build at once, as arrays
 # The fixed-point ascent's starts: the basis vectors, the all-ones vector and
 # complex Gaussian draws from default_rng(_FIXED_POINT_SEED), 32 in all.
 _FIXED_POINT_RESTARTS = 32
@@ -457,11 +455,55 @@ def _require_finite(T: StructuredOperator, what: str) -> None:
         raise ValueError(f"the exact {what} needs finite entries")
 
 
+def _column_chunks(
+    T: StructuredOperator, parts: list[np.ndarray], rows: np.ndarray | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield ``(cs, i, r, v)``, ``_CHUNK`` of the distinct columns in ``parts``
+    at a time, ascending: column ``cs[i]`` holds ``v`` at row ``r``, in
+    ``column``'s order, summed and free of zeros as ``_build_column`` makes it.
+    Given ``rows``, rule entries are built only there and at negative rows,
+    which on the naturals raise as ``column`` does."""
+    cols = np.sort(np.concatenate(parts))
+    cols = cols[np.concatenate(([True], cols[1:] != cols[:-1]))[: cols.size]]  # np.unique, faster
+    for s in range(0, cols.size, _CHUNK):
+        cs = cols[s : s + _CHUNK]
+        lo, hi = np.searchsorted(cs, (T.col_offset, T.col_offset + T.ncols))
+        sub = T.block[:, cs[lo:hi] - T.col_offset]
+        bi, bj = np.nonzero(sub)
+        I, Rs, Vs = [lo + bj], [T.row_offset + bi], [sub[bi, bj]]
+        for rule in T.rules:
+            at = np.flatnonzero(cs * rule.step >= rule.start * rule.step)
+            k = (cs[at] - rule.start) * rule.step
+            for e in rule.entries:
+                if e.row_kind == "affine":
+                    r = e.row_a * cs[at] + e.row_b
+                else:  # phi_enum, exact below k = 2**49
+                    m = (np.sqrt(8 * k + 1).astype(np.int64) - 1) // 2
+                    r = k - m * (m + 1) // 2
+                on = slice(None)
+                if rows is not None:
+                    on = (r < 0) | (rows.take(np.searchsorted(rows, r), mode="clip") == r)
+                I.append(at[on]), Rs.append(r[on])
+                Vs.append(np.array([e.weight(x) for x in k[on].tolist()], complex))
+        i, r, v = np.concatenate(I), np.concatenate(Rs), np.concatenate(Vs)
+        o = np.lexsort((r, i))  # stable: a shared row keeps the layer order
+        i, r, v = i[o], r[o], v[o]
+        head = np.concatenate(([True], (i[1:] != i[:-1]) | (r[1:] != r[:-1])))[: i.size]
+        if not head.all():  # a row reached twice in one column
+            w = np.zeros(np.count_nonzero(head), complex)
+            np.add.at(w, np.cumsum(head) - 1, v)  # in index order
+            i, r, v = i[head], r[head], w
+        nz = v != 0
+        i, r, v = i[nz], r[nz], v[nz] + 0j  # as summed from 0j: complex, no -0.0 part
+        if T.domain == IndexDomain.NATURALS and (r < 0).any():  # raise for the first such column
+            SpVector.make({j: 1.0 for j in r[i == i[r < 0][0]].tolist()})
+        yield cs, i, r, v
+
+
 def _op_norm_l1(T: StructuredOperator) -> NormCertificate:
     _require_finite(T, "l1 norm")
     scale = _rough_scale(T)
-    best, best_j = 0.0, None
-    cols: set[int] = set(range(T.col_offset, T.col_offset + T.ncols))
+    cols = [np.arange(T.col_offset, T.col_offset + T.ncols)]
     limits: list[float] = []
     for rule in T.rules:
         K = 8
@@ -470,13 +512,14 @@ def _op_norm_l1(T: StructuredOperator) -> NormCertificate:
             c, rho, d = e.parts()
             K = max(K, _decay_horizon(c, rho, scale))
             lim += abs(d)
-        for k in range(0, K + 1):
-            cols.add(rule.col(k))
+        cols.append(rule.col(np.arange(K + 1)))
         limits.append(lim)
-    for j in sorted(cols):
-        v = norm(T.column(j), PNorm.lp(1))
-        if v > best:
-            best, best_j = v, j
+    best, best_j = 0.0, None
+    for cs, i, _, v in _column_chunks(T, cols):
+        sums = np.zeros(cs.size)
+        np.add.at(sums, i, np.hypot(v.real, v.imag))  # rows ascending, as norm sums
+        if sums.max(initial=0.0) > best:
+            best, best_j = float(sums.max()), int(cs[sums.argmax()])
     value = max([best] + limits)
     witness = SpVector.basis(best_j, T.domain) if best_j is not None and best >= value else None
     return NormCertificate(value, witness, "exact", 0.0)
@@ -504,14 +547,9 @@ def _op_norm_c0(T: StructuredOperator) -> NormCertificate:
     _require_finite(T, "c0 norm")
     _c0_checks(T)
     scale = _rough_scale(T)
-    row_sums: dict[int, float] = {}
-
-    def bump(r: int, v: float) -> None:
-        row_sums[r] = row_sums.get(r, 0.0) + v
-
     # Exact column-merged sums on an enumeration window, then analytic limits.
     # First pass: decay horizons and the row window they touch.
-    cols: set[int] = set(range(T.col_offset, T.col_offset + T.ncols))
+    cols = [np.arange(T.col_offset, T.col_offset + T.ncols)]
     limit_up = 0.0
     limit_down = 0.0
     row_lo = T.row_offset
@@ -543,27 +581,29 @@ def _op_norm_c0(T: StructuredOperator) -> NormCertificate:
             K = max(K, span + 2)
         if K > _MAX_ENUM:
             raise ValueError("enumeration window too large")
-        for k in range(0, K + 1):
-            cols.add(rule.col(k))
-    for j in sorted(cols):
-        for r, v in T.column(j).entries:
-            bump(r, abs(v))
+        cols.append(rule.col(np.arange(K + 1)))
+    rows, sums = np.empty(0, np.int64), np.empty(0)
+    for _, _, r, v in _column_chunks(T, cols):
+        met = np.sort(r)
+        met = met[np.concatenate(([True], met[1:] != met[:-1]))[: met.size]]  # no numpy.ma
+        at = np.searchsorted(rows, met)
+        new = at == np.searchsorted(rows, met, side="right")
+        rows, sums = np.insert(rows, at[new], met[new]), np.insert(sums, at[new], 0.0)
+        np.add.at(sums, np.searchsorted(rows, r), np.hypot(v.real, v.imag))  # column order
     # Rows beyond the enumerated columns carry weights within the enumeration
     # floor of the direction limits.
-    best_row, best = None, 0.0
-    for r, v in row_sums.items():
-        if v > best:
-            best, best_row = v, r
+    best = float(sums.max(initial=0.0))
     value = max(best, limit_up, limit_down)
     witness = None
-    if best_row is not None and best >= value:
-        # Conjugate-sign pattern along the best row: a sup-norm-one input
-        # whose image attains the row sum exactly in that coordinate.
-        signs: dict[int, complex] = {}
-        for j in sorted(cols):
-            for r, v in T.column(j).entries:
-                if r == best_row and v != 0:
-                    signs[j] = np.conj(v) / abs(v)
+    if best > 0 and best >= value:
+        # Conjugate-sign pattern along the best row met first: a sup-norm-one
+        # input whose image attains the row sum exactly in that coordinate.
+        tied, best_row, signs = rows[sums == best], None, {}
+        for cs, i, r, v in _column_chunks(T, cols):
+            if best_row is None and (hit := np.isin(r, tied)).any():
+                best_row = r[hit.argmax()]
+            v, j = v[r == best_row], cs[i[r == best_row]]
+            signs.update(zip(j.tolist(), np.conj(v) / np.hypot(v.real, v.imag)))
         if signs:
             witness = SpVector.make(signs, domain=T.domain)
     return NormCertificate(value, witness, "exact", 0.0)
@@ -1265,15 +1305,15 @@ def dual_sup_norm(T: StructuredOperator, xstar: SpVector) -> float:
     if xstar.tail is not None:
         raise ValueError("dual functional must be finitely supported")
     _require_finite(T, "dual sup")
-    if not np.isfinite([v for _, v in xstar.entries]).all():
-        raise ValueError("the exact dual sup needs a finite functional")
-    supp = {j for j, _ in xstar.entries}
-    if not supp:
+    if not xstar.entries:
         return 0.0
+    supp, xs = map(np.array, zip(*xstar.entries))
+    if not np.isfinite(xs).all():
+        raise ValueError("the exact dual sup needs a finite functional")
     sup_abs = max(abs(v) for _, v in xstar.entries)
-    max_supp = max(supp)
+    max_supp = int(supp[-1])
     scale = max(_rough_scale(T), sup_abs)
-    cols: set[int] = set(range(T.col_offset, T.col_offset + T.ncols))
+    cols = [np.arange(T.col_offset, T.col_offset + T.ncols)]
     limits: list[float] = []
     for rule in T.rules:
         for e in rule.entries:
@@ -1282,16 +1322,12 @@ def dual_sup_norm(T: StructuredOperator, xstar: SpVector) -> float:
                 if e.row_a == 0:
                     if e.row_b in supp:
                         K = _decay_horizon(c, rho, scale)
-                        for k in range(K + 1):
-                            cols.add(rule.col(k))
+                        cols.append(rule.col(np.arange(K + 1)))
                         if d != 0:
                             limits.append(abs(d) * abs(xstar.at(e.row_b)))
                     continue
-                for r in supp:
-                    num = r - e.row_b - e.row_a * rule.start
-                    den = e.row_a * rule.step
-                    if num % den == 0 and num // den >= 0:
-                        cols.add(rule.col(num // den))
+                k, rem = np.divmod(supp - e.row_b - e.row_a * rule.start, e.row_a * rule.step)
+                cols.append(rule.col(k[(rem == 0) & (k >= 0)]))
             else:
                 K = max(_decay_horizon(c, rho, scale), 8)
                 # columns whose second-entry rows may still touch supp
@@ -1300,13 +1336,17 @@ def dual_sup_norm(T: StructuredOperator, xstar: SpVector) -> float:
                 K = max(K, (m_hi * (m_hi + 1)) // 2 + m_hi)
                 if K > _MAX_ENUM:
                     raise ValueError("enumeration window too large")
-                for k in range(K + 1):
-                    cols.add(rule.col(k))
+                cols.append(rule.col(np.arange(K + 1)))
                 if d != 0:
                     limits.append(abs(d) * sup_abs)
     best = 0.0
-    for j in sorted(cols):
-        v = abs(pairing(xstar, T.column(j)))
-        if v > best:
-            best = v
+    for cs, i, r, v in _column_chunks(T, cols, supp):
+        at = np.searchsorted(supp, r)
+        on = supp.take(at, mode="clip") == r
+        # <x*, T e_j> summed from 0j over x*'s entries in index order, each
+        # product's parts rounded as Python rounds them
+        i, x, v, p = i[on], xs[at[on]], v[on], np.zeros((2, cs.size))
+        np.add.at(p[0], i, x.real * v.real - x.imag * v.imag)
+        np.add.at(p[1], i, x.real * v.imag + x.imag * v.real)
+        best = float(np.fmax.reduce(np.hypot(*p), initial=best))  # NaNs pass
     return max([best] + limits)

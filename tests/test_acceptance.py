@@ -522,7 +522,8 @@ def test_12_triangularization(battery):
 def test_12_non_cyclic_start_fails(monkeypatch):
     """With M[5:, :5] = 0 the span of e_0..e_4 is invariant, so e_0 is not
     cyclic and its Krylov sequence collapses: each 20 x 20 sample is a
-    Hessenberg failure, and the battery returns a failing record."""
+    Hessenberg failure, no sample yields a unitary factor, and the battery
+    returns failing records."""
     crandn = acceptance._crandn
 
     def reducible(rng, *shape):
@@ -538,6 +539,7 @@ def test_12_non_cyclic_start_fails(monkeypatch):
     assert sec.status == "fail"
     hess = recs["hessenberg_positive_subdiagonal"]
     assert hess["ok"] is False and hess["value"] == 20
+    assert recs["unitary_factor"]["ok"] is False and recs["unitary_factor"]["value"] == "nan"
     assert recs["t1_reproduced"]["ok"] is True
 
 

@@ -29,7 +29,7 @@ def test_spectrum_alone():
     # entered by spectrum, Report.ok under its @property line: not listed
     assert {"eigs_dense", "_cmd_spectrum", "Report.ok"}.isdisjoint(names)
     # a nested def that spectrum does not enter
-    assert "_op_norm_c0.bump" in names
+    assert "apply.acc" in names
     # not entered, and wrapped by the tracer (op_norm, the staticmethod
     # SpVector.make) or called by the workloads only (run_suite)
     for name in ("op_norm", "SpVector.make", "run_suite"):
