@@ -17,9 +17,9 @@ a stack, in stack order.
 
 ``op_norm_oracle_batch`` is an independent brute-force check for matrices
 with at most three rows and columns: extreme-point candidates, a sphere grid,
-and one normalised gradient ascent that advances every start of every matrix
-in the batch together, each start with its own step size and stopping rule.
-A matrix with one column needs neither: its norm is that of the column.
+and one gradient ascent that advances every start of every matrix in the
+batch together, each start with its own Barzilai-Borwein step and stopping
+rule.  A matrix with one column needs neither: its norm is that of the column.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ _POLISH_STEP = 1e-13
 _POLISH_MAX = 10_000
 # The oracle's 10 random starts per matrix come from default_rng(_ORACLE_SEED).
 _ORACLE_SEED = 0
-# The oracle's ascent stops a start once its step is below 2^-27, just below
-# sqrt(u) = 2^-26.5 for u = 2^-53 (see _ascend).
+# The oracle's ascent stops a start once a missed step or an accepted move is
+# below 2^-27, just below sqrt(u) = 2^-26.5 for u = 2^-53 (see _ascend).
 _ASCENT_T_MIN = 2.0**-27
 
 
@@ -174,11 +174,12 @@ class StructuredOperator:
 
     The block is a read-only copy of the given array, in the same memory
     order: the caller's array stays writeable, and no write to it, or to an
-    array it views, can change the operator.  That makes ``column(j)`` safe to
-    memoise.  Each column is built once per operator, on first request, and
-    kept as one small ``SpVector`` in a dict that is freed with the operator;
-    past ``_COLUMN_MEMO_MAX`` columns, the further ones are built on every
-    request and not kept.
+    array it views, can change the operator.  That makes ``column(j)``, and
+    the scale of the exact routes (``_exact_scale``), safe to memoise.  Each
+    column is built once per operator, on first request, and kept as one
+    small ``SpVector`` in a dict that is freed with the operator; past
+    ``_COLUMN_MEMO_MAX`` columns, the further ones are built on every request
+    and not kept.
     """
 
     block: np.ndarray
@@ -194,6 +195,7 @@ class StructuredOperator:
         block.flags.writeable = False
         object.__setattr__(self, "block", block)
         object.__setattr__(self, "_columns", {})
+        object.__setattr__(self, "_scale", None)  # see _exact_scale
 
     @staticmethod
     def from_dense(
@@ -436,23 +438,29 @@ def _decay_horizon(c: complex, rho: complex, scale: float) -> int:
     return K
 
 
-def _rough_scale(T: StructuredOperator) -> float:
-    s = float(np.abs(T.block).sum()) if T.block.size else 0.0
-    for rule in T.rules:
-        for e in rule.entries:
-            s += abs(e.c) + abs(e.d)
-    return max(s, 1e-30)
-
-
-def _require_finite(T: StructuredOperator, what: str) -> None:
-    """Raise ``ValueError`` when T's block or a rule weight is not finite.
+def _exact_scale(T: StructuredOperator, what: str) -> float:
+    """A rough size of T's entries, which sets the decay horizons; raises
+    ``ValueError`` when T's block or a rule weight is not finite.
 
     The exact column and row sums would pass over a NaN (``v > best`` is false
-    for it) and return inf for an inf, both labelled ``exact``.
+    for it) and return inf for an inf, both labelled ``exact``.  T cannot
+    change, so both are worked out once per operator and kept in
+    ``T._scale``, a refusal as NaN; each call still names its own route.
     """
-    weights = [w for rule in T.rules for e in rule.entries for w in (e.c, e.rho, e.d)]
-    if not (np.isfinite(T.block).all() and np.isfinite(weights).all()):
+    scale = T._scale
+    if scale is None:
+        weights = [w for rule in T.rules for e in rule.entries for w in (e.c, e.rho, e.d)]
+        scale = math.nan
+        if np.isfinite(T.block).all() and np.isfinite(weights).all():
+            scale = float(np.abs(T.block).sum()) if T.block.size else 0.0
+            for rule in T.rules:
+                for e in rule.entries:
+                    scale += abs(e.c) + abs(e.d)
+            scale = max(scale, 1e-30)
+        object.__setattr__(T, "_scale", scale)
+    if math.isnan(scale):
         raise ValueError(f"the exact {what} needs finite entries")
+    return scale
 
 
 def _column_chunks(
@@ -501,8 +509,7 @@ def _column_chunks(
 
 
 def _op_norm_l1(T: StructuredOperator) -> NormCertificate:
-    _require_finite(T, "l1 norm")
-    scale = _rough_scale(T)
+    scale = _exact_scale(T, "l1 norm")
     cols = [np.arange(T.col_offset, T.col_offset + T.ncols)]
     limits: list[float] = []
     for rule in T.rules:
@@ -544,9 +551,8 @@ def _c0_checks(T: StructuredOperator) -> None:
 
 
 def _op_norm_c0(T: StructuredOperator) -> NormCertificate:
-    _require_finite(T, "c0 norm")
+    scale = _exact_scale(T, "c0 norm")
     _c0_checks(T)
-    scale = _rough_scale(T)
     # Exact column-merged sums on an enumeration window, then analytic limits.
     # First pass: decay horizons and the row window they touch.
     cols = [np.arange(T.col_offset, T.col_offset + T.ncols)]
@@ -1114,20 +1120,21 @@ def _phase_grid(n: int, P: int) -> np.ndarray:
 _TINY = np.finfo(float).tiny
 
 
-def _gain_and_direction(
+def _gain_and_gradient(
     A: np.ndarray, AH: np.ndarray, X: np.ndarray, p: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gain ||A[r] x||_p / ||x||_p at each row x of X, ||x||_p, and a unit ascent direction.
+    """Gain ||A[r] x||_p / ||x||_p at each row x of X, x / ||x||_p, and the ascent
+    direction g at x / ||x||_p.
 
     With d|z|^p = p |z|^(p-2) Re(conj(z) dz), the gradient of the gain in the
     (re, im) coordinates, written as one complex vector, is a positive
-    multiple of A^H(|y|^(p-2) y) - gain^p |x|^(p-2) x with y = Ax (a zero
-    coordinate contributes 0; moduli are floored at the smallest normal float
-    so that |0|^(p-2) stays finite).  The direction is that vector scaled to
-    unit Euclidean length, or zero where it vanishes.  Products are broadcast
-    products summed over the last axis, not a batched gemm, and each
-    reduction runs over one row's <= 3 coordinates, so a row gets the same
-    bits alone as in any batch.
+    multiple of g = A^H(|y|^(p-2) y) - gain^p |x|^(p-2) x with y = Ax at
+    unit ||x||_p (a zero coordinate contributes 0; moduli are floored at the
+    smallest normal float so that |0|^(p-2) stays finite).  g is formed at x
+    and scaled by ||x||_p^(1-p), its degree.  Products are broadcast products
+    summed over the last axis, not a batched gemm, and each reduction runs
+    over one row's <= 3 coordinates, so a row gets the same bits alone as in
+    any batch.
     """
     aX = np.abs(X)
     Gp = (aX**p).sum(axis=-1)
@@ -1137,49 +1144,63 @@ def _gain_and_direction(
     dx = np.maximum(aX, _TINY) ** (p - 2.0) * X
     dy = np.maximum(aY, _TINY) ** (p - 2.0) * Y
     g = (AH * dy[:, None, :]).sum(axis=-1) - gp[:, None] * dx
-    size = np.sqrt((np.abs(g) ** 2).sum(axis=-1))
-    return gp ** (1.0 / p), Gp ** (1.0 / p), g / np.maximum(size, _TINY)[:, None]
+    G = Gp ** (1.0 / p)
+    return gp ** (1.0 / p), X / G[:, None], g * (G / Gp)[:, None]
+
+
+def _square(Z: np.ndarray) -> np.ndarray:
+    """Squared Euclidean length of each row of Z."""
+    return (Z.real**2 + Z.imag**2).sum(axis=-1)
 
 
 def _ascend(A: np.ndarray, X: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Normalised gradient ascent of ||A[r] x||_p / ||x||_p from each row x of X.
+    """Gradient ascent of ||A[r] x||_p / ||x||_p from each row x of X, with a
+    Barzilai-Borwein step (Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988).
 
-    Every start keeps its own step t: the trial ``x + t d`` is kept, put back
-    on the unit sphere, if the gain rises (t <- 1.5 t), and dropped otherwise
-    (t <- t / 2).  A start stops once t < ``_ASCENT_T_MIN`` = 2^-27, or after
-    1000 trials, and leaves the batch.  Returns the final gains and unit
-    vectors.
+    Every start keeps its own step a, first 0.1 / ||g||.  The trial is
+    ``x + a g`` with g from ``_gain_and_gradient`` at the unit point x.  If
+    the gain rises, the trial is kept, put back on the unit sphere, and the
+    next step is a = |Re<s, y>| / |y|^2, with s the change in the unit x and
+    y the change in g (a is kept where Re<s, y> = 0); otherwise it is
+    dropped and a is halved.  This is the short BB step, at most the long one
+    |s|^2 / |Re<s, y>|: at p < 2 a tiny coordinate x_i makes the gain stiff
+    along it (curvature ~ |x_i|^(p-2)), the long step overshoots there, every
+    overshoot is a miss, and a start then creeps by moves below 2^-27 and
+    stops short of the norm (2.7e-9 below ``op_norm`` on one criterion-1
+    draw at p = 1.5), where the short step converges.
 
-    Why 2^-27: the gain g is smooth on the sphere away from zero coordinates,
-    so at a maximum x* its derivative along the unit direction d vanishes and
-    g(x* + t d) = g(x*) + O(t^2).  Once t^2 is below u = 2^-53, a trial moves
-    the gain by O(u) relative, which is the rounding of the gain itself: the
-    test "the gain rises" is then decided by rounding, not by the ascent.
-    2^-27 is the first power of two below sqrt(u) = 2^-26.5 ~ 1.05e-8.  A
-    start's steps and trials do not depend on the other rows, so stopping at
-    2^-27 ends each start on a prefix of the path it would take with a
-    smaller floor, at a gain no higher than that path's last.
+    A start stops when a missed trial's step a ||g|| or an accepted move |s|
+    is below ``_ASCENT_T_MIN`` = 2^-27, or after 1000 trials, and leaves the
+    batch.  Returns the final gains and unit vectors.
+
+    Why 2^-27 means converged: the gain f is smooth on the sphere away from
+    zero coordinates, so near a maximum x* its derivative along a unit
+    direction d is O(|x - x*|) and f(x + t d) = f(x) + O(t |x - x*| + t^2).
+    2^-27 is the first power of two below sqrt(u) = 2^-26.5 ~ 1.05e-8 for
+    u = 2^-53: once a step of that length no longer rises, or a rise moves x
+    by less, the change it tests is of the order of the gain's own rounding,
+    so "the gain rises" is decided by rounding, not by the ascent.
     """
     AH = np.conj(np.swapaxes(A, 1, 2))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        value, G, D = _gain_and_direction(A, AH, X, p)
-        X = X / G[:, None]
+        value, X, g = _gain_and_gradient(A, AH, X, p)
         best, out = value.copy(), X.copy()
-        t = np.full(len(X), 0.1)
+        a = 0.1 / np.maximum(np.sqrt(_square(g)), _TINY)
         act = np.arange(len(X))
         for _ in range(1000):
-            Xt = X + t[:, None] * D
-            vt, Gt, Dt = _gain_and_direction(A, AH, Xt, p)
+            vt, Xt, gt = _gain_and_gradient(A, AH, X + a[:, None] * g, p)
             up = vt > value
+            s, y = Xt - X, gt - g
+            sy = np.abs((s.real * y.real + s.imag * y.imag).sum(axis=-1))
+            stop = np.where(up, np.sqrt(_square(s)), a * np.sqrt(_square(g))) < _ASCENT_T_MIN
+            a = np.where(up, np.where(sy > 0, sy / _square(y), a), 0.5 * a)
             np.copyto(value, vt, where=up)
-            np.copyto(X, Xt / Gt[:, None], where=up[:, None])
-            np.copyto(D, Dt, where=up[:, None])
-            t *= 0.5 + up
-            if t.min() < _ASCENT_T_MIN:
-                stop = t < _ASCENT_T_MIN
+            np.copyto(X, Xt, where=up[:, None])
+            np.copyto(g, gt, where=up[:, None])
+            if stop.any():
                 best[act[stop]], out[act[stop]] = value[stop], X[stop]
                 keep = ~stop
-                act, A, AH, X, D, t, value = (a[keep] for a in (act, A, AH, X, D, t, value))
+                act, A, AH, X, g, a, value = (z[keep] for z in (act, A, AH, X, g, a, value))
                 if not act.size:
                     break
         best[act], out[act] = value, X
@@ -1215,11 +1236,11 @@ def op_norm_oracle_batch(Ms: np.ndarray, pn: PNorm) -> list[NormCertificate]:
     sphere grid (magnitude simplex x phase torus, or the simplex alone for a
     non-negative matrix; kept per shape and p with its norms) and takes its
     6 best grid points plus 10 seeded random vectors as starts; all starts of
-    all matrices then run one batched normalised gradient ascent
-    (``_ascend``), which stops each start once its step falls below
-    sqrt(u).  A matrix gets the same bits alone as in any batch.  An empty
-    stack gives ``[]``; a non-finite entry raises ``ValueError``.
-    Independent of the structural norm routes.
+    all matrices then run one batched gradient ascent with a
+    Barzilai-Borwein step (``_ascend``), which stops each start once a missed
+    step or an accepted move falls below sqrt(u).  A matrix gets the same
+    bits alone as in any batch.  An empty stack gives ``[]``; a non-finite
+    entry raises ``ValueError``.  Independent of the structural norm routes.
     """
     Ms = np.asarray(Ms, dtype=complex)
     if Ms.ndim != 3:
@@ -1304,7 +1325,7 @@ def dual_sup_norm(T: StructuredOperator, xstar: SpVector) -> float:
     """
     if xstar.tail is not None:
         raise ValueError("dual functional must be finitely supported")
-    _require_finite(T, "dual sup")
+    scale = _exact_scale(T, "dual sup")
     if not xstar.entries:
         return 0.0
     supp, xs = map(np.array, zip(*xstar.entries))
@@ -1312,7 +1333,7 @@ def dual_sup_norm(T: StructuredOperator, xstar: SpVector) -> float:
         raise ValueError("the exact dual sup needs a finite functional")
     sup_abs = max(abs(v) for _, v in xstar.entries)
     max_supp = int(supp[-1])
-    scale = max(_rough_scale(T), sup_abs)
+    scale = max(scale, sup_abs)
     cols = [np.arange(T.col_offset, T.col_offset + T.ncols)]
     limits: list[float] = []
     for rule in T.rules:

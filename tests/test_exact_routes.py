@@ -1,9 +1,11 @@
 """The exact l1 norm, c0 norm and dual sup against their per-column references.
 
 The references below enumerate the same columns one ``T.column(j)`` at a time
-and sum them through ``norm`` and ``pairing``.  The array routes in
-``lplab.operators`` must give the same value bit for bit, the same witness and
-the same exception, and must leave the column memo empty.
+and sum them through ``norm`` and ``pairing``; they check finiteness and size
+the decay horizons on every call, where the routes keep both per operator
+(``operators._exact_scale``).  The array routes in ``lplab.operators`` must
+give the same value bit for bit, the same witness and the same exception,
+and must leave the column memo empty.
 """
 
 from __future__ import annotations
@@ -23,12 +25,24 @@ from lplab.operators import (
     StructuredOperator,
     _c0_checks,
     _decay_horizon,
-    _require_finite,
-    _rough_scale,
     dual_sup_norm,
     op_norm,
 )
 from lplab.spaces import IndexDomain, PNorm, SpVector, norm, pairing
+
+
+def _rough_scale(T: StructuredOperator) -> float:
+    s = float(np.abs(T.block).sum()) if T.block.size else 0.0
+    for rule in T.rules:
+        for e in rule.entries:
+            s += abs(e.c) + abs(e.d)
+    return max(s, 1e-30)
+
+
+def _require_finite(T: StructuredOperator, what: str) -> None:
+    weights = [w for rule in T.rules for e in rule.entries for w in (e.c, e.rho, e.d)]
+    if not (np.isfinite(T.block).all() and np.isfinite(weights).all()):
+        raise ValueError(f"the exact {what} needs finite entries")
 
 
 def ref_op_norm_l1(T: StructuredOperator) -> NormCertificate:
