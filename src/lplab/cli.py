@@ -217,7 +217,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         records.append(
             check(
                 "bezout_residual",
-                bezout_residual(wit),
+                float(bezout_residual([wit])[0]),
                 "exact",
                 "<",
                 1e-8,

@@ -104,12 +104,6 @@ class UnboundedRowSums(Exception):
     """Row sums are unbounded; no finite c0 norm certificate exists."""
 
 
-def phi_enum(k: int) -> int:
-    """Triangle enumeration: 0; 0,1; 0,1,2; ... (value of the k-th term)."""
-    m = (math.isqrt(8 * k + 1) - 1) // 2
-    return k - m * (m + 1) // 2
-
-
 @dataclass(frozen=True)
 class RuleEntry:
     """One structured entry of a column rule."""
@@ -133,7 +127,9 @@ class RuleEntry:
     def row(self, k: int, col: int) -> int:
         if self.row_kind == "affine":
             return self.row_a * col + self.row_b
-        return phi_enum(k)
+        # the k-th term of the triangle enumeration 0; 0,1; 0,1,2; ...
+        m = (math.isqrt(8 * k + 1) - 1) // 2
+        return k - m * (m + 1) // 2
 
     def parts(self) -> tuple[complex, complex, complex]:
         """Canonical (geometric coeff, ratio, constant) with rho == 1 folded."""
@@ -374,6 +370,19 @@ def adjoint(T: StructuredOperator) -> StructuredOperator:
     )
 
 
+def _phi_enum_rows(k: np.ndarray) -> np.ndarray:
+    """``RuleEntry.row`` of a ``diag_enum`` entry at each of ``k``, exact
+    below k = 2**49."""
+    m = (np.sqrt(8 * k + 1).astype(np.int64) - 1) // 2
+    return k - m * (m + 1) // 2
+
+
+def _weights(e: RuleEntry, k: np.ndarray) -> np.ndarray:
+    """``e.weight`` at each of ``k``, rounded as ``column`` rounds it: NumPy's
+    array power differs from Python's in the last bit."""
+    return np.array([e.weight(x) for x in k.tolist()], complex)
+
+
 def materialize(
     T: StructuredOperator, row_lo: int, row_hi: int, col_lo: int, col_hi: int
 ) -> np.ndarray:
@@ -397,13 +406,9 @@ def materialize(
         ks = np.arange(k_lo, k_hi)
         cols = rule.start + rule.step * ks
         for e in rule.entries:
-            if e.row_kind == "affine":
-                rows = e.row_a * cols + e.row_b
-            else:
-                rows = np.array([phi_enum(int(k)) for k in ks])
-            w = e.c * e.rho**ks + e.d
+            rows = e.row_a * cols + e.row_b if e.row_kind == "affine" else _phi_enum_rows(ks)
             mask = (rows >= row_lo) & (rows < row_hi)
-            np.add.at(M, (rows[mask] - row_lo, cols[mask] - col_lo), w[mask])
+            np.add.at(M, (rows[mask] - row_lo, cols[mask] - col_lo), _weights(e, ks[mask]))
     return M
 
 
@@ -483,16 +488,12 @@ def _column_chunks(
             at = np.flatnonzero(cs * rule.step >= rule.start * rule.step)
             k = (cs[at] - rule.start) * rule.step
             for e in rule.entries:
-                if e.row_kind == "affine":
-                    r = e.row_a * cs[at] + e.row_b
-                else:  # phi_enum, exact below k = 2**49
-                    m = (np.sqrt(8 * k + 1).astype(np.int64) - 1) // 2
-                    r = k - m * (m + 1) // 2
+                r = e.row_a * cs[at] + e.row_b if e.row_kind == "affine" else _phi_enum_rows(k)
                 on = slice(None)
                 if rows is not None:
                     on = (r < 0) | (rows.take(np.searchsorted(rows, r), mode="clip") == r)
                 I.append(at[on]), Rs.append(r[on])
-                Vs.append(np.array([e.weight(x) for x in k[on].tolist()], complex))
+                Vs.append(_weights(e, k[on]))
         i, r, v = np.concatenate(I), np.concatenate(Rs), np.concatenate(Vs)
         o = np.lexsort((r, i))  # stable: a shared row keeps the layer order
         i, r, v = i[o], r[o], v[o]

@@ -397,7 +397,7 @@ def test_11_commutant_witness(battery):
 
 def test_11_nan_bezout_residual_fails(monkeypatch):
     """A NaN residual must not vanish from the running maximum."""
-    monkeypatch.setattr(acceptance, "bezout_residual", lambda wit: float("nan"))
+    monkeypatch.setattr(acceptance, "bezout_residual", lambda wits: np.full(len(wits), np.nan))
     sec = acceptance.criterion_commutant_witness(DEFAULT_SEED)
     rec = next(r for r in sec.records if r["name"] == "bezout_residual")
     assert rec["value"] == "nan"  # records hold non-finite floats as strings
@@ -406,10 +406,12 @@ def test_11_nan_bezout_residual_fails(monkeypatch):
 
 
 def _tampered_witnesses(monkeypatch, tamper):
-    """Criterion 11 on witnesses that the build hands over tampered."""
-    build = acceptance.build_commutant_witness
+    """Criterion 11 on witnesses that the stacked build hands over tampered."""
+    build = acceptance.build_commutant_witnesses
     monkeypatch.setattr(
-        acceptance, "build_commutant_witness", lambda *a, **k: tamper(build(*a, **k))
+        acceptance,
+        "build_commutant_witnesses",
+        lambda *a, **k: [tamper(wit) for wit in build(*a, **k)],
     )
     sec = acceptance.criterion_commutant_witness(DEFAULT_SEED)
     return sec, {r["name"]: r for r in sec.records}

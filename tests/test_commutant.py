@@ -7,16 +7,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lplab import commutant
 from lplab.commutant import (
     DegenerateSpectrum,
     KrylovDegenerate,
     bezout_residual,
     build_commutant_witness,
+    build_commutant_witnesses,
     eval_f_w,
     f_w_residuals,
     gram_schmidt_triangularize,
     krylov_rank,
     random_t1_contraction,
+    random_t1_contractions,
     witness_pairing_residual,
 )
 from lplab.operators import adjoint, apply, truncate
@@ -98,7 +101,7 @@ class TestBuildCommutantWitness:
         assert lams[0] == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert lams[1] == pytest.approx(0.5, abs=1e-10)
         assert wit.b_N == pytest.approx(0.3, abs=1e-14)
-        assert bezout_residual(wit) < TOL_WITNESS
+        assert bezout_residual([wit])[0] < TOL_WITNESS
 
     def test_polynomial_invariants(self):
         wit = build_commutant_witness(_rotation_example_block(), 1)
@@ -124,7 +127,9 @@ class TestBuildCommutantWitness:
             wit = build_commutant_witness(random_t1_contraction(N + 2, rng), N)
             D = 3 * (N + 2)
             Td = truncate(wit.op, D)
-            assert krylov_rank(Td, np.pad(wit.x0, (0, D - len(wit.x0)))) == D
+            x = np.pad(wit.x0, (0, D - len(wit.x0)))
+            K = np.column_stack([np.linalg.matrix_power(Td, j) @ x for j in range(D)])
+            assert krylov_rank([wit], D)[0] == np.linalg.matrix_rank(K) == D
 
     @pytest.mark.parametrize("N", [0, 1, 2, 3, 5])
     def test_x0_is_horner_on_the_whole_operator(self, N):
@@ -150,18 +155,12 @@ class TestBuildCommutantWitness:
                 wit = build_commutant_witness(
                     random_t1_contraction(N + 2, rng), N, seed=seed
                 )
-                assert bezout_residual(wit) < TOL_WITNESS
+                assert bezout_residual([wit])[0] < TOL_WITNESS
                 for w in (0.0, 0.5j, -0.4, 0.2 - 0.6j):
                     assert witness_pairing_residual(wit, eval_f_w(wit, w)) < TOL_WITNESS
 
     def test_jitter_fixes_triangular_head(self):
-        # Upper-triangular head: the transposed square has an eigenvector
-        # with vanishing first component, so the unjittered data are rejected.
-        blk = np.zeros((3, 2), dtype=complex)
-        blk[0, 0] = 0.5
-        blk[0, 1] = 0.2
-        blk[1, 1] = 1.0 / 3.0
-        blk[2, 1] = 0.3
+        blk = _triangular_block()
         with pytest.raises(DegenerateSpectrum):
             build_commutant_witness(blk, 1, max_jitter=0)
         wit = build_commutant_witness(blk, 1)
@@ -194,6 +193,105 @@ class TestBuildCommutantWitness:
         assert witness_pairing_residual(wit, eval_f_w(wit, 0.1 + 0.2j)) < TOL_WITNESS
 
 
+def _bits(wit) -> tuple:
+    """Every field of a witness, arrays as (dtype, shape, bytes)."""
+    arrays = (wit.lambdas, wit.V, wit.betas, wit.p_coeffs, wit.q_coeffs, wit.r_coeffs)
+    arrays += (wit.s_coeffs, *wit.reduced, wit.x0, wit.op.block)
+    head = (wit.N, np.float64(wit.b_N).tobytes(), len(wit.reduced), wit.op.rules)
+    return head + tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+
+
+def _triangular_block() -> np.ndarray:
+    """Upper-triangular head: the transposed square has an eigenvector with
+    vanishing first component, so the unjittered data are rejected."""
+    blk = np.zeros((3, 2), dtype=complex)
+    blk[0, 0] = 0.5
+    blk[0, 1] = 0.2
+    blk[1, 1] = 1.0 / 3.0
+    blk[2, 1] = 0.3
+    return blk
+
+
+class TestWitnessStack:
+    """A member of a stack gets the bits of its own one-witness build."""
+
+    def _assert_members_are_lone_builds(self, Bs, N, seeds, ws=(0.0, 0.3j, -0.55 + 0.4j)):
+        stack = build_commutant_witnesses(Bs, N, seeds)
+        lone = [build_commutant_witness(B, N, seed=s) for B, s in zip(Bs, seeds)]
+        assert [_bits(w) for w in stack] == [_bits(w) for w in lone]
+        D = 3 * (N + 2)
+        eigen, pair = f_w_residuals(stack, ws)
+        for m, wit in enumerate(lone):
+            assert bezout_residual(stack)[m].tobytes() == bezout_residual([wit])[0].tobytes()
+            assert krylov_rank(stack, D)[m] == krylov_rank([wit], D)[0] == D
+            (e1,), (p1,) = f_w_residuals([wit], ws)
+            assert eigen[m].tobytes() == e1.tobytes() and pair[m].tobytes() == p1.tobytes()
+        return stack
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 3])
+    def test_random_stacks(self, N):
+        rng = np.random.default_rng(80 + N)
+        for size in (1, 2, 7, 20):
+            keys = rng.integers(0, 2**32, size).tolist()
+            Ts = random_t1_contractions(N + 2, [np.random.default_rng(k) for k in keys])
+            for T, k in zip(Ts, keys):
+                assert T.tobytes() == random_t1_contraction(N + 2, np.random.default_rng(k)).tobytes()
+            self._assert_members_are_lone_builds(Ts, N, rng.integers(0, 1000, size).tolist())
+
+    def test_a_jittered_member_mid_stack(self):
+        rng = np.random.default_rng(90)
+        Bs = [random_t1_contraction(3, rng)[:, :2] for _ in range(4)]
+        Bs.insert(2, _triangular_block())
+        Bs.insert(4, 0.9 * _triangular_block())
+        for m in (2, 4):
+            with pytest.raises(DegenerateSpectrum):
+                build_commutant_witness(Bs[m], 1, max_jitter=0)
+        stack = self._assert_members_are_lone_builds(Bs, 1, [3, 1, 4, 1, 5, 9])
+        lams = sorted(stack[2].lambdas.tolist(), key=lambda z: z.real)
+        assert lams == pytest.approx([1.0 / 3.0, 0.5], abs=1e-6)
+
+    def test_a_member_out_of_jitter_fails_the_stack(self):
+        rng = np.random.default_rng(91)
+        Bs = [random_t1_contraction(3, rng)[:, :2], _triangular_block()]
+        with pytest.raises(DegenerateSpectrum, match="after 0 jitter attempts"):
+            build_commutant_witnesses(Bs, 1, [0, 0], max_jitter=0)
+
+    def test_a_malformed_member_fails_the_stack(self):
+        good = _rotation_example_block()
+        for bad, match in (
+            (good * np.array([[1.0], [1.0], [-1.0]]), "positive"),
+            (good * 3.0, "contraction"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                build_commutant_witnesses([good, bad, good], 1, [0, 1, 2])
+        with pytest.raises(ValueError, match="one seed each"):
+            build_commutant_witnesses([good, good], 1, [0])
+
+
+class TestStackedPolynomials:
+    """The stacked recurrences against NumPy's one-polynomial helpers: Horner
+    runs as np.polyval runs it, the others sum in another order."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_against_numpy(self, n):
+        rng = np.random.default_rng(95 + n)
+        roots = 0.95 * rng.random((6, n)) * np.exp(2j * np.pi * rng.random((6, n)))
+        a = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
+        b = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
+        x = 0.9 * np.exp(2j * np.pi * rng.random((6, 5)))
+        tol = 64 * np.finfo(float).eps
+        p = commutant._poly(roots)
+        u = commutant._polymul(a, p)
+        u[:, -n:] += b
+        quo, rem = commutant._polydiv_monic(u, p)
+        vals = commutant._polyval(u, x)
+        for m in range(6):
+            assert np.allclose(p[m], np.poly(roots[m]), rtol=0, atol=tol)
+            assert np.allclose(u[m, :-n], np.polymul(a[m], p[m])[:-n], rtol=0, atol=tol)
+            assert np.allclose(quo[m], a[m], rtol=0, atol=tol) and np.allclose(rem[m], b[m], rtol=0, atol=tol)
+            assert vals[m].tobytes() == np.polyval(u[m], x[m]).tobytes()
+
+
 class TestEvalFw:
     def test_w_zero_finitely_supported(self):
         wit = build_commutant_witness(_rotation_example_block(), 1)
@@ -224,7 +322,7 @@ class TestEvalFw:
         with pytest.raises(ValueError, match="non-finite"):
             eval_f_w(wit, w)
         with pytest.raises(ValueError, match="non-finite"):
-            f_w_residuals(wit, [0.1, w])
+            f_w_residuals([wit], [0.1, w])
 
     def test_nan_residual_fails_the_eigen_check(self):
         wit = build_commutant_witness(_rotation_example_block(), 1)
@@ -286,7 +384,7 @@ class TestEvalFwGrid:
         rng = np.random.default_rng(40 + N)
         wit = build_commutant_witness(random_t1_contraction(N + 2, rng), N, seed=N)
         ws = CRITERION_GRID + [0.0] + [complex(lam) for lam in wit.lambdas]
-        eigen, pair = f_w_residuals(wit, ws)
+        (eigen,), (pair,) = f_w_residuals([wit], ws)
         assert eigen.shape == pair.shape == (len(ws),)
         adj, pn2 = adjoint(wit.op), PNorm.lp(2.0)
         eps = np.finfo(float).eps
@@ -309,9 +407,9 @@ class TestEvalFwGrid:
         wit = build_commutant_witness(_rotation_example_block(), 1)
         for bad in (1.0, -1.2j, 0.8 + 0.6j):
             with pytest.raises(ValueError, match="summable"):
-                f_w_residuals(wit, [0.0, 0.5, bad, 0.1j])
+                f_w_residuals([wit], [0.0, 0.5, bad, 0.1j])
 
     def test_empty_grid(self):
         wit = build_commutant_witness(_rotation_example_block(), 1)
-        eigen, pair = f_w_residuals(wit, [])
-        assert eigen.shape == pair.shape == (0,)
+        eigen, pair = f_w_residuals([wit], [])
+        assert eigen.shape == pair.shape == (1, 0)

@@ -16,6 +16,7 @@ from lplab.operators import (
     _J,
     dual_sup_norm,
     fixed_point_restarts,
+    materialize,
     op_norm,
     op_norm_batch,
     op_norm_oracle,
@@ -246,6 +247,17 @@ class TestAdjointCompose:
         T = _random_operator(rng)
         D = 25
         np.testing.assert_allclose(truncate(T, D), _dense_by_columns(T, D, D), atol=0)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [RuleEntry("affine", 1, 0, 0.7 + 0.2j, rho, 0.1) for rho in (0.9137, 0.77 + 0.3j, -0.6543)]
+        + [RuleEntry("diag_enum", 0, 0, 0.7 + 0.2j, 0.77 + 0.3j, 0.1)],
+        ids=["real", "complex", "negative", "diag_enum"],
+    )
+    def test_materialize_is_the_columns_to_the_bit(self, entry):
+        """A dense window holds what T.column(j) holds, to the last bit."""
+        T = StructuredOperator.from_dense(np.zeros((1, 1)), 0, 0, (ColumnRule(0, 1, (entry,)),))
+        assert np.array_equal(materialize(T, 0, 400, 0, 400), _dense_by_columns(T, 400, 400))
 
 
 class TestNorms:
