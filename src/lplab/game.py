@@ -64,6 +64,9 @@ _NORM_TOL = 1e-12
 # [I, M, ..., M^B] take (B + 1) dim^2 complex entries (0.7 MB at B = 256,
 # dim = 13)
 _ORBIT_BLOCK = 256
+# entries of the stacked product that walks a group of orbit blocks at once
+# (1 MB of complex entries; 19 blocks of x alone at B = 256, dim = 13)
+_ORBIT_GROUP = 1 << 16
 _RESIDUAL_TOL = 1e-6  # extended-window residual above which an eigenpair
 # of a truncation is a truncation artifact
 _SCREEN_WINDOW = 128  # largest truncation verify_eigenfree_run screens
@@ -916,11 +919,13 @@ def verify_nonsup_run(run: GameRun, n_direct: int = 100_000) -> dict:
     2 L eps' <= (eps/2)(1 - eps/2)^L <= 2^-(k+2).
 
     The orbit is walked in blocks of B = ``_ORBIT_BLOCK`` steps by blocked
-    matrix powers: P = [I, M, ..., M^B] is computed once, each block is one
-    stacked product of P with the block's start vectors, and each block is
-    reduced with whole-array abs and max.  Blocked powers round differently
-    from the repeated gemv of a stepwise walk, so the orbit's last bits (and
-    the ``value`` fields read from it) depend on B; no check outcome
+    matrix powers: P = [I, M, ..., M^B] is computed once, and each block is a
+    stacked product of P with the block's start vectors.  Consecutive blocks
+    share one stacked product of at most ``_ORBIT_GROUP`` entries, whose
+    moduli are folded into running reductions, so memory does not grow with
+    n_direct.  Blocked powers round differently from the repeated gemv of a
+    stepwise walk, so the orbit's last bits (and the ``value`` fields read
+    from it) depend on B, though not on the grouping; no check outcome
     does, as the drift is orders of magnitude inside ``_ORBIT_SLACK``.  The
     ``exact_floor_direct_range`` record carries ``block_seam``: the largest
     ||M v_end - v_next||_inf over the block seams, where v_end is a block's
@@ -965,23 +970,31 @@ def verify_nonsup_run(run: GameRun, n_direct: int = 100_000) -> dict:
     # -- orbit iteration ------------------------------------------------------
     # x and the prefix starts y_k (x cut after N_k) walk once, as the columns
     # of one start block S; beyond[k] marks what lies past e_0 (for x) or
-    # past N_k (for y_k).  With P = [I, M, ..., M^B] computed once, the block
-    # of steps lo .. lo + B - 1 is the stacked product P[:B] @ S, and the next
-    # block starts at P[B] @ S.  The prefix columns walk while a block holds a
-    # step <= reach, then x walks alone.  abs, max and masking are exact, but
-    # blocked powers round differently from repeated M @ v, so the block size
-    # moves the last bits of the orbit (the drift against a stepwise walk is
-    # ~1e-14 at 10^5 steps, far inside _ORBIT_SLACK), never a check outcome.
-    coords = np.zeros((K, n_cap + 1))
-    head = np.zeros(n_cap + 1)
-    rest = np.zeros(n_cap + 1)
-    full = np.zeros(n_cap + 1)
+    # past N_k (for y_k).  The block of steps lo .. lo + B - 1 is P[:B] @ S,
+    # and the next block starts at P[B] @ S.  A group of g blocks takes its
+    # starts from that seam chain and its steps from one P[:B] @ [S_1 .. S_g],
+    # one small gemm per step, whose moduli are laid out coordinate-major
+    # (coordinate, column, step).  The prefix columns walk while a block holds
+    # a step <= reach, then x walks alone.  abs, max and masking are exact,
+    # and a gemm column rounds the same whatever columns stand beside it, so
+    # only the block size moves the orbit's last bits (~1e-14 from a stepwise
+    # walk at 10^5 steps, far inside _ORBIT_SLACK), never a check outcome.
     spans = [min(rec.L, n_cap, 10_000) for rec in side]
     reach = max(spans, default=0)
     prefix_peak = np.zeros((K, reach + 1))
     prefix_spill = np.zeros((K, reach + 1))
     cut = np.array([1] + [rec.N + 1 for rec in side])
     beyond = np.arange(dim)[None, :] >= cut[:, None]
+    # running reductions per round: the coordinate floor 2^-(k+1) - 2 n eps'
+    # (its gap over all n and over n >= 1), and the 8:1 ratio on the range
+    # [seg_lo, seg_hi), whose starts are also the norm checkpoints
+    floor0 = np.array([2.0 ** (-(rec.k + 1)) for rec in side])
+    eps_next = np.array([rec.eps_next for rec in side])
+    seg_lo = np.array([0] + [rec.L for rec in side[:-1]])
+    seg_hi = np.array([min(rec.L, n_cap + 1) for rec in side])
+    gap, margin, ratio = np.full(K, math.inf), np.full(K, math.inf), np.full(K, -math.inf)
+    floor_min = math.inf  # of the scaled-orbit floor s/(a + s)
+    full_at: dict[int, float] = {}  # ||T^n x||_inf at the checkpoints
     B = _ORBIT_BLOCK
     P = np.empty((min(B, n_cap) + 1, dim, dim), dtype=complex)
     P[0] = np.eye(dim)
@@ -989,42 +1002,63 @@ def verify_nonsup_run(run: GameRun, n_direct: int = 100_000) -> dict:
         np.matmul(M, P[j - 1], out=P[j])
     S = np.vstack([x, np.where(beyond[1:], 0.0, x)]).T
     seam = 0.0  # max over seams of ||M v_(block end) - v_(next block start)||_inf
-    seams = 0
-    for lo in range(0, n_cap + 1, B):
-        hi = min(lo + B, n_cap + 1)  # this block holds steps lo .. hi - 1
+    blocks = n_cap // B + 1
+    j = 0
+    while j < blocks:
+        lo = j * B
         if lo > reach:
             S = S[:, :1]
-        V = np.matmul(P[: hi - lo], S)
-        A = np.abs(V).transpose(0, 2, 1)  # step, start, coordinate
-        head[lo:hi] = A[:, 0, 0]
-        full[lo:hi] = A[:, 0].max(axis=1)
-        rest[lo:hi] = np.where(beyond[0], A[:, 0], 0.0).max(axis=1)
-        coords[:, lo:hi] = A[:, 0, cut[1:]].T
-        pre = min(hi - 1, reach) + 1 - lo
+        c = S.shape[1]
+        # a group stays in its phase: the prefix blocks, then x alone
+        end = reach // B + 1 if lo <= reach else blocks
+        g = min(max(1, _ORBIT_GROUP // (B * dim * c)), end - j)
+        starts = [S]
+        for _ in range(g if j + g < blocks else g - 1):
+            starts.append(P[B] @ starts[-1])
+        V = np.matmul(P[: min(B, n_cap + 1 - lo)], np.hstack(starts[:g]))
+        if len(starts) > 1:
+            nxt = np.hstack(starts[1:])
+            seam = max_or_nan(seam, float(np.max(np.abs(M @ V[-1, :, : nxt.shape[1]] - nxt))))
+        S = starts[-1]
+        j += g
+        n = min(len(V) * g, n_cap + 1 - lo)  # this group holds steps lo .. lo + n - 1
+        A = np.empty((dim, c, g, len(V)))
+        np.abs(V.reshape(len(V), dim, g, c).transpose(1, 3, 2, 0), out=A)
+        A = A.reshape(dim, c, -1)[:, :, :n]
+        X = A[:, 0]
+        head, rest = X[0], X[1:].max(axis=0)
+        full = np.maximum(head, rest)
+        coords = X[cut[1:]]
+        ns = np.arange(lo, lo + n)
+        bound = floor0[:, None] - 2.0 * ns * eps_next[:, None]
+        gaps = np.where(bound > 0, coords - bound, math.inf)
+        gap = np.minimum(gap, gaps.min(axis=1))
+        margin = np.minimum(margin, gaps[:, int(lo == 0) :].min(axis=1))
+        seg = (ns >= seg_lo[:, None]) & (ns < seg_hi[:, None])
+        ratio = np.maximum(ratio, np.where(seg, full - 8.0 * coords, -math.inf).max(axis=1))
+        # s/(a + s), 1 for a zero vector, which never divides 0 by 0
+        total = head + rest
+        floors = np.divide(rest, total, out=np.ones(n), where=total != 0.0)
+        floor_min = float(np.minimum(floor_min, floors.min()))
+        for t in seg_lo[(seg_lo >= lo) & (seg_lo < lo + n)].tolist():
+            full_at[t] = float(full[t - lo])
+        pre = min(n, reach + 1 - lo)
         if pre > 0:
-            Q = A[:pre, 1:]
-            prefix_peak[:, lo : lo + pre] = Q.max(axis=2).T
-            prefix_spill[:, lo : lo + pre] = np.where(beyond[1:], Q, 0.0).max(axis=2).T
-        if hi <= n_cap:
-            S = P[B] @ S
-            seam = max_or_nan(seam, float(np.max(np.abs(M @ V[-1] - S))))
-            seams += 1
+            Q = A[:, 1:, :pre]
+            prefix_peak[:, lo : lo + pre] = Q.max(axis=0)
+            prefix_spill[:, lo : lo + pre] = np.where(beyond[1:].T[:, :, None], Q, 0.0).max(axis=0)
 
     checks: list[dict] = []
-    # coordinate floor (cl-style lower bound), per round
+    # coordinate floor (cl-style lower bound), per round.  At n = 0 the
+    # coordinate equals the bound exactly, so the gap is never positive; the
+    # margin is the gap over n >= 1 alone.  The bound falls with n, so some
+    # n >= 1 is live exactly when n = 1 is
     for kk, rec in enumerate(side):
-        lo = 2.0 ** (-(rec.k + 1))
-        ns = np.arange(n_cap + 1)
-        bound = lo - 2.0 * ns * rec.eps_next
-        live = bound > 0
-        gap = float(np.min(coords[kk][live] - bound[live])) if live.any() else 0.0
-        # at n = 0 the coordinate equals the bound exactly, so the gap above
-        # is never positive; the margin is the gap over n >= 1 alone
-        live[0] = False
-        margin = float(np.min(coords[kk][live] - bound[live])) if live.any() else None
+        live = n_cap >= 1 and floor0[kk] - 2.0 * rec.eps_next > 0
         checks.append(
             orbit_check(
-                f"round{rec.k}_coordinate_floor", -gap, checked_n=int(n_cap), min_gap_n_ge_1=margin
+                f"round{rec.k}_coordinate_floor", -gap[kk], checked_n=int(n_cap),
+                min_gap_n_ge_1=float(margin[kk]) if live else None,
             )
         )
     parts["coordinate_floor"] = checks
@@ -1047,38 +1081,32 @@ def verify_nonsup_run(run: GameRun, n_direct: int = 100_000) -> dict:
     for kk in range(1, K):
         ckpt = side[kk - 1].L
         if ckpt <= n_cap:
-            pref.append(orbit_check(f"norm_checkpoint_k{kk}", full[ckpt], 2.0 ** (-(kk - 1))))
+            pref.append(orbit_check(f"norm_checkpoint_k{kk}", full_at[ckpt], 2.0 ** (-(kk - 1))))
     parts["prefix_bounds"] = pref
 
     # 8:1 norm-to-coordinate ratio on each round's range
-    ratio_checks: list[dict] = []
-    for kk, rec in enumerate(side):
-        lo_n = side[kk - 1].L if kk > 0 else 0
-        hi_n = min(rec.L, n_cap + 1)
-        if lo_n >= hi_n:
-            continue
-        seg = slice(lo_n, hi_n)
-        worst = float(np.max(full[seg] - 8.0 * coords[kk][seg]))
-        ratio_checks.append(
-            orbit_check(
-                f"round{rec.k}_norm_coordinate_ratio", worst, checked_n=[int(lo_n), int(hi_n - 1)]
-            )
+    parts["norm_coordinate_ratio"] = [
+        orbit_check(
+            f"round{rec.k}_norm_coordinate_ratio",
+            ratio[kk],
+            checked_n=[int(seg_lo[kk]), int(seg_hi[kk] - 1)],
         )
-    parts["norm_coordinate_ratio"] = ratio_checks
+        for kk, rec in enumerate(side)
+        if seg_lo[kk] < seg_hi[kk]
+    ]
 
-    # scaled-orbit floor: the closed-form infimum s/(a + s) at every step, 1
-    # for a zero vector; a NaN a or s stays NaN, so it fails the check
+    # scaled-orbit floor: the closed-form infimum at every step; a NaN a or s
+    # stays NaN, so it fails the check
     floor_checks: list[dict] = []
-    exact_inf = np.where(head + rest == 0.0, 1.0, rest / (head + rest))
     seam_info = {
         "role": "consistency diagnostic, not a drift bound",
         "block": B,
-        "seams": seams,
+        "seams": blocks - 1,
         "max_residual": seam,
     }
     floor_checks.append(
         check(
-            "exact_floor_direct_range", float(np.min(exact_inf)), "exact", ">=", 1.0 / 9.0,
+            "exact_floor_direct_range", floor_min, "exact", ">=", 1.0 / 9.0,
             _ORBIT_SLACK, checked_n=int(n_cap), block_seam=seam_info,
         )
     )
@@ -1096,7 +1124,7 @@ def verify_nonsup_run(run: GameRun, n_direct: int = 100_000) -> dict:
             cert.append(exact_check(f"{name}_coordinate_floor", mid, 2.0 ** (-(rec.k + 2)), **tail))
             if lo_n <= n_cap:
                 ckpt = 2.0 ** (-(rec.k - 1))
-                cert.append(orbit_check(f"{name}_norm_checkpoint", full[lo_n], ckpt, **tail))
+                cert.append(orbit_check(f"{name}_norm_checkpoint", full_at[lo_n], ckpt, **tail))
         failed = sum(1 for c in cert if not c["ok"])
         floor_checks.append(
             check(

@@ -8,6 +8,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from lplab.game import (
     verify_nonsup_run,
 )
 from lplab.game import _max_col_diff
+from lplab.reports import canonical_json
 
 EXACT_TOL = 1e-14
 NORM_TOL = 1e-12
@@ -509,94 +512,114 @@ class TestVerifyNonsup:
         assert "certified_floor_tail_range" in names  # L_5 exceeds n_direct
 
     def test_grid_floor_matches_independent_orbit_walk(self):
-        # 600 steps span three orbit blocks, and the prefix reach (533) ends
-        # inside the third.  The report walks by blocked powers and this test
-        # by repeated M @ v, so the values agree to within ORBIT_DRIFT_TOL
-        # and every verdict agrees exactly
-        n_direct = 600
-        assert n_direct > 2 * game_mod._ORBIT_BLOCK
+        # One walk by repeated M @ v is the reference for direct ranges at the
+        # edges of the report's blocks and groups: the prefix reach ends
+        # inside the third block (600); a prefix group's last step and the
+        # step past it; a step inside a final partial group; and, once the
+        # prefix reach (10^4) ends inside a group and x walks alone, an
+        # x-only group's last step and the step past it.  The report walks by
+        # blocked powers, so the values agree to within ORBIT_DRIFT_TOL and
+        # every verdict agrees exactly
         run = play_game("nonsup", 3, seed=7, adversary="random")
-        rep = verify_nonsup_run(run, n_direct=n_direct)
-        recs = {
-            c["name"]: c
-            for s in rep["sections"]
-            if s["name"] in ("coordinate_floor", "prefix_bounds", "norm_coordinate_ratio")
-            for c in s["records"]
-        }
-        floor = next(s for s in rep["sections"] if s["name"] == "scaled_orbit_floor")
-        direct = next(c for c in floor["records"] if c["name"] == "exact_floor_direct_range")
         blk = run.final_set.A
-        dim = blk.N + 1
+        dim, K, B = blk.N + 1, len(run.side), game_mod._ORBIT_BLOCK
+        prefix_group = game_mod._ORBIT_GROUP // (B * dim * (K + 1)) * B
+        x_start = (10_000 // B + 1) * B
+        x_group = game_mod._ORBIT_GROUP // (B * dim) * B
+        # a prefix group spans blocks, and the reach is neither its first step
+        # nor its last, the step before x_start
+        assert B < prefix_group and 0 < 10_000 % prefix_group and 10_000 < x_start - 1
+        cases = [
+            600,
+            prefix_group - 1,
+            prefix_group,
+            prefix_group + B + B // 2,
+            x_start + x_group - 1,
+            x_start + x_group,
+        ]
         M = block_to_dense(blk, dim)
         x = np.zeros(dim, dtype=complex)
         x[0] = 1.0
         for rec in run.side:
             x[rec.N + 1] += 2.0 ** (-(rec.k + 1))
+        orbit = [x]
+        for n in range(max(cases)):
+            orbit.append(M @ orbit[-1])
         # the brute-force grid runs on a subsample of the walked steps
-        want = set(range(11)) | set(range(0, n_direct + 1, 50))
-        worst_exact = math.inf
-        coord_gap = {rec.k: math.inf for rec in run.side}
-        coord_margin = {rec.k: math.inf for rec in run.side}
-        ratio = {rec.k: -math.inf for rec in run.side}
-        peaks = []
-        v = x.copy()
-        for n in range(n_direct + 1):
-            if n in want:
-                _assert_grid_brackets_closed_form(v)
-            av = np.abs(v)
-            worst_exact = min(worst_exact, _closed_floor(v))
-            peaks.append(float(np.max(av)))
-            for kk, rec in enumerate(run.side):
-                bound = 2.0 ** (-(rec.k + 1)) - 2.0 * n * rec.eps_next
-                if bound > 0:
-                    coord_gap[rec.k] = min(coord_gap[rec.k], av[rec.N + 1] - bound)
-                    if n >= 1:
-                        coord_margin[rec.k] = min(coord_margin[rec.k], av[rec.N + 1] - bound)
-                lo_n = run.side[kk - 1].L if kk > 0 else 0
-                if lo_n <= n < rec.L:
-                    ratio[rec.k] = max(ratio[rec.k], peaks[-1] - 8.0 * av[rec.N + 1])
-            v = M @ v
+        for n in set(range(11)) | set(range(0, 601, 50)):
+            _assert_grid_brackets_closed_form(orbit[n])
+        av = np.abs(np.array(orbit))
+        peaks = av.max(axis=1)
+        exact = np.array([_closed_floor(v) for v in orbit])
+        ns = np.arange(len(av))
+        # each round's prefix start, walked on its own to n = 10^4
+        prefix = {}
+        for rec in run.side:
+            w = x.copy()
+            w[rec.N + 1 :] = 0.0
+            ws = [w]
+            for n in range(min(rec.L, 10_000)):
+                ws.append(M @ ws[-1])
+            prefix[rec.k] = np.abs(np.array(ws))
 
         def agrees(rec, walked, verdict):
             # the value within the drift bound, the verdict exactly
-            assert abs(rec["value"] - walked) <= ORBIT_DRIFT_TOL, (rec["name"], walked)
-            assert rec["ok"] is bool(verdict(walked)), rec["name"]
+            assert abs(rec["value"] - walked) <= ORBIT_DRIFT_TOL, (n_direct, rec["name"], walked)
+            assert rec["ok"] is bool(verdict(walked)), (n_direct, rec["name"])
 
-        assert abs(direct["value"] - worst_exact) <= ORBIT_DRIFT_TOL
-        assert direct["ok"] is (worst_exact >= 1.0 / 9.0 - ORBIT_SLACK)
-        checkpoints = [kk for kk in range(1, len(run.side)) if run.side[kk - 1].L <= n_direct]
-        assert checkpoints
-        for kk in checkpoints:
-            bound = 2.0 ** (-(kk - 1))
-            agrees(
-                recs[f"norm_checkpoint_k{kk}"],
-                peaks[run.side[kk - 1].L],
-                lambda w: w <= bound + ORBIT_SLACK,
-            )
-        for rec in run.side:
-            gap = coord_gap[rec.k] if coord_gap[rec.k] < math.inf else 0.0
-            agrees(recs[f"round{rec.k}_coordinate_floor"], -gap, lambda w: -w >= -ORBIT_SLACK)
-            margin = recs[f"round{rec.k}_coordinate_floor"]["min_gap_n_ge_1"]
-            assert abs(margin - coord_margin[rec.k]) <= ORBIT_DRIFT_TOL
-            agrees(
-                recs[f"round{rec.k}_norm_coordinate_ratio"],
-                ratio[rec.k],
-                lambda w: w <= ORBIT_SLACK,
-            )
-            # each round's prefix start, walked on its own
-            w = x.copy()
-            w[rec.N + 1 :] = 0.0
-            worst_spill = worst_decay = -math.inf
-            for n in range(1, min(rec.L, n_direct) + 1):
-                w = M @ w
-                spill = float(np.max(np.abs(w[rec.N + 1 :]))) if rec.N + 1 < dim else 0.0
-                worst_spill = max(worst_spill, spill - n * (rec.N + 1) * rec.eps_next)
-                worst_decay = max(
-                    worst_decay, float(np.max(np.abs(w))) - (1.0 - rec.eps / 4.0) ** n
+        for n_direct in cases:
+            rep = verify_nonsup_run(run, n_direct=n_direct)
+            recs = {c["name"]: c for s in rep["sections"] for c in s["records"]}
+            tail = {c["name"]: c for c in recs["certified_floor_tail_range"]["certificates"]}
+            walked = slice(0, n_direct + 1)
+            worst_exact = float(exact[walked].min())
+            agrees(recs["exact_floor_direct_range"], worst_exact, lambda w: w >= 1.0 / 9.0 - ORBIT_SLACK)
+            checkpoints = [kk for kk in range(1, K) if run.side[kk - 1].L <= n_direct]
+            assert checkpoints
+            for kk in checkpoints:
+                bound = 2.0 ** (-(kk - 1))
+                agrees(
+                    recs[f"norm_checkpoint_k{kk}"],
+                    peaks[run.side[kk - 1].L],
+                    lambda w: w <= bound + ORBIT_SLACK,
                 )
-            agrees(recs[f"round{rec.k}_prefix_spill"], worst_spill, lambda w: w <= ORBIT_SLACK)
-            agrees(recs[f"round{rec.k}_prefix_decay"], worst_decay, lambda w: w <= ORBIT_SLACK)
-        assert all(s["status"] == "pass" for s in rep["sections"])
+            agrees(
+                tail["round2_tail_norm_checkpoint"],
+                peaks[run.side[1].L],
+                lambda w: w <= 0.5 + ORBIT_SLACK,  # 2^-(k - 1) at k = 2
+            )
+            for kk, rec in enumerate(run.side):
+                coord = av[walked, rec.N + 1]
+                bound = 2.0 ** (-(rec.k + 1)) - 2.0 * ns[walked] * rec.eps_next
+                live = bound > 0
+                gap = float(np.min(coord[live] - bound[live]))
+                margin = float(np.min(coord[1:][live[1:]] - bound[1:][live[1:]]))
+                floor = recs[f"round{rec.k}_coordinate_floor"]
+                agrees(floor, -gap, lambda w: -w >= -ORBIT_SLACK)
+                assert abs(floor["min_gap_n_ge_1"] - margin) <= ORBIT_DRIFT_TOL
+                lo_n = run.side[kk - 1].L if kk > 0 else 0
+                seg = slice(lo_n, min(rec.L, n_direct + 1))
+                agrees(
+                    recs[f"round{rec.k}_norm_coordinate_ratio"],
+                    float(np.max(peaks[seg] - 8.0 * av[seg, rec.N + 1])),
+                    lambda w: w <= ORBIT_SLACK,
+                )
+                span = min(rec.L, n_direct, 10_000)
+                pw = prefix[rec.k][1 : span + 1]
+                steps = ns[1 : span + 1]
+                spill = pw[:, rec.N + 1 :].max(axis=1) if rec.N + 1 < dim else np.zeros(span)
+                decay = np.array([(1.0 - rec.eps / 4.0) ** n for n in steps.tolist()])
+                agrees(
+                    recs[f"round{rec.k}_prefix_spill"],
+                    float(np.max(spill - steps * (rec.N + 1) * rec.eps_next)),
+                    lambda w: w <= ORBIT_SLACK,
+                )
+                agrees(
+                    recs[f"round{rec.k}_prefix_decay"],
+                    float(np.max(pw.max(axis=1) - decay)),
+                    lambda w: w <= ORBIT_SLACK,
+                )
+            assert all(s["status"] == "pass" for s in rep["sections"])
 
     @pytest.mark.parametrize(
         "rounds, seed, adversary", [(2, 2, "passthrough"), (3, 7, "random")]
@@ -636,6 +659,94 @@ class TestVerifyNonsup:
         assert seam["seams"] == direct["checked_n"] // game_mod._ORBIT_BLOCK
         assert 0.0 <= seam["max_residual"] <= 1e-14
         assert rep["ok"]
+
+    @pytest.mark.parametrize(
+        "rounds, seed, adversary", [(2, 2, "passthrough"), (3, 7, "random")]
+    )
+    def test_group_size_cannot_move_the_report(self, monkeypatch, rounds, seed, adversary):
+        # a gemm column rounds the same whatever columns stand beside it, so
+        # one block per group, or a few, gives the default grouping's bytes
+        run = play_game("nonsup", rounds, seed=seed, adversary=adversary)
+        for n_direct in (1, 2_000, 20_000):
+            want = canonical_json(verify_nonsup_run(run, n_direct=n_direct))
+            for entries in (1, 5 * game_mod._ORBIT_BLOCK * (run.final_set.A.N + 1)):
+                monkeypatch.setattr(game_mod, "_ORBIT_GROUP", entries)
+                got = canonical_json(verify_nonsup_run(run, n_direct=n_direct))
+                monkeypatch.undo()
+                assert got == want, (n_direct, entries)
+
+    def test_zero_orbit_has_unit_floor_and_fails_the_coordinate_floor(self, monkeypatch):
+        # a nilpotent M sends x to 0 within dim steps: the scaled-orbit floor
+        # reads 1 there without evaluating 0/0, and every tracked coordinate
+        # falls below its floor
+        dense = game_mod.block_to_dense
+        monkeypatch.setattr(game_mod, "block_to_dense", lambda *a: np.tril(dense(*a), -1))
+        run = play_game("nonsup", 3, seed=7, adversary="random")
+        dim = run.final_set.A.N + 1
+        M = game_mod.block_to_dense(run.final_set.A, dim)
+        x = game_mod._nonsup_vector(run.side, dim)
+        assert not np.linalg.matrix_power(M, dim).dot(x).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = verify_nonsup_run(run, n_direct=200)
+        recs = {c["name"]: c for s in rep["sections"] for c in s["records"]}
+        direct = recs["exact_floor_direct_range"]
+        assert 0.0 < direct["value"] <= 1.0
+        for rec in run.side:
+            assert recs[f"round{rec.k}_coordinate_floor"]["ok"] is False
+        assert not rep["ok"]
+
+    def test_coordinate_floor_fails_strictly_inside_a_group(self, monkeypatch):
+        # rotating round 1's tracked coordinate r into the unused r + 1 by
+        # theta per step leaves |(T^n x)_r| = cos(n theta)/4, which first falls
+        # below 1/4 - 2 n eps' by more than ORBIT_SLACK at a step strictly
+        # inside a group of x-only blocks: the record passes up to the step
+        # before and fails from that step on
+        run = play_game("nonsup", 3, seed=7, adversary="random")
+        rec = run.side[1]
+        r, dim, B = rec.N + 1, run.final_set.A.N + 1, game_mod._ORBIT_BLOCK
+        dense = game_mod.block_to_dense
+        M = dense(run.final_set.A, dim)
+        assert np.count_nonzero(M[r]) == np.count_nonzero(M[:, r]) == 1 and not M[r + 1].any()
+        theta = 5e-6
+        rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+        def perturbed(*args):
+            out = dense(*args)
+            out[r : r + 2, r : r + 2] = rot
+            return out
+
+        monkeypatch.setattr(game_mod, "block_to_dense", perturbed)
+        ns = np.arange(100_001)
+        gaps = np.cos(ns * theta) / 4.0 - (0.25 - 2.0 * ns * rec.eps_next)
+        first = int(np.argmax(gaps < -ORBIT_SLACK))
+        x_start = (10_000 // B + 1) * B
+        x_group = game_mod._ORBIT_GROUP // (B * dim) * B
+        group_end = x_start + ((first - x_start) // x_group + 1) * x_group - 1
+        assert x_start < first and 0 < (first - x_start) % x_group < x_group - 1
+
+        def floor_ok(n_direct):
+            rep = verify_nonsup_run(run, n_direct=n_direct)
+            sec = next(s for s in rep["sections"] if s["name"] == "coordinate_floor")
+            return next(c for c in sec["records"] if c["name"] == "round1_coordinate_floor")["ok"]
+
+        assert floor_ok(first - 1)
+        assert not floor_ok(first)
+        assert not floor_ok(group_end)
+        assert not floor_ok(100_000)
+
+    def test_memory_does_not_grow_with_the_direct_range(self):
+        # running reductions: 4x the steps, the same peak to within 1 MiB
+        run = play_game("nonsup", 3, seed=7, adversary="random")
+        peaks = []
+        for n_direct in (100_000, 400_000):
+            tracemalloc.start()
+            try:
+                verify_nonsup_run(run, n_direct=n_direct)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
 
     def test_game_report_is_byte_identical_across_runs_and_threads(self, tmp_path):
         # the blocked walk's stacked products must not depend on BLAS threads
