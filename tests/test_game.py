@@ -513,13 +513,13 @@ class TestVerifyNonsup:
 
     def test_grid_floor_matches_independent_orbit_walk(self):
         # One walk by repeated M @ v is the reference for direct ranges at the
-        # edges of the report's blocks and groups: the prefix reach ends
-        # inside the third block (600); a prefix group's last step and the
-        # step past it; a step inside a final partial group; and, once the
-        # prefix reach (10^4) ends inside a group and x walks alone, an
-        # x-only group's last step and the step past it.  The report walks by
-        # blocked powers, so the values agree to within ORBIT_DRIFT_TOL and
-        # every verdict agrees exactly
+        # edges of the report's blocks and groups: three blocks, the third
+        # partial (600); a prefix group's last step and the step past it; a
+        # step inside a final partial group; and, once the prefix reach
+        # (10^4) ends inside a group and x walks alone, an x-only group's last
+        # step and the step past it.  The report walks by blocked powers, so
+        # the values agree to within ORBIT_DRIFT_TOL and every verdict agrees
+        # exactly
         run = play_game("nonsup", 3, seed=7, adversary="random")
         blk = run.final_set.A
         dim, K, B = blk.N + 1, len(run.side), game_mod._ORBIT_BLOCK
